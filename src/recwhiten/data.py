@@ -2,12 +2,12 @@
 
 All three file kinds are tab-separated UTF-8. Vector tables carry a
 ``#dim=<d>`` header; floats are written with 17 significant digits so that
-save/load round-trips are bit-exact.
+save/load round-trips are bit-exact. Trials and scores are held as columns:
+one array each of model ids, test ids, labels and scores.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,12 +68,6 @@ class VectorSet:
             return np.empty((0, self.dim))
         return np.stack([e.values for e in self.entries])
 
-    def by_id(self) -> dict[str, VectorEntry]:
-        return {e.id: e for e in self.entries}
-
-    def subset(self, corpus_id: str) -> "VectorSet":
-        return VectorSet(self.dim, [e for e in self.entries if e.corpus_id == corpus_id])
-
     def with_vectors(self, vectors: np.ndarray) -> "VectorSet":
         """Same ids/corpus/speaker tags, replaced coordinates."""
         if vectors.shape[0] != len(self.entries):
@@ -86,60 +80,85 @@ class VectorSet:
         return VectorSet(dim, entries)
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_model_id: str
-    test_id: str
-    label: str  # target | nontarget | unknown
-
-
-@dataclass
+@dataclass(eq=False)
 class TrialList:
-    trials: list[Trial] = field(default_factory=list)
+    """Trial columns: enrollment model id, test id and label of each trial.
+
+    Each column is a 1-D array of strings; (model id, test id) pairs are
+    unique and every label is one of LABELS.
+    """
+
+    model_ids: np.ndarray
+    test_ids: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for t in self.trials:
-            key = (t.enroll_model_id, t.test_id)
-            if key in seen:
-                raise DataError(f"duplicate trial {key}")
-            seen.add(key)
-            if t.label not in LABELS:
-                raise DataError(f"unknown label {t.label!r}")
+        self.model_ids = np.asarray(self.model_ids, dtype=str)
+        self.test_ids = np.asarray(self.test_ids, dtype=str)
+        self.labels = np.asarray(self.labels, dtype=str)
+        if not self.model_ids.shape == self.test_ids.shape == self.labels.shape:
+            raise DataError("trial columns differ in length")
+        bad = ~np.isin(self.labels, LABELS)
+        if bad.any():
+            raise DataError(f"unknown label {str(self.labels[np.argmax(bad)])!r}")
+        order = np.lexsort((self.test_ids, self.model_ids))
+        m, t = self.model_ids[order], self.test_ids[order]
+        repeat = (m[1:] == m[:-1]) & (t[1:] == t[:-1])
+        if repeat.any():
+            raise DataError(f"duplicate trial {self.key(order[1:][repeat].min())}")
+
+    def __len__(self):
+        return len(self.labels)
+
+    def key(self, i: int) -> tuple[str, str]:
+        return str(self.model_ids[i]), str(self.test_ids[i])
+
+
+@dataclass(eq=False)
+class ScoreSet:
+    """One finite float64 score per trial of a TrialList."""
+
+    trials: TrialList
+    scores: np.ndarray
+
+    def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=float)
+        if self.scores.shape != (len(self.trials),):
+            raise DataError(f"{self.scores.shape} scores for {len(self.trials)} trials")
+        bad = ~np.isfinite(self.scores)
+        if bad.any():
+            raise DataError(f"non-finite score for trial {self.trials.key(np.argmax(bad))}")
 
     def __len__(self):
         return len(self.trials)
 
 
-@dataclass(frozen=True)
-class ScoredTrial:
-    enroll_model_id: str
-    test_id: str
-    score: float
-    label: str
+def index_of(keys, column: np.ndarray, missing: str) -> np.ndarray:
+    """Position in keys of each value of column; a value keys lack raises
+    DataError with the message prefix `missing`."""
+    where = {k: i for i, k in enumerate(keys)}
+    uniq, inverse = np.unique(column, return_inverse=True)
+    try:
+        found = np.array([where[k] for k in uniq.tolist()], dtype=np.intp)
+    except KeyError as e:
+        raise DataError(f"{missing} {e.args[0]!r}") from None
+    return found[inverse]
 
 
-@dataclass
-class ScoreSet:
-    scores: list[ScoredTrial] = field(default_factory=list)
+def parse_floats(text: str, where: str) -> np.ndarray:
+    """Whitespace-separated floats; DataError says `where` on a bad token."""
+    try:
+        return np.array([float(v) for v in text.split()])
+    except ValueError:
+        raise DataError(f"bad float {where}") from None
 
-    def __post_init__(self):
-        seen = set()
-        for s in self.scores:
-            key = (s.enroll_model_id, s.test_id)
-            if key in seen:
-                raise DataError(f"duplicate trial {key}")
-            seen.add(key)
-            if s.label not in LABELS:
-                raise DataError(f"unknown label {s.label!r}")
-            if not math.isfinite(s.score):
-                raise DataError(f"non-finite score for trial {key}")
 
-    def __len__(self):
-        return len(self.scores)
-
-    def score_array(self, label: str) -> np.ndarray:
-        return np.array([s.score for s in self.scores if s.label == label])
+def parse_matrix(lines: list[str], where: str) -> np.ndarray:
+    """Rows of whitespace-separated floats, all of one length."""
+    rows = [parse_floats(line, where) for line in lines]
+    if not rows or len({r.shape for r in rows}) != 1:
+        raise DataError(f"empty or ragged matrix {where}")
+    return np.stack(rows)
 
 
 def load_vector_table(path) -> VectorSet:
@@ -166,23 +185,16 @@ def load_vector_table(path) -> VectorSet:
             vid, corpus, speaker, coords = parts
             if not vid or any(c.isspace() for c in vid):
                 raise DataError(f"bad id at line {lineno}")
-            vals = coords.split()
-            if len(vals) != dim:
+            vec = parse_floats(coords, f"at line {lineno}")
+            if vec.shape != (dim,):
                 raise DataError(f"dimension mismatch at line {lineno}")
-            try:
-                vec = np.array([float(v) for v in vals])
-            except ValueError:
-                raise DataError(f"bad float at line {lineno}")
             if not np.all(np.isfinite(vec)):
                 raise DataError(f"non-finite value at line {lineno}")
             spk = None if speaker == MISSING_SPEAKER else speaker
             entries.append(VectorEntry(vid, corpus, spk, vec))
     if dim is None:
         raise DataError("missing #dim= header")
-    try:
-        return VectorSet(dim, entries)
-    except DataError as e:
-        raise DataError(str(e))
+    return VectorSet(dim, entries)
 
 
 def save_vector_table(vset: VectorSet, path) -> None:
@@ -194,51 +206,54 @@ def save_vector_table(vset: VectorSet, path) -> None:
             fh.write(f"{e.id}\t{e.corpus_id}\t{spk}\t{coords}\n")
 
 
-def load_trials(path) -> TrialList:
-    trials = []
+def _read_columns(path, n_fields: int):
+    """Line numbers and columns of a tab-separated trial or score file, whose
+    last field is the trial label."""
+    linenos, rows = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"expected 3 tab-separated fields at line {lineno}")
-            model, test, label = parts
-            if label not in LABELS:
-                raise DataError(f"unknown label at line {lineno}: {label!r}")
-            trials.append(Trial(model, test, label))
-    return TrialList(trials)
+            if len(parts) != n_fields:
+                raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
+            if parts[-1] not in LABELS:
+                raise DataError(f"unknown label at line {lineno}: {parts[-1]!r}")
+            # string arrays drop trailing NULs, which would alias two ids
+            if "\0" in line:
+                raise DataError(f"NUL character at line {lineno}")
+            linenos.append(lineno)
+            rows.append(parts)
+    return linenos, list(zip(*rows)) or [()] * n_fields
+
+
+def load_trials(path) -> TrialList:
+    _, (model, test, label) = _read_columns(path, 3)
+    return TrialList(model, test, label)
 
 
 def save_trials(tlist: TrialList, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in tlist.trials:
-            fh.write(f"{t.enroll_model_id}\t{t.test_id}\t{t.label}\n")
+        for m, t, label in zip(tlist.model_ids.tolist(), tlist.test_ids.tolist(),
+                               tlist.labels.tolist()):
+            fh.write(f"{m}\t{t}\t{label}\n")
 
 
 def load_scores(path) -> ScoreSet:
-    scores = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"expected 4 tab-separated fields at line {lineno}")
-            model, test, score, label = parts
-            if label not in LABELS:
-                raise DataError(f"unknown label at line {lineno}: {label!r}")
-            try:
-                val = float(score)
-            except ValueError:
-                raise DataError(f"bad score at line {lineno}")
-            scores.append(ScoredTrial(model, test, val, label))
-    return ScoreSet(scores)
+    linenos, (model, test, score, label) = _read_columns(path, 4)
+    values = []
+    for lineno, text in zip(linenos, score):
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise DataError(f"bad score at line {lineno}") from None
+    return ScoreSet(TrialList(model, test, label), values)
 
 
 def save_scores(sset: ScoreSet, path) -> None:
+    tl = sset.trials
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sset.scores:
-            fh.write(f"{s.enroll_model_id}\t{s.test_id}\t{_fmt(s.score)}\t{s.label}\n")
+        for m, t, score, label in zip(tl.model_ids.tolist(), tl.test_ids.tolist(),
+                                      sset.scores.tolist(), tl.labels.tolist()):
+            fh.write(f"{m}\t{t}\t{_fmt(score)}\t{label}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, ScoredTrial, ScoreSet
+from .data import DataError, ScoreSet, index_of
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class EvalReport:
 
 
 def _split_scores(sset: ScoreSet):
-    tar = sset.score_array("target")
-    non = sset.score_array("nontarget")
+    tar = sset.scores[sset.trials.labels == "target"]
+    non = sset.scores[sset.trials.labels == "nontarget"]
     if tar.size == 0 or non.size == 0:
         raise DataError("need at least one target and one nontarget trial")
     return tar, non
@@ -157,43 +157,36 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
     s' = 0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t) with mean and
     population std taken over each side's cohort scores.
     """
-    stats_e = {k: (float(np.mean(v)), float(np.std(v))) for k, v in enroll_cohort.items()}
-    stats_t = {k: (float(np.mean(v)), float(np.std(v))) for k, v in test_cohort.items()}
     for k, v in list(enroll_cohort.items()) + list(test_cohort.items()):
         if len(v) < 2:
             raise DataError(f"cohort for {k!r} needs at least 2 scores")
-    out = []
-    for s in raw.scores:
-        if s.enroll_model_id not in stats_e:
-            raise DataError(f"missing enroll cohort for {s.enroll_model_id!r}")
-        if s.test_id not in stats_t:
-            raise DataError(f"missing test cohort for {s.test_id!r}")
-        mu_e, sd_e = stats_e[s.enroll_model_id]
-        mu_t, sd_t = stats_t[s.test_id]
-        if sd_e == 0.0 or sd_t == 0.0:
-            raise DataError(f"zero cohort deviation for trial "
-                            f"({s.enroll_model_id!r}, {s.test_id!r})")
-        val = 0.5 * ((s.score - mu_e) / sd_e + (s.score - mu_t) / sd_t)
-        out.append(ScoredTrial(s.enroll_model_id, s.test_id, val, s.label))
-    return ScoreSet(out)
+
+    def per_trial(cohort, ids, side):
+        stats = np.array([(np.mean(v), np.std(v)) for v in cohort.values()])
+        rows = index_of(cohort, ids, f"missing {side} cohort for")
+        return stats.reshape(-1, 2)[rows].T
+
+    trials = raw.trials
+    mu_e, sd_e = per_trial(enroll_cohort, trials.model_ids, "enroll")
+    mu_t, sd_t = per_trial(test_cohort, trials.test_ids, "test")
+    zero = (sd_e == 0.0) | (sd_t == 0.0)
+    if zero.any():
+        raise DataError(f"zero cohort deviation for trial {trials.key(np.argmax(zero))}")
+    s = raw.scores
+    return ScoreSet(trials, 0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t))
 
 
 def fuse(sets: list[ScoreSet], weights: list[float]) -> ScoreSet:
-    """Fixed-weight linear fusion of score sets over identical trials."""
+    """Fixed-weight linear fusion of score sets over the same trial list."""
     if len(sets) != len(weights):
         raise ValueError("one weight per score set required")
     if not sets:
         raise ValueError("nothing to fuse")
-    base = sets[0]
-    keyed = []
-    for ss in sets:
-        m = {(s.enroll_model_id, s.test_id): s for s in ss.scores}
-        if set(m) != {(s.enroll_model_id, s.test_id) for s in base.scores}:
+    base = sets[0].trials
+    fused = np.zeros(len(base))
+    for w, ss in zip(weights, sets):
+        if not (np.array_equal(ss.trials.model_ids, base.model_ids) and
+                np.array_equal(ss.trials.test_ids, base.test_ids)):
             raise DataError("trial key mismatch across fused score sets")
-        keyed.append(m)
-    out = []
-    for s in base.scores:
-        key = (s.enroll_model_id, s.test_id)
-        val = sum(w * m[key].score for w, m in zip(weights, keyed))
-        out.append(ScoredTrial(s.enroll_model_id, s.test_id, val, s.label))
-    return ScoreSet(out)
+        fused = fused + w * ss.scores
+    return ScoreSet(base, fused)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, ScoredTrial, ScoreSet, TrialList, VectorSet
+from .data import (DataError, ScoreSet, TrialList, VectorSet, _fmt, index_of,
+                   parse_floats, parse_matrix)
 from .stats import COV_FLOOR, cholesky_lower
 from .whitening import length_normalize
 
@@ -163,31 +164,13 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
                  trials: TrialList) -> ScoreSet:
     """Score a trial list; multi-session enrollments are averaged first."""
     model_ids, model_vecs = enroll_models(enroll)
-    model_idx = {mid: i for i, mid in enumerate(model_ids)}
-    test_map = test.by_id()
-    test_ids = list(test_map)
-    test_idx = {tid: i for i, tid in enumerate(test_ids)}
-    for t in trials.trials:
-        if t.enroll_model_id not in model_idx:
-            raise DataError(f"unresolved enrollment model {t.enroll_model_id!r}")
-        if t.test_id not in test_idx:
-            raise DataError(f"unresolved test id {t.test_id!r}")
-    test_vecs = np.stack([test_map[tid].values for tid in test_ids])
-    llr = score_matrix(model, model_vecs, test_vecs)
-    scored = [
-        ScoredTrial(t.enroll_model_id, t.test_id,
-                    float(llr[model_idx[t.enroll_model_id], test_idx[t.test_id]]),
-                    t.label)
-        for t in trials.trials
-    ]
-    return ScoreSet(scored)
+    rows = index_of(model_ids, trials.model_ids, "unresolved enrollment model")
+    cols = index_of(test.ids, trials.test_ids, "unresolved test id")
+    llr = score_matrix(model, model_vecs, test.matrix())
+    return ScoreSet(trials, llr[rows, cols])
 
 
 # --- serialization ---------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def save_plda(model: PldaModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -218,11 +201,14 @@ def load_plda(path) -> PldaModel:
             else:
                 blocks[current].append(line)
     for key in ("mean", "ac", "wc", "rank"):
-        if key not in blocks:
-            raise DataError(f"missing [{key}] block")
-    mean = np.array([float(v) for v in blocks["mean"][0].split()])
-    ac = np.stack([np.array([float(v) for v in r.split()]) for r in blocks["ac"]])
-    wc = np.stack([np.array([float(v) for v in r.split()]) for r in blocks["wc"]])
+        if not blocks.get(key):
+            raise DataError(f"missing or empty [{key}] block")
+    mean = parse_floats(blocks["mean"][0], "in [mean]")
+    ac = parse_matrix(blocks["ac"], "in [ac]")
+    wc = parse_matrix(blocks["wc"], "in [wc]")
     rank_txt = blocks["rank"][0].strip()
-    rank = None if rank_txt == "-" else int(rank_txt)
-    return PldaModel(mean, ac, wc, rank)
+    try:
+        rank = None if rank_txt == "-" else int(rank_txt)
+        return PldaModel(mean, ac, wc, rank)
+    except ValueError as e:
+        raise DataError(f"bad PLDA model: {e}") from None

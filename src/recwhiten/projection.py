@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import VectorSet
+from .data import VectorSet, _fmt
 from .stats import NumericalError
 from .whitening import RecursiveWhitener, transform_set
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def fit_pca(x: np.ndarray, n_components: int):

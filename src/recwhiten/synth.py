@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Trial, TrialList, VectorEntry, VectorSet
+from .data import TrialList, VectorEntry, VectorSet
 from .stats import cholesky_lower
 
 
@@ -195,10 +195,8 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     test = VectorSet(d, test_entries)
 
     # full cross of enrollment models x test sessions
-    trials = TrialList([
-        Trial(f"eval_spk{s:04d}", te.id,
-              "target" if te.speaker_id == f"eval_spk{s:04d}" else "nontarget")
-        for s in range(cfg.n_enroll_speakers)
-        for te in test_entries
-    ])
+    models = np.array([f"eval_spk{s:04d}" for s in range(cfg.n_enroll_speakers)])
+    same = models[:, None] == np.array([e.speaker_id for e in test_entries])
+    trials = TrialList(np.repeat(models, len(test_entries)), np.tile(test.ids, len(models)),
+                       np.where(same.ravel(), "target", "nontarget"))
     return SynthWorld(cfg, ood, unlabeled, enroll, test, trials, truth)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, VectorSet
+from .data import DataError, VectorSet, _fmt, parse_floats, parse_matrix
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -82,10 +82,6 @@ class RecursiveWhitener:
     @property
     def dim(self) -> int:
         return self.stages[0].dim
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.stages) - 1
 
 
 def fit_stage(data: VectorSet, level: int = 0, shrinkage: float | None = None,
@@ -191,10 +187,6 @@ def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
 
 # --- serialization ---------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -210,6 +202,19 @@ def save_whitener(whitener: RecursiveWhitener, path) -> None:
                 fh.write(f"{cid}\t{_fmt(ll)}\t{mark}\n")
 
 
+def _block_header(line: str) -> tuple[str, int, str]:
+    """Kind, level and corpus id of a '[stage <level> <corpus id>]' or
+    '[selection <level>]' line; the corpus id may be empty or hold spaces."""
+    kind, _, rest = line[1:-1].partition(" ")
+    if not line.endswith("]") or kind not in ("stage", "selection"):
+        raise DataError(f"unknown block {line!r}")
+    level, _, corpus_id = rest.partition(" ")
+    try:
+        return kind, int(level), corpus_id
+    except ValueError:
+        raise DataError(f"block header without a level: {line!r}") from None
+
+
 def load_whitener(path) -> RecursiveWhitener:
     stages: list[WhiteningStage] = []
     selections: list[LevelSelection] = []
@@ -219,24 +224,25 @@ def load_whitener(path) -> RecursiveWhitener:
     def flush():
         if header is None:
             return
-        kind = header[0]
+        kind, level, corpus_id = header
+        where = f"in {kind} block for level {level}"
         if kind == "stage":
-            level, corpus_id = int(header[1]), header[2]
-            rows = [np.array([float(v) for v in line.split()]) for line in block]
-            if len(rows) < 2:
+            if len(block) < 2:
                 raise DataError(f"stage block for level {level} is truncated")
-            mean, w = rows[0], np.stack(rows[1:])
+            mean, w = parse_floats(block[0], where), parse_matrix(block[1:], where)
             if w.shape != (mean.shape[0], mean.shape[0]):
                 raise DataError(f"stage {level} matrix is not square")
             stages.append(WhiteningStage(level, corpus_id, mean, w))
         else:
-            level = int(header[1])
             logliks, chosen = [], None
             for line in block:
-                cid, ll, mark = line.split("\t")
+                try:
+                    cid, ll, mark = line.split("\t")
+                    logliks.append((cid, float(ll)))
+                except ValueError:
+                    raise DataError(f"bad selection row {where}: {line!r}") from None
                 if mark == "chosen":
-                    chosen = len(logliks)
-                logliks.append((cid, float(ll)))
+                    chosen = len(logliks) - 1
             if chosen is None:
                 raise DataError(f"selection block for level {level} marks no winner")
             selections.append(LevelSelection(level, logliks, chosen))
@@ -246,12 +252,11 @@ def load_whitener(path) -> RecursiveWhitener:
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("["):
+            # selection rows hold tabs, so a corpus id starting with '[' stays a row
+            if line.startswith("[") and "\t" not in line:
                 flush()
-                header = tuple(line.strip("[]").split())
+                header = _block_header(line)
                 block = []
-                if header[0] not in ("stage", "selection"):
-                    raise DataError(f"unknown block {line!r}")
             else:
                 if header is None:
                     raise DataError("data before first block header")

@@ -11,7 +11,7 @@ import pytest
 
 from recwhiten import cli
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import ScoredTrial, ScoreSet, VectorEntry, VectorSet
+from recwhiten.data import VectorEntry, VectorSet
 from recwhiten.experiment import (fit_full_whitener, load_corpora, run_level,
                                   whitener_prefix)
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, compute_act_dcf,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,11 +143,9 @@ class TestScoreEvaluateCommands:
                                VectorEntry("e2", "c", "spkB", rng.normal(size=d))])
         test = VectorSet(d, [VectorEntry("t1", "c", None, rng.normal(size=d)),
                              VectorEntry("t2", "c", None, rng.normal(size=d))])
-        from recwhiten.data import Trial, TrialList
-        trials = TrialList([Trial("spkA", "t1", "target"),
-                            Trial("spkA", "t2", "nontarget"),
-                            Trial("spkB", "t1", "nontarget"),
-                            Trial("spkB", "t2", "target")])
+        from recwhiten.data import TrialList
+        trials = TrialList(["spkA", "spkA", "spkB", "spkB"], ["t1", "t2", "t1", "t2"],
+                           ["target", "nontarget", "nontarget", "target"])
         paths = {}
         for name, writer in (("plda", lambda p: save_plda(model, p)),
                              ("enroll", lambda p: save_vector_table(enroll, p)),
@@ -181,13 +181,12 @@ class TestScoreEvaluateCommands:
         assert "min_a\t" in report_path.read_text()
 
     def test_perfect_and_uninformative_files(self, tmp_path):
-        from recwhiten.data import ScoredTrial, ScoreSet
-        perfect = ScoreSet([ScoredTrial("m", "t1", 2.0, "target"),
-                            ScoredTrial("m", "t2", 3.0, "target"),
-                            ScoredTrial("m", "t3", 0.0, "nontarget"),
-                            ScoredTrial("m", "t4", 1.0, "nontarget")])
-        flat = ScoreSet([ScoredTrial("m", "t1", 1.0, "target"),
-                         ScoredTrial("m", "t2", 1.0, "nontarget")])
+        from recwhiten.data import ScoreSet, TrialList
+        perfect = ScoreSet(TrialList(["m"] * 4, ["t1", "t2", "t3", "t4"],
+                                     ["target", "target", "nontarget", "nontarget"]),
+                           [2.0, 3.0, 0.0, 1.0])
+        flat = ScoreSet(TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"]),
+                        [1.0, 1.0])
         for name, ss, expect in (("p", perfect, "c_primary\t0.000000"),
                                  ("f", flat, "c_primary\t1.000000")):
             sp = tmp_path / f"{name}.txt"
@@ -217,7 +216,46 @@ class TestProjectCommand:
         assert sum(1 for ln in text.splitlines() if ln.startswith("#corpus-cov")) == 4
 
 
+IDENTITY_WHITENER = "[stage 0 c]\n0 0 0 0\n" + "".join(
+    " ".join("1" if i == j else "0" for j in range(4)) + "\n" for i in range(4))
+
+MALFORMED_MODELS = [
+    pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage]"),
+                 id="whitener-header-without-level"),
+    pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage x c]"),
+                 id="whitener-bad-level"),
+    pytest.param("whitener", lambda t: t.replace("0 0 0 0", "0 0 zero 0"),
+                 id="whitener-bad-float"),
+    pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1 0 0"),
+                 id="whitener-ragged-matrix"),
+    pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
+                 id="plda-empty-mean"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
+                 id="plda-empty-rank"),
+    pytest.param("plda", lambda t: t.replace("[wc]\n", "[wc]\n1.0x "),
+                 id="plda-bad-float"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\nthree\n"),
+                 id="plda-bad-rank"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("kind,corrupt", MALFORMED_MODELS)
+    def test_malformed_model_file(self, tmp_path, capsys, kind, corrupt):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        paths["whitener"] = tmp_path / "whitener.txt"
+        paths["whitener"].write_text(IDENTITY_WHITENER)
+        text = paths[kind].read_text()
+        paths[kind].write_text(corrupt(text))
+        assert paths[kind].read_text() != text
+        code = run(["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+                    "--test", paths["test"], "--trials", paths["trials"],
+                    "--whitener", paths["whitener"], "--out", tmp_path / "s.txt"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[backend]\nlevels = 0\n")  # neither data nor synth

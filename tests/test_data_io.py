@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import (DataError, ScoredTrial, ScoreSet, Trial, TrialList,
+from recwhiten.data import (DataError, ScoreSet, TrialList,
                             VectorEntry, VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
@@ -97,7 +97,8 @@ class TestTrialsAndScores:
     def test_trial_parse(self, tmp_path):
         p = write(tmp_path, "m1\tt1\ttarget\n")
         tl = load_trials(p)
-        assert tl.trials == [Trial("m1", "t1", "target")]
+        assert (tl.model_ids.tolist(), tl.test_ids.tolist(), tl.labels.tolist()) == \
+            (["m1"], ["t1"], ["target"])
 
     def test_unknown_label(self, tmp_path):
         p = write(tmp_path, "m1\tt1\ttgt\n")
@@ -109,21 +110,31 @@ class TestTrialsAndScores:
         with pytest.raises(DataError, match="duplicate trial"):
             load_trials(p)
 
+    def test_nul_in_id_rejected(self, tmp_path):
+        p = write(tmp_path, "m1\tt1\ttarget\nm1\tt1\0\tnontarget\n")
+        with pytest.raises(DataError, match="NUL character at line 2"):
+            load_trials(p)
+
     def test_trials_round_trip(self, tmp_path):
-        tl = TrialList([Trial("m1", "t1", "target"), Trial("m1", "t2", "nontarget"),
-                        Trial("m2", "t1", "unknown")])
+        tl = TrialList(["m1", "m1", "m2", "spk 7", "mé"], ["t1", "t2", "t1", "a b", ""],
+                       ["target", "nontarget", "unknown", "target", "unknown"])
         p = tmp_path / "trials.txt"
         save_trials(tl, p)
-        assert load_trials(p) == tl
+        back = load_trials(p)
+        for col in ("model_ids", "test_ids", "labels"):
+            assert getattr(back, col).tolist() == getattr(tl, col).tolist()
 
     def test_scores_round_trip(self, tmp_path):
-        ss = ScoreSet([ScoredTrial("m1", "t1", 0.123456789123456789, "target"),
-                       ScoredTrial("m1", "t2", -4.5e-8, "nontarget"),
-                       ScoredTrial("m2", "t1", 3.0, "unknown")])
+        ss = ScoreSet(TrialList(["m1", "m1", "m2", "m2"], ["t1", "t2", "t1", "t 2"],
+                                ["target", "nontarget", "unknown", "target"]),
+                      [0.123456789123456789, -4.5e-8, 3.0, 5e-324])
         p = tmp_path / "scores.txt"
         save_scores(ss, p)
-        assert load_scores(p) == ss
+        back = load_scores(p)
+        for col in ("model_ids", "test_ids", "labels"):
+            assert getattr(back.trials, col).tolist() == getattr(ss.trials, col).tolist()
+        assert back.scores.tolist() == ss.scores.tolist()
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(DataError, match="non-finite score"):
-            ScoreSet([ScoredTrial("m", "t", float("inf"), "target")])
+            ScoreSet(TrialList(["m"], ["t"], ["target"]), [float("inf")])

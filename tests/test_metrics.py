@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import DataError, ScoredTrial, ScoreSet
+from recwhiten.data import DataError, ScoreSet, TrialList
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, OperatingPoint,
                                compute_act_dcf, compute_eer, compute_min_dcf,
                                evaluate, fuse, snorm)
 
 
+def score_set(rows):
+    """ScoreSet from (model id, test id, score, label) rows."""
+    model, test, score, label = zip(*rows)
+    return ScoreSet(TrialList(model, test, label), score)
+
+
 def make_scores(targets, nontargets):
-    trials = [ScoredTrial(f"m{i}", f"tt{i}", float(s), "target")
-              for i, s in enumerate(targets)]
-    trials += [ScoredTrial(f"m{i}", f"tn{i}", float(s), "nontarget")
-               for i, s in enumerate(nontargets)]
-    return ScoreSet(trials)
+    rows = [(f"m{i}", f"tt{i}", float(s), "target") for i, s in enumerate(targets)]
+    rows += [(f"m{i}", f"tn{i}", float(s), "nontarget") for i, s in enumerate(nontargets)]
+    return score_set(rows)
 
 
 def sweep_rates(targets, nontargets, thr):
@@ -182,8 +186,8 @@ class TestEvaluate:
 
 class TestSnorm:
     def cohorts(self, sset, e, t):
-        enroll = {s.enroll_model_id: np.asarray(e, dtype=float) for s in sset.scores}
-        test = {s.test_id: np.asarray(t, dtype=float) for s in sset.scores}
+        enroll = {m: np.asarray(e, dtype=float) for m in sset.trials.model_ids.tolist()}
+        test = {t_id: np.asarray(t, dtype=float) for t_id in sset.trials.test_ids.tolist()}
         return enroll, test
 
     def test_standardized_cohorts_identity(self):
@@ -192,34 +196,48 @@ class TestSnorm:
         e, t = self.cohorts(sset, [-1.0, 1.0], [-1.0, 1.0])
         out = snorm(sset, e, t)
         for s_in, s_out in zip(sset.scores, out.scores):
-            assert s_out.score == pytest.approx(s_in.score)
+            assert s_out == pytest.approx(s_in)
 
     def test_hand_computed(self):
-        sset = ScoreSet([ScoredTrial("m", "t", 4.0, "target")])
+        sset = score_set([("m", "t", 4.0, "target")])
         out = snorm(sset, {"m": np.array([0.0, 2.0])}, {"t": np.array([2.0, 6.0])})
-        assert out.scores[0].score == pytest.approx(1.5)
+        assert out.scores[0] == pytest.approx(1.5)
 
     def test_symmetric_in_cohort_swap(self):
-        sset = ScoreSet([ScoredTrial("m", "t", 4.0, "target")])
+        sset = score_set([("m", "t", 4.0, "target")])
         a, b = np.array([0.0, 2.0]), np.array([2.0, 6.0])
-        s1 = snorm(sset, {"m": a}, {"t": b}).scores[0].score
-        s2 = snorm(sset, {"m": b}, {"t": a}).scores[0].score
+        s1 = snorm(sset, {"m": a}, {"t": b}).scores[0]
+        s2 = snorm(sset, {"m": b}, {"t": a}).scores[0]
         assert s1 == pytest.approx(s2)
 
     def test_preserves_keys_and_labels(self):
         sset = make_scores([1, 2], [3])
         e, t = self.cohorts(sset, [0.0, 1.0], [0.5, 2.0])
         out = snorm(sset, e, t)
-        assert [(s.enroll_model_id, s.test_id, s.label) for s in out.scores] == \
-               [(s.enroll_model_id, s.test_id, s.label) for s in sset.scores]
+        for col in ("model_ids", "test_ids", "labels"):
+            assert getattr(out.trials, col).tolist() == getattr(sset.trials, col).tolist()
+
+    def test_equals_per_trial_formula(self):
+        rng = np.random.default_rng(5)
+        rows = [(f"m{i}", f"t{j}", float(rng.normal()), "target" if i == j else "nontarget")
+                for i in range(4) for j in range(5)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        e = {f"m{i}": rng.normal(size=7) for i in range(4)}
+        t = {f"t{j}": rng.normal(size=7) for j in range(5)}
+        expect = []
+        for mid, tid, s, _ in rows:
+            mu_e, sd_e = float(np.mean(e[mid])), float(np.std(e[mid]))
+            mu_t, sd_t = float(np.mean(t[tid])), float(np.std(t[tid]))
+            expect.append(0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t))
+        assert snorm(score_set(rows), e, t).scores.tolist() == expect
 
     def test_missing_cohort(self):
-        sset = ScoreSet([ScoredTrial("m", "t", 4.0, "target")])
+        sset = score_set([("m", "t", 4.0, "target")])
         with pytest.raises(DataError, match="missing enroll cohort"):
             snorm(sset, {}, {"t": np.array([1.0, 2.0])})
 
     def test_zero_deviation_cohort(self):
-        sset = ScoreSet([ScoredTrial("m", "t", 4.0, "target")])
+        sset = score_set([("m", "t", 4.0, "target")])
         with pytest.raises(DataError, match="zero cohort deviation"):
             snorm(sset, {"m": np.array([1.0, 1.0])}, {"t": np.array([1.0, 2.0])})
 
@@ -228,23 +246,21 @@ class TestFuse:
     def test_single_set_identity(self):
         sset = make_scores([1, 2], [3])
         out = fuse([sset], [1.0])
-        assert [s.score for s in out.scores] == [s.score for s in sset.scores]
+        assert out.scores.tolist() == sset.scores.tolist()
 
     def test_equal_weights_of_identical_sets(self):
         sset = make_scores([1, 2], [3])
         out = fuse([sset, sset], [0.5, 0.5])
-        assert [s.score for s in out.scores] == [s.score for s in sset.scores]
+        assert out.scores.tolist() == sset.scores.tolist()
 
     def test_weighted_sum(self):
-        a = ScoreSet([ScoredTrial("m", "t1", 1.0, "target"),
-                      ScoredTrial("m", "t2", 3.0, "nontarget")])
-        b = ScoreSet([ScoredTrial("m", "t1", 2.0, "target"),
-                      ScoredTrial("m", "t2", 0.0, "nontarget")])
+        a = score_set([("m", "t1", 1.0, "target"), ("m", "t2", 3.0, "nontarget")])
+        b = score_set([("m", "t1", 2.0, "target"), ("m", "t2", 0.0, "nontarget")])
         out = fuse([a, b], [0.25, 0.75])
-        assert [s.score for s in out.scores] == [1.75, 0.75]
+        assert out.scores.tolist() == [1.75, 0.75]
 
     def test_key_mismatch(self):
-        a = ScoreSet([ScoredTrial("m", "t1", 1.0, "target")])
-        b = ScoreSet([ScoredTrial("m", "t2", 1.0, "target")])
+        a = score_set([("m", "t1", 1.0, "target")])
+        b = score_set([("m", "t2", 1.0, "target")])
         with pytest.raises(DataError, match="trial key mismatch"):
             fuse([a, b], [0.5, 0.5])

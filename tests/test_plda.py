@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import (DataError, Trial, TrialList, VectorEntry, VectorSet)
+from recwhiten.data import DataError, TrialList, VectorEntry, VectorSet
 from recwhiten.plda import (PldaModel, enroll_models, load_plda, save_plda,
                             score_matrix, score_pair, score_trials, train_plda)
 
@@ -164,12 +164,12 @@ class TestScoreTrials:
     def test_single_session_equals_score_pair(self):
         rng = np.random.default_rng(26)
         m, enroll, test = self.make_eval(rng)
-        trials = TrialList([Trial("spkA", "t1", "target")])
+        trials = TrialList(["spkA"], ["t1"], ["target"])
         ss = score_trials(m, enroll, test, trials)
         e_norm = enroll.entries[0].values / np.linalg.norm(enroll.entries[0].values)
-        assert ss.scores[0].score == pytest.approx(
+        assert ss.scores[0] == pytest.approx(
             score_pair(m, e_norm, test.entries[0].values), rel=1e-12)
-        assert ss.scores[0].label == "target"
+        assert ss.trials.labels[0] == "target"
 
     def test_duplicate_sessions_idempotent(self):
         rng = np.random.default_rng(27)
@@ -179,9 +179,9 @@ class TestScoreTrials:
         two = VectorSet(3, [VectorEntry("e1", "c", "spkA", v),
                             VectorEntry("e2", "c", "spkA", v.copy())])
         test = VectorSet(3, [VectorEntry("t1", "c", None, rng.normal(size=3))])
-        trials = TrialList([Trial("spkA", "t1", "unknown")])
-        s1 = score_trials(m, one, test, trials).scores[0].score
-        s2 = score_trials(m, two, test, trials).scores[0].score
+        trials = TrialList(["spkA"], ["t1"], ["unknown"])
+        s1 = score_trials(m, one, test, trials).scores[0]
+        s2 = score_trials(m, two, test, trials).scores[0]
         assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_antipodal_sessions_rejected(self):
@@ -191,14 +191,34 @@ class TestScoreTrials:
         enroll = VectorSet(2, [VectorEntry("e1", "c", "spkA", u),
                                VectorEntry("e2", "c", "spkA", -u)])
         test = VectorSet(2, [VectorEntry("t1", "c", None, np.array([1.0, 0.0]))])
-        trials = TrialList([Trial("spkA", "t1", "unknown")])
+        trials = TrialList(["spkA"], ["t1"], ["unknown"])
         with pytest.raises(DataError, match="zero-norm enrollment model"):
             score_trials(m, enroll, test, trials)
+
+    def test_equals_gathered_score_matrix(self):
+        rng = np.random.default_rng(31)
+        m = random_model(rng, 3)
+        enroll = VectorSet(3, [VectorEntry(f"e{i}", "c", f"spk{i % 3}", rng.normal(size=3))
+                               for i in range(6)])
+        test = VectorSet(3, [VectorEntry(f"t{j}", "c", None, rng.normal(size=3))
+                             for j in range(4)])
+        pairs = [(f"spk{i}", f"t{j}") for i in range(3) for j in range(4)]
+        keep = rng.permutation(len(pairs))[:9]  # shuffled and sparse
+        labels = ("target", "nontarget", "unknown")
+        trials = TrialList([pairs[k][0] for k in keep], [pairs[k][1] for k in keep],
+                           [labels[k % 3] for k in keep])
+        ss = score_trials(m, enroll, test, trials)
+        model_ids, model_vecs = enroll_models(enroll)
+        llr = score_matrix(m, model_vecs, test.matrix())
+        expect = [float(llr[model_ids.index(mid), test.ids.index(tid)])
+                  for mid, tid in zip(trials.model_ids, trials.test_ids)]
+        assert ss.scores.tolist() == expect
+        assert ss.trials is trials
 
     def test_unresolved_model_rejected(self):
         rng = np.random.default_rng(29)
         m, enroll, test = self.make_eval(rng)
-        trials = TrialList([Trial("ghost", "t1", "unknown")])
+        trials = TrialList(["ghost"], ["t1"], ["unknown"])
         with pytest.raises(DataError, match="unresolved enrollment model"):
             score_trials(m, enroll, test, trials)
 

@@ -3,8 +3,8 @@ import pytest
 
 from recwhiten.data import VectorEntry, VectorSet
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments, gaussian_loglik
-from recwhiten.whitening import (CorpusLevel, RecursiveWhitener, WhitenError,
-                                 WhiteningStage, apply_stage, fit_recursive,
+from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
+                                 WhitenError, WhiteningStage, apply_stage, fit_recursive,
                                  fit_stage, length_normalize, load_whitener,
                                  save_whitener, select_subcorpus, transform,
                                  transform_matrix, transform_set)
@@ -243,6 +243,18 @@ class TestFitRecursive:
 
 
 class TestWhitenerSerialization:
+    def test_odd_corpus_ids_round_trip(self, tmp_path):
+        ids = ["", "ood a", "[x"]
+        w = RecursiveWhitener(
+            [WhiteningStage(k, cid, np.zeros(2), np.eye(2)) for k, cid in enumerate(ids)],
+            [LevelSelection(1, [(cid, -1.5 + k) for k, cid in enumerate(ids)], 2)])
+        p = tmp_path / "whitener.txt"
+        save_whitener(w, p)
+        back = load_whitener(p)
+        assert [(s.level, s.corpus_id) for s in back.stages] == list(enumerate(ids))
+        assert back.selection_log[0].logliks == w.selection_log[0].logliks
+        assert back.selection_log[0].chosen == 2
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         in_domain = make_set(rng.normal(size=(100, 4)), "ind")
