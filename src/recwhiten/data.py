@@ -2,13 +2,18 @@
 
 All three file kinds are tab-separated UTF-8. Vector tables carry a
 ``#dim=<d>`` header; floats are written with 17 significant digits so that
-save/load round-trips are bit-exact. Trials and scores are held as columns:
-one array each of model ids, test ids, labels and scores.
+save/load round-trips are bit-exact. Every kind is held as columns: a vector
+set is one array each of ids, corpus ids and speaker ids next to one
+``(n, dim)`` matrix, and ``-`` (MISSING_SPEAKER) marks an unlabeled vector
+both in memory and on disk; trials and scores are one array each of model
+ids, test ids, labels and scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,59 +30,88 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class VectorEntry:
+class VectorEntry(NamedTuple):
+    """One vector of a VectorSet, as listed by VectorSet.entries."""
+
     id: str
     corpus_id: str
-    speaker_id: str | None
-    values: np.ndarray  # 1-D float64, length == owning set's dim
+    speaker_id: str  # MISSING_SPEAKER when unlabeled
+    values: np.ndarray  # row view of the set's matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorSet:
-    """A collection of fixed-dimension embeddings with corpus/speaker tags."""
+    """Fixed-dimension embeddings as columns: the id, corpus id and speaker
+    id of each vector next to one read-only (n, dim) float64 matrix.
 
-    dim: int
-    entries: list[VectorEntry] = field(default_factory=list)
+    Ids are unique and every value is finite. The matrix is `storage`, or
+    with `rows` set its rows at those positions, gathered by matrix(), so
+    that a subset made by take() shares its parent's storage.
+    """
+
+    ids: np.ndarray
+    corpus_ids: np.ndarray
+    speaker_ids: np.ndarray
+    storage: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DataError(f"dim must be positive, got {self.dim}")
-        seen = set()
-        for e in self.entries:
-            if e.id in seen:
-                raise DataError(f"duplicate id {e.id!r}")
-            seen.add(e.id)
-            if e.values.shape != (self.dim,):
-                raise DataError(
-                    f"entry {e.id!r} has dimension {e.values.shape}, expected ({self.dim},)"
-                )
-            if not np.all(np.isfinite(e.values)):
-                raise DataError(f"non-finite value in entry {e.id!r}")
-
-    def __len__(self):
-        return len(self.entries)
+        self.ids = np.asarray(self.ids, dtype=str)
+        self.corpus_ids = np.asarray(self.corpus_ids, dtype=str)
+        self.speaker_ids = np.asarray(self.speaker_ids, dtype=str)
+        self.storage = np.asarray(self.storage, dtype=float).view()
+        self.storage.flags.writeable = False
+        if self.storage.ndim != 2 or self.storage.shape[1] < 1:
+            raise DataError(f"vectors must be (n, dim) with dim >= 1, got {self.storage.shape}")
+        n = len(self.storage if self.rows is None else self.rows)
+        if not self.ids.shape == self.corpus_ids.shape == self.speaker_ids.shape == (n,):
+            raise DataError("vector columns differ in length")
+        order = np.argsort(self.ids, kind="stable")
+        repeat = self.ids[order][1:] == self.ids[order][:-1]
+        if repeat.any():
+            raise DataError(f"duplicate id {str(self.ids[order[1:][repeat].min()])!r}")
+        bad = ~np.isfinite(self.matrix()).all(axis=1)
+        if bad.any():
+            raise DataError(f"non-finite value in entry {str(self.ids[np.argmax(bad)])!r}")
 
     @property
-    def ids(self) -> list[str]:
-        return [e.id for e in self.entries]
+    def dim(self) -> int:
+        return self.storage.shape[1]
+
+    def __len__(self):
+        return len(self.ids)
 
     def matrix(self) -> np.ndarray:
-        """Stack all vectors into an (n, dim) array."""
-        if not self.entries:
-            return np.empty((0, self.dim))
-        return np.stack([e.values for e in self.entries])
+        """The set's vectors in order, as a read-only (n, dim) array."""
+        if self.rows is None:
+            return self.storage
+        out = self.storage[self.rows]
+        out.flags.writeable = False
+        return out
 
-    def with_vectors(self, vectors: np.ndarray) -> "VectorSet":
-        """Same ids/corpus/speaker tags, replaced coordinates."""
-        if vectors.shape[0] != len(self.entries):
-            raise DataError("vector count mismatch")
-        dim = vectors.shape[1] if vectors.ndim == 2 else self.dim
-        entries = [
-            VectorEntry(e.id, e.corpus_id, e.speaker_id, np.asarray(vectors[i], dtype=float))
-            for i, e in enumerate(self.entries)
-        ]
-        return VectorSet(dim, entries)
+    def take(self, index) -> VectorSet:
+        """The vectors at index (positions or a boolean mask), in order,
+        sharing this set's storage."""
+        rows = (np.arange(len(self)) if self.rows is None else self.rows)[index]
+        return VectorSet(self.ids[index], self.corpus_ids[index], self.speaker_ids[index],
+                         self.storage, rows)
+
+    @property
+    def entries(self) -> list[VectorEntry]:
+        """Row view: one VectorEntry per vector, in order."""
+        return [VectorEntry(*row) for row in zip(
+            self.ids.tolist(), self.corpus_ids.tolist(), self.speaker_ids.tolist(),
+            self.matrix())]
+
+
+def concat(sets: list[VectorSet]) -> VectorSet:
+    """One set holding the vectors of every set, in order."""
+    dims = {s.dim for s in sets}
+    if len(dims) > 1:
+        raise DataError(f"mixed dimensions: {sorted(dims)}")
+    return VectorSet(*(np.concatenate([getattr(s, col) for s in sets])
+                       for col in ("ids", "corpus_ids", "speaker_ids")),
+                     np.vstack([s.matrix() for s in sets]))
 
 
 @dataclass(eq=False)
@@ -145,26 +179,44 @@ def index_of(keys, column: np.ndarray, missing: str) -> np.ndarray:
     return found[inverse]
 
 
-def parse_floats(text: str, where: str) -> np.ndarray:
-    """Whitespace-separated floats; DataError says `where` on a bad token."""
+def parse_matrix(lines: list[str], where: str) -> np.ndarray:
+    """Rows of whitespace-separated finite floats, all of one length."""
     try:
-        return np.array([float(v) for v in text.split()])
+        rows = [[float(v) for v in line.split()] for line in lines]
     except ValueError:
         raise DataError(f"bad float {where}") from None
-
-
-def parse_matrix(lines: list[str], where: str) -> np.ndarray:
-    """Rows of whitespace-separated floats, all of one length."""
-    rows = [parse_floats(line, where) for line in lines]
-    if not rows or len({r.shape for r in rows}) != 1:
+    if not rows or len({len(r) for r in rows}) != 1:
         raise DataError(f"empty or ragged matrix {where}")
-    return np.stack(rows)
+    m = np.array(rows)
+    if not np.isfinite(m).all():
+        raise DataError(f"non-finite value {where}")
+    return m
+
+
+def read_blocks(path) -> list[tuple[str, list[str]]]:
+    """The (header line, non-blank lines) of each block of a model file. A
+    header starts with '[' and holds no tab, so a tab-separated row whose
+    first field starts with '[' stays a row."""
+    blocks: list[tuple[str, list[str]]] = []
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("[") and "\t" not in line:
+                blocks.append((line, []))
+            elif not blocks:
+                raise DataError("data before first block header")
+            else:
+                blocks[-1][1].append(line)
+    return blocks
 
 
 def load_vector_table(path) -> VectorSet:
     """Parse a vector table file; see the module docstring for the format."""
     dim = None
-    entries = []
+    ids, corpora, speakers = [], [], []
+    values = array("d")
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -175,6 +227,8 @@ def load_vector_table(path) -> VectorSet:
                     try:
                         dim = int(line[len("#dim="):])
                     except ValueError:
+                        dim = 0
+                    if dim < 1:
                         raise DataError(f"malformed header at line {lineno}: {line!r}")
                 continue
             if dim is None:
@@ -182,28 +236,34 @@ def load_vector_table(path) -> VectorSet:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise DataError(f"expected 4 tab-separated fields at line {lineno}")
+            # string arrays drop trailing NULs, which would alias two ids
+            if "\0" in line:
+                raise DataError(f"NUL character at line {lineno}")
             vid, corpus, speaker, coords = parts
             if not vid or any(c.isspace() for c in vid):
                 raise DataError(f"bad id at line {lineno}")
-            vec = parse_floats(coords, f"at line {lineno}")
-            if vec.shape != (dim,):
+            try:
+                row = [float(v) for v in coords.split()]
+            except ValueError:
+                raise DataError(f"bad float at line {lineno}") from None
+            if len(row) != dim:
                 raise DataError(f"dimension mismatch at line {lineno}")
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"non-finite value at line {lineno}")
-            spk = None if speaker == MISSING_SPEAKER else speaker
-            entries.append(VectorEntry(vid, corpus, spk, vec))
+            ids.append(vid)
+            corpora.append(corpus)
+            speakers.append(speaker)
+            values.extend(row)
     if dim is None:
         raise DataError("missing #dim= header")
-    return VectorSet(dim, entries)
+    return VectorSet(ids, corpora, speakers, np.frombuffer(values).reshape(len(ids), dim))
 
 
 def save_vector_table(vset: VectorSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#dim={vset.dim}\n")
-        for e in vset.entries:
-            spk = e.speaker_id if e.speaker_id is not None else MISSING_SPEAKER
-            coords = " ".join(_fmt(v) for v in e.values)
-            fh.write(f"{e.id}\t{e.corpus_id}\t{spk}\t{coords}\n")
+        for vid, corpus, speaker, row in zip(vset.ids.tolist(), vset.corpus_ids.tolist(),
+                                             vset.speaker_ids.tolist(), vset.matrix()):
+            coords = " ".join(_fmt(v) for v in row.tolist())
+            fh.write(f"{vid}\t{corpus}\t{speaker}\t{coords}\n")
 
 
 def _read_columns(path, n_fields: int):

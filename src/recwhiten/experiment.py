@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics, plda, whitening
 from .config import ConfigError, ExperimentConfig
-from .data import (ScoreSet, TrialList, VectorSet, load_trials,
+from .data import (ScoreSet, TrialList, VectorSet, concat, load_trials,
                    load_vector_table, save_scores, save_trials,
                    save_vector_table)
 from .metrics import EvalReport
@@ -53,11 +53,10 @@ def load_corpora(cfg: ExperimentConfig) -> Corpora:
 
 def _candidate_set(ood: VectorSet, token: str) -> VectorSet:
     """A hierarchy token names one corpus id or a '+'-joined union."""
-    wanted = set(token.split("+"))
-    entries = [e for e in ood.entries if e.corpus_id in wanted]
-    if not entries:
+    wanted = np.isin(ood.corpus_ids, token.split("+"))
+    if not wanted.any():
         raise ConfigError(f"hierarchy candidate {token!r} matches no vectors")
-    return VectorSet(ood.dim, entries)
+    return ood.take(wanted)
 
 
 def build_levels(cfg: ExperimentConfig, corpora: Corpora) -> list[CorpusLevel]:
@@ -70,8 +69,7 @@ def build_levels(cfg: ExperimentConfig, corpora: Corpora) -> list[CorpusLevel]:
 def selection_targets(cfg: ExperimentConfig, corpora: Corpora) -> VectorSet:
     if cfg.selection_targets == "unlabeled":
         return corpora.unlabeled
-    pooled = corpora.enroll.entries + corpora.test.entries
-    return VectorSet(corpora.enroll.dim, pooled)
+    return concat([corpora.enroll, corpora.test])
 
 
 def fit_full_whitener(cfg: ExperimentConfig, corpora: Corpora) -> RecursiveWhitener:

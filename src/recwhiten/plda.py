@@ -8,13 +8,12 @@ pair under the same-speaker versus different-speaker hypotheses.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DataError, ScoreSet, TrialList, VectorSet, _fmt, index_of,
-                   parse_floats, parse_matrix)
+from .data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList, VectorSet, _fmt,
+                   index_of, parse_matrix, read_blocks)
 from .stats import COV_FLOOR, cholesky_lower
 from .whitening import length_normalize
 
@@ -43,6 +42,14 @@ class PldaModel:
         return self.mean.shape[0]
 
 
+def _groups(keys: np.ndarray) -> dict[str, list[int]]:
+    """Row positions of each distinct key, keys in order of first appearance."""
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     """Estimate mean, WC and AC from speaker-labeled vectors.
 
@@ -51,12 +58,11 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     global mean over S - 1. With rank R set, AC is truncated to its top-R
     eigenpairs.
     """
-    by_spk: dict[str, list[np.ndarray]] = defaultdict(list)
-    for e in data.entries:
-        if e.speaker_id is None:
-            raise DataError(f"entry {e.id!r} has no speaker label")
-        by_spk[e.speaker_id].append(e.values)
-    n_spk = len(by_spk)
+    unlabeled = data.speaker_ids == MISSING_SPEAKER
+    if unlabeled.any():
+        raise DataError(f"entry {str(data.ids[np.argmax(unlabeled)])!r} has no speaker label")
+    groups = _groups(data.speaker_ids).values()
+    n_spk = len(groups)
     n_total = len(data)
     if n_spk < 2:
         raise DataError(f"need at least 2 speakers, got {n_spk}")
@@ -67,17 +73,16 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     x = data.matrix()
     mean = x.mean(axis=0)
     within = np.zeros((d, d))
-    spk_means = []
-    for vecs in by_spk.values():
-        m = np.stack(vecs)
-        mu = m.mean(axis=0)
-        spk_means.append(mu)
+    spk_means = np.empty((n_spk, d))
+    for i, rows in enumerate(groups):
+        m = x[rows]
+        spk_means[i] = mu = m.mean(axis=0)
         xc = m - mu
         within += xc.T @ xc
     wc = within / (n_total - n_spk) + COV_FLOOR * np.eye(d)
     wc = 0.5 * (wc + wc.T)
 
-    sm = np.stack(spk_means) - mean
+    sm = spk_means - mean
     ac = (sm.T @ sm) / (n_spk - 1)
     ac = 0.5 * (ac + ac.T)
     if rank is not None:
@@ -143,29 +148,26 @@ def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.n
 def enroll_models(enroll: VectorSet) -> tuple[list[str], np.ndarray]:
     """Average each speaker's sessions and re-length-normalize into one
     model vector; entries without a speaker label enroll under their own id."""
-    by_model: dict[str, list[np.ndarray]] = defaultdict(list)
-    order: list[str] = []
-    for e in enroll.entries:
-        key = e.speaker_id if e.speaker_id is not None else e.id
-        if key not in by_model:
-            order.append(key)
-        by_model[key].append(e.values)
-    vecs = []
-    for key in order:
-        avg = np.stack(by_model[key]).mean(axis=0)
+    keys = np.where(enroll.speaker_ids == MISSING_SPEAKER, enroll.ids, enroll.speaker_ids)
+    groups = _groups(keys)
+    x = enroll.matrix()
+    vecs = np.empty((len(groups), enroll.dim))
+    for i, (key, rows) in enumerate(groups.items()):
         try:
-            vecs.append(length_normalize(avg))
+            vecs[i] = length_normalize(x[rows].mean(axis=0))
         except ArithmeticError:
             raise DataError(f"zero-norm enrollment model {key!r}")
-    return order, np.stack(vecs)
+    return list(groups), vecs
 
 
 def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
                  trials: TrialList) -> ScoreSet:
     """Score a trial list; multi-session enrollments are averaged first."""
+    if enroll.dim != model.dim or test.dim != model.dim:
+        raise DataError(f"PLDA model has dimension {model.dim}, vectors {enroll.dim}/{test.dim}")
     model_ids, model_vecs = enroll_models(enroll)
     rows = index_of(model_ids, trials.model_ids, "unresolved enrollment model")
-    cols = index_of(test.ids, trials.test_ids, "unresolved test id")
+    cols = index_of(test.ids.tolist(), trials.test_ids, "unresolved test id")
     llr = score_matrix(model, model_vecs, test.matrix())
     return ScoreSet(trials, llr[rows, cols])
 
@@ -186,24 +188,11 @@ def save_plda(model: PldaModel, path) -> None:
 
 
 def load_plda(path) -> PldaModel:
-    blocks: dict[str, list[str]] = {}
-    current = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("["):
-                current = line.strip("[]")
-                blocks[current] = []
-            elif current is None:
-                raise DataError("data before first block header")
-            else:
-                blocks[current].append(line)
+    blocks = {header.strip("[]"): lines for header, lines in read_blocks(path)}
     for key in ("mean", "ac", "wc", "rank"):
         if not blocks.get(key):
             raise DataError(f"missing or empty [{key}] block")
-    mean = parse_floats(blocks["mean"][0], "in [mean]")
+    mean = parse_matrix(blocks["mean"][:1], "in [mean]")[0]
     ac = parse_matrix(blocks["ac"], "in [ac]")
     wc = parse_matrix(blocks["wc"], "in [wc]")
     rank_txt = blocks["rank"][0].strip()

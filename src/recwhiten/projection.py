@@ -45,21 +45,21 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     rendered coordinate table."""
     if whitener is not None:
         sets = [transform_set(whitener, s) for s in sets]
-    mats = [s.matrix() for s in sets if len(s)]
-    if not mats:
+    x = np.vstack([s.matrix() for s in sets])
+    if not len(x):
         raise ValueError("no vectors to project")
-    pooled = np.vstack(mats)
-    mean, axes = fit_pca(pooled, n_components)
+    mean, axes = fit_pca(x, n_components)
+    coords = np.empty((len(x), n_components))
+    for i, row in enumerate(x):
+        coords[i] = (row - mean) @ axes.T  # per row: a batched product rounds differently
 
+    ids = np.concatenate([s.ids for s in sets])
+    corpora = np.concatenate([s.corpus_ids for s in sets])
     lines = [f"#components={n_components}"]
-    per_corpus: dict[str, list[np.ndarray]] = {}
-    for s in sets:
-        for e in s.entries:
-            c = (e.values - mean) @ axes.T
-            per_corpus.setdefault(e.corpus_id, []).append(c)
-            lines.append(f"{e.id}\t{e.corpus_id}\t" + " ".join(_fmt(v) for v in c))
-    for corpus_id in sorted(per_corpus):
-        pts = np.stack(per_corpus[corpus_id])
+    lines += [f"{vid}\t{cid}\t" + " ".join(_fmt(v) for v in c)
+              for vid, cid, c in zip(ids.tolist(), corpora.tolist(), coords)]
+    for corpus_id in sorted(set(corpora.tolist())):
+        pts = coords[corpora == corpus_id]
         mu = pts.mean(axis=0)
         if pts.shape[0] > 1:
             cc = pts - mu

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrialList, VectorEntry, VectorSet
+from .data import MISSING_SPEAKER, TrialList, VectorSet, concat
 from .stats import cholesky_lower
 
 
@@ -132,18 +132,20 @@ class SynthWorld:
 
 
 def _sample_corpus(rng, corpus_id, prefix, domain_mean, chol, n_speakers,
-                   sessions, across_var, within_var, labeled=True):
+                   sessions, across_var, within_var, labeled=True) -> VectorSet:
+    """n_speakers speakers with one vector per entry of `sessions`, the
+    session suffixes of their ids; one normals draw per speaker."""
     d = domain_mean.shape[0]
-    entries = []
+    k = len(sessions)
+    x = np.empty((n_speakers * k, d))
     spk_means = domain_mean + np.sqrt(across_var) * (normals(rng, (n_speakers, d)) @ chol.T)
     for s in range(n_speakers):
-        spk_id = f"{prefix}spk{s:04d}"
-        sess = spk_means[s] + np.sqrt(within_var) * (normals(rng, (sessions, d)) @ chol.T)
-        for k in range(sessions):
-            entries.append(VectorEntry(
-                f"{spk_id}_u{k:03d}", corpus_id,
-                spk_id if labeled else None, sess[k]))
-    return entries
+        x[s * k:(s + 1) * k] = spk_means[s] + np.sqrt(within_var) * (
+            normals(rng, (k, d)) @ chol.T)
+    spk_ids = [f"{prefix}spk{s:04d}" for s in range(n_speakers)]
+    ids = [f"{spk}_{suffix}" for spk in spk_ids for suffix in sessions]
+    speakers = np.repeat(spk_ids, k) if labeled else np.full(len(ids), MISSING_SPEAKER)
+    return VectorSet(ids, np.full(len(ids), corpus_id), speakers, x)
 
 
 def generate_world(cfg: SynthConfig) -> SynthWorld:
@@ -156,15 +158,15 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     truth: dict[str, DomainTruth] = {}
 
     rng = make_rng(cfg.seed, stream=1)
-    ood_entries = []
+    ood_sets = []
     for spec in cfg.ood_subcorpora:
         offset = spec.mean_shift * random_unit(rng, d) if spec.mean_shift > 0 else np.zeros(d)
         truth[spec.corpus_id] = DomainTruth(offset, base_cov)
-        ood_entries += _sample_corpus(
+        ood_sets.append(_sample_corpus(
             rng, spec.corpus_id, spec.corpus_id + "_", offset, chol_ood,
-            spec.n_speakers, spec.sessions_per_speaker,
-            cfg.across_var, cfg.within_var)
-    ood = VectorSet(d, ood_entries)
+            spec.n_speakers, [f"u{k:03d}" for k in range(spec.sessions_per_speaker)],
+            cfg.across_var, cfg.within_var))
+    ood = concat(ood_sets)
 
     rng_in = make_rng(cfg.seed, stream=2)
     in_mean = (cfg.language_shift * random_unit(rng_in, d)
@@ -172,31 +174,22 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     truth["indomain"] = DomainTruth(in_mean, cfg.cov_scale * base_cov)
 
     # unlabeled: independent speakers, one session each
-    unlabeled = VectorSet(d, _sample_corpus(
+    unlabeled = _sample_corpus(
         rng_in, "indomain", "unl_", in_mean, chol_in,
-        cfg.n_unlabeled, 1, cfg.across_var, cfg.within_var, labeled=False))
+        cfg.n_unlabeled, ["u000"], cfg.across_var, cfg.within_var, labeled=False)
 
     # enrollment/test sessions share their speaker means
-    spk_means = in_mean + np.sqrt(cfg.across_var) * (
-        normals(rng_in, (cfg.n_enroll_speakers, d)) @ chol_in.T)
-    enroll_entries, test_entries = [], []
-    for s in range(cfg.n_enroll_speakers):
-        spk_id = f"eval_spk{s:04d}"
-        n_sess = cfg.enroll_sessions + cfg.test_sessions
-        sess = spk_means[s] + np.sqrt(cfg.within_var) * (normals(rng_in, (n_sess, d)) @ chol_in.T)
-        for k in range(cfg.enroll_sessions):
-            enroll_entries.append(VectorEntry(
-                f"{spk_id}_e{k:02d}", "indomain", spk_id, sess[k]))
-        for k in range(cfg.test_sessions):
-            test_entries.append(VectorEntry(
-                f"{spk_id}_t{k:02d}", "indomain", spk_id,
-                sess[cfg.enroll_sessions + k]))
-    enroll = VectorSet(d, enroll_entries)
-    test = VectorSet(d, test_entries)
+    sessions = ([f"e{k:02d}" for k in range(cfg.enroll_sessions)]
+                + [f"t{k:02d}" for k in range(cfg.test_sessions)])
+    pool = _sample_corpus(
+        rng_in, "indomain", "eval_", in_mean, chol_in,
+        cfg.n_enroll_speakers, sessions, cfg.across_var, cfg.within_var)
+    is_enroll = np.arange(len(pool)) % len(sessions) < cfg.enroll_sessions
+    enroll, test = pool.take(is_enroll), pool.take(~is_enroll)
 
     # full cross of enrollment models x test sessions
     models = np.array([f"eval_spk{s:04d}" for s in range(cfg.n_enroll_speakers)])
-    same = models[:, None] == np.array([e.speaker_id for e in test_entries])
-    trials = TrialList(np.repeat(models, len(test_entries)), np.tile(test.ids, len(models)),
+    same = models[:, None] == test.speaker_ids
+    trials = TrialList(np.repeat(models, len(test)), np.tile(test.ids, len(models)),
                        np.where(same.ravel(), "target", "nontarget"))
     return SynthWorld(cfg, ood, unlabeled, enroll, test, trials, truth)

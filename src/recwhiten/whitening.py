@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, VectorSet, _fmt, parse_floats, parse_matrix
+from .data import DataError, VectorSet, _fmt, parse_matrix, read_blocks
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -60,9 +60,6 @@ class CorpusLevel:
             raise ValueError("candidate levels start at 1")
         if not self.candidates:
             raise ValueError(f"level {self.level} has no candidates")
-        dims = {vs.dim for _, vs in self.candidates}
-        if len(dims) > 1:
-            raise ValueError(f"mixed dimensions at level {self.level}: {sorted(dims)}")
 
 
 @dataclass
@@ -84,15 +81,13 @@ class RecursiveWhitener:
         return self.stages[0].dim
 
 
-def fit_stage(data: VectorSet, level: int = 0, shrinkage: float | None = None,
-              corpus_id: str | None = None) -> WhiteningStage:
-    """Fit one whitening stage on a corpus (moments + Cholesky whitening)."""
+def fit_stage(data: VectorSet, level: int = 0, shrinkage: float | None = None) -> WhiteningStage:
+    """Fit one whitening stage on a corpus (moments + Cholesky whitening),
+    named after the corpus id of its first vector."""
     if len(data) == 0:
         raise DataError("cannot fit a whitening stage on an empty set")
-    cid = corpus_id if corpus_id is not None else (
-        data.entries[0].corpus_id if data.entries else "")
-    m = estimate_moments(data.matrix(), cid, shrinkage)
-    return WhiteningStage(level, cid, m.mean, whitening_matrix(m))
+    m = estimate_moments(data.matrix(), str(data.corpus_ids[0]), shrinkage)
+    return WhiteningStage(level, m.corpus_id, m.mean, whitening_matrix(m))
 
 
 def apply_stage(stage: WhiteningStage, v: np.ndarray) -> np.ndarray:
@@ -146,9 +141,10 @@ def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
 
 def transform_set(whitener: RecursiveWhitener, vset: VectorSet) -> VectorSet:
     """Element-wise transform; ids, corpus and speaker tags preserved."""
-    if len(vset) == 0:
-        return VectorSet(vset.dim, [])
-    return vset.with_vectors(transform_matrix(whitener, vset.matrix()))
+    if vset.dim != whitener.dim:
+        raise DataError(f"whitener has dimension {whitener.dim}, vectors have {vset.dim}")
+    return VectorSet(vset.ids, vset.corpus_ids, vset.speaker_ids,
+                     transform_matrix(whitener, vset.matrix()))
 
 
 def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
@@ -218,50 +214,31 @@ def _block_header(line: str) -> tuple[str, int, str]:
 def load_whitener(path) -> RecursiveWhitener:
     stages: list[WhiteningStage] = []
     selections: list[LevelSelection] = []
-    block: list[str] = []
-    header: tuple | None = None
-
-    def flush():
-        if header is None:
-            return
-        kind, level, corpus_id = header
+    for header, block in read_blocks(path):
+        kind, level, corpus_id = _block_header(header)
         where = f"in {kind} block for level {level}"
         if kind == "stage":
-            if len(block) < 2:
-                raise DataError(f"stage block for level {level} is truncated")
-            mean, w = parse_floats(block[0], where), parse_matrix(block[1:], where)
-            if w.shape != (mean.shape[0], mean.shape[0]):
+            m = parse_matrix(block, where)  # the mean row over the square matrix
+            if m.shape[0] != m.shape[1] + 1:
                 raise DataError(f"stage {level} matrix is not square")
-            stages.append(WhiteningStage(level, corpus_id, mean, w))
-        else:
-            logliks, chosen = [], None
-            for line in block:
-                try:
-                    cid, ll, mark = line.split("\t")
-                    logliks.append((cid, float(ll)))
-                except ValueError:
-                    raise DataError(f"bad selection row {where}: {line!r}") from None
-                if mark == "chosen":
-                    chosen = len(logliks) - 1
-            if chosen is None:
-                raise DataError(f"selection block for level {level} marks no winner")
-            selections.append(LevelSelection(level, logliks, chosen))
-
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            # selection rows hold tabs, so a corpus id starting with '[' stays a row
-            if line.startswith("[") and "\t" not in line:
-                flush()
-                header = _block_header(line)
-                block = []
-            else:
-                if header is None:
-                    raise DataError("data before first block header")
-                block.append(line)
-    flush()
+            stages.append(WhiteningStage(level, corpus_id, m[0], m[1:]))
+            continue
+        logliks, chosen = [], None
+        for line in block:
+            try:
+                cid, ll, mark = line.split("\t")
+                logliks.append((cid, float(ll)))
+            except ValueError:
+                raise DataError(f"bad selection row {where}: {line!r}") from None
+            if mark == "chosen":
+                chosen = len(logliks) - 1
+        if not np.isfinite([ll for _, ll in logliks]).all():
+            raise DataError(f"non-finite value {where}")
+        if chosen is None:
+            raise DataError(f"selection block for level {level} marks no winner")
+        selections.append(LevelSelection(level, logliks, chosen))
     if not stages:
         raise DataError("whitener file contains no stages")
+    if len({s.dim for s in stages}) > 1:
+        raise DataError("whitener stages differ in dimension")
     return RecursiveWhitener(stages, selections)

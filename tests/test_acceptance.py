@@ -11,7 +11,7 @@ import pytest
 
 from recwhiten import cli
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import VectorEntry, VectorSet
+from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.experiment import (fit_full_whitener, load_corpora, run_level,
                                   whitener_prefix)
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, compute_act_dcf,
@@ -32,13 +32,10 @@ def report(criterion, detail=""):
     print(f"PASS {criterion}{suffix}")
 
 
-def make_set(vectors, corpus_id="c", prefix="v", speakers=None):
-    vectors = np.asarray(vectors, dtype=float)
-    return VectorSet(vectors.shape[1], [
-        VectorEntry(f"{prefix}{i}", corpus_id,
-                    None if speakers is None else speakers[i], vectors[i])
-        for i in range(vectors.shape[0])
-    ])
+def make_set(vectors, corpus_id="c", prefix="v"):
+    n = len(vectors)
+    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
+                     [MISSING_SPEAKER] * n, vectors)
 
 
 def test_criterion_01_whiteness():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recwhiten import cli
-from recwhiten.data import (VectorEntry, VectorSet, load_scores,
+from recwhiten.data import (MISSING_SPEAKER, VectorSet, load_scores,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
 from recwhiten.plda import save_plda, train_plda
@@ -132,17 +132,14 @@ class TestScoreEvaluateCommands:
     def build_world(self, tmp_path):
         rng = np.random.default_rng(60)
         d = 4
-        train = VectorSet(d, [
-            VectorEntry(f"s{s}_u{k}", "ood", f"s{s}",
-                        rng.normal(size=d) + 3 * rng.normal(size=d) * 0 +
-                        np.repeat(float(s), d))
-            for s in range(6) for k in range(3)
-        ])
+        train = VectorSet(
+            [f"s{s}_u{k}" for s in range(6) for k in range(3)], ["ood"] * 18,
+            [f"s{s}" for s in range(6) for k in range(3)],
+            [rng.normal(size=d) + 3 * rng.normal(size=d) * 0 + np.repeat(float(s), d)
+             for s in range(6) for k in range(3)])
         model = train_plda(train)
-        enroll = VectorSet(d, [VectorEntry("e1", "c", "spkA", rng.normal(size=d)),
-                               VectorEntry("e2", "c", "spkB", rng.normal(size=d))])
-        test = VectorSet(d, [VectorEntry("t1", "c", None, rng.normal(size=d)),
-                             VectorEntry("t2", "c", None, rng.normal(size=d))])
+        enroll = VectorSet(["e1", "e2"], ["c", "c"], ["spkA", "spkB"], rng.normal(size=(2, d)))
+        test = VectorSet(["t1", "t2"], ["c", "c"], [MISSING_SPEAKER] * 2, rng.normal(size=(2, d)))
         from recwhiten.data import TrialList
         trials = TrialList(["spkA", "spkA", "spkB", "spkB"], ["t1", "t2", "t1", "t2"],
                            ["target", "nontarget", "nontarget", "target"])
@@ -199,10 +196,10 @@ class TestScoreEvaluateCommands:
 class TestProjectCommand:
     def test_command_output(self, tmp_path):
         rng = np.random.default_rng(62)
-        a = VectorSet(5, [VectorEntry(f"a{i}", "ca", None, rng.normal(size=5))
-                          for i in range(30)])
-        b = VectorSet(5, [VectorEntry(f"b{i}", "cb", None, rng.normal(size=5) + 8)
-                          for i in range(30)])
+        a = VectorSet([f"a{i}" for i in range(30)], ["ca"] * 30, [MISSING_SPEAKER] * 30,
+                      rng.normal(size=(30, 5)))
+        b = VectorSet([f"b{i}" for i in range(30)], ["cb"] * 30, [MISSING_SPEAKER] * 30,
+                      rng.normal(size=(30, 5)) + 8)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         save_vector_table(a, pa)
         save_vector_table(b, pb)
@@ -216,32 +213,56 @@ class TestProjectCommand:
         assert sum(1 for ln in text.splitlines() if ln.startswith("#corpus-cov")) == 4
 
 
-IDENTITY_WHITENER = "[stage 0 c]\n0 0 0 0\n" + "".join(
-    " ".join("1" if i == j else "0" for j in range(4)) + "\n" for i in range(4))
+def identity_rows(d):
+    return "".join(" ".join("1" if i == j else "0" for j in range(d)) + "\n"
+                   for i in range(d))
 
+
+def identity_whitener(d, level=0):
+    return f"[stage {level} c]\n" + " ".join(["0"] * d) + "\n" + identity_rows(d)
+
+
+def identity_plda(d):
+    return ("[mean]\n" + " ".join(["0"] * d) + "\n[ac]\n" + identity_rows(d)
+            + "[wc]\n" + identity_rows(d) + "[rank]\n-\n")
+
+
+IDENTITY_WHITENER = identity_whitener(4)
+
+# (file to corrupt, corruption, text the one-line error must hold)
 MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage]"),
-                 id="whitener-header-without-level"),
+                 "without a level", id="whitener-header-without-level"),
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage x c]"),
-                 id="whitener-bad-level"),
+                 "without a level", id="whitener-bad-level"),
     pytest.param("whitener", lambda t: t.replace("0 0 0 0", "0 0 zero 0"),
-                 id="whitener-bad-float"),
+                 "bad float in stage block for level 0", id="whitener-bad-float"),
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1 0 0"),
-                 id="whitener-ragged-matrix"),
+                 "ragged matrix in stage block for level 0", id="whitener-ragged-matrix"),
+    pytest.param("whitener", lambda t: t.replace("0 0 0 0", "nan 0 0 0"),
+                 "non-finite value in stage block for level 0", id="whitener-nan"),
+    pytest.param("whitener", lambda t: identity_whitener(3),
+                 "whitener has dimension 3, vectors have 4", id="whitener-dim-mismatch"),
+    pytest.param("whitener", lambda t: t + identity_whitener(3, level=1),
+                 "stages differ in dimension", id="whitener-stage-dims-differ"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
-                 id="plda-empty-mean"),
+                 "missing or empty [mean] block", id="plda-empty-mean"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
-                 id="plda-empty-rank"),
+                 "missing or empty [rank] block", id="plda-empty-rank"),
     pytest.param("plda", lambda t: t.replace("[wc]\n", "[wc]\n1.0x "),
-                 id="plda-bad-float"),
+                 "bad float in [wc]", id="plda-bad-float"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\nthree\n"),
-                 id="plda-bad-rank"),
+                 "bad PLDA model", id="plda-bad-rank"),
+    pytest.param("plda", lambda t: re.sub(r"\[mean\]\n\S+", "[mean]\nnan", t),
+                 "non-finite value in [mean]", id="plda-nan"),
+    pytest.param("plda", lambda t: identity_plda(3),
+                 "PLDA model has dimension 3, vectors 4/4", id="plda-dim-mismatch"),
 ]
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("kind,corrupt", MALFORMED_MODELS)
-    def test_malformed_model_file(self, tmp_path, capsys, kind, corrupt):
+    @pytest.mark.parametrize("kind,corrupt,message", MALFORMED_MODELS)
+    def test_malformed_model_file(self, tmp_path, capsys, kind, corrupt, message):
         paths = TestScoreEvaluateCommands().build_world(tmp_path)
         paths["whitener"] = tmp_path / "whitener.txt"
         paths["whitener"].write_text(IDENTITY_WHITENER)
@@ -254,7 +275,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
         assert "Traceback" not in err
+
+    def test_project_whitener_dim_mismatch(self, tmp_path, capsys):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        whitener = tmp_path / "whitener.txt"
+        whitener.write_text(identity_whitener(3))
+        code = run(["project", "--vectors", paths["test"], "--whitener", whitener,
+                    "--out", tmp_path / "p.txt"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "data error: whitener has dimension 3, vectors have 4\n"
 
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -268,9 +300,8 @@ class TestExitCodes:
     def test_numerical_error(self, tmp_path):
         rng = np.random.default_rng(63)
         # 1-D data cannot support a 2-component projection
-        vs = VectorSet(3, [VectorEntry(f"v{i}", "c", None,
-                                       np.array([float(i), 0.0, 0.0]))
-                           for i in range(10)])
+        vs = VectorSet([f"v{i}" for i in range(10)], ["c"] * 10, [MISSING_SPEAKER] * 10,
+                       [[float(i), 0.0, 0.0] for i in range(10)])
         p = tmp_path / "v.txt"
         save_vector_table(vs, p)
         assert run(["project", "--vectors", p, "--out", tmp_path / "o.txt"]) == 4

@@ -1,10 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recwhiten.data import (DataError, ScoreSet, TrialList,
-                            VectorEntry, VectorSet, load_scores, load_trials,
+from recwhiten.config import parse_experiment_config
+from recwhiten.data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList,
+                            VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
+from recwhiten.experiment import build_levels, load_corpora
 
 
 def write(tmp_path, text, name="table.txt"):
@@ -25,7 +32,7 @@ class TestVectorTable:
 
     def test_missing_speaker_sentinel(self, tmp_path):
         p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0\n")
-        assert load_vector_table(p).entries[0].speaker_id is None
+        assert load_vector_table(p).speaker_ids.tolist() == [MISSING_SPEAKER]
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0 3.0\n")
@@ -48,49 +55,106 @@ class TestVectorTable:
             load_vector_table(p)
 
     def test_round_trip(self, tmp_path):
-        vs = VectorSet(3, [
-            VectorEntry("a", "c1", "s1", np.array([1.0, -2.5, 0.125])),
-            VectorEntry("b", "c1", None, np.array([0.3, 1e-5, 7.0])),
-            VectorEntry("c", "c2", "s2", np.array([9.0, 8.0, -1.0])),
-        ])
+        vs = VectorSet(["a", "b", "c"], ["c1", "c1", "c2"], ["s1", MISSING_SPEAKER, "s2"],
+                       [[1.0, -2.5, 0.125], [0.3, 1e-5, 7.0], [9.0, 8.0, -1.0]])
         p = tmp_path / "out.txt"
         save_vector_table(vs, p)
         back = load_vector_table(p)
         assert back.dim == vs.dim and len(back) == len(vs)
-        for e1, e2 in zip(vs.entries, back.entries):
-            assert (e1.id, e1.corpus_id, e1.speaker_id) == (e2.id, e2.corpus_id, e2.speaker_id)
-            np.testing.assert_array_equal(e1.values, e2.values)
+        for col in ("ids", "corpus_ids", "speaker_ids"):
+            assert getattr(back, col).tolist() == getattr(vs, col).tolist()
+        np.testing.assert_array_equal(back.matrix(), vs.matrix())
 
     def test_empty_set_round_trip(self, tmp_path):
         p = tmp_path / "empty.txt"
-        save_vector_table(VectorSet(5, []), p)
+        save_vector_table(VectorSet([], [], [], np.empty((0, 5))), p)
         back = load_vector_table(p)
         assert back.dim == 5 and len(back) == 0
 
     def test_tiny_value_round_trips_bit_for_bit(self, tmp_path):
-        vs = VectorSet(1, [VectorEntry("a", "c", None, np.array([1e-300]))])
+        vs = VectorSet(["a"], ["c"], [MISSING_SPEAKER], [[1e-300]])
         p = tmp_path / "tiny.txt"
         save_vector_table(vs, p)
         back = load_vector_table(p)
-        assert back.entries[0].values[0] == 1e-300
+        assert back.matrix()[0, 0] == 1e-300
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(12)
         for k in range(20):
             d = int(rng.integers(2, 6))
             n = int(rng.integers(0, 8))
-            entries = [
-                VectorEntry(f"v{i}", f"c{int(rng.integers(3))}",
-                            None if rng.random() < 0.3 else f"s{int(rng.integers(4))}",
-                            rng.normal(size=d) * 10.0 ** rng.integers(-20, 20))
-                for i in range(n)
-            ]
-            vs = VectorSet(d, entries)
+            corpora, speakers, rows = [], [], []
+            for _ in range(n):
+                corpora.append(f"c{int(rng.integers(3))}")
+                speakers.append(MISSING_SPEAKER if rng.random() < 0.3
+                                else f"s{int(rng.integers(4))}")
+                rows.append(rng.normal(size=d) * 10.0 ** rng.integers(-20, 20))
+            vs = VectorSet([f"v{i}" for i in range(n)], corpora, speakers,
+                           np.reshape(rows, (n, d)))
             p = tmp_path / f"r{k}.txt"
             save_vector_table(vs, p)
             back = load_vector_table(p)
-            for e1, e2 in zip(vs.entries, back.entries):
-                np.testing.assert_array_equal(e1.values, e2.values)
+            np.testing.assert_array_equal(back.matrix(), vs.matrix())
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # ids: no whitespace, no leading '#' (a comment line); other fields:
+        # anything but the tab, line breaks and NUL the format cannot carry
+        chars = st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r\0")
+        ident = st.text(chars, min_size=1).filter(
+            lambda s: not s.startswith("#") and not any(c.isspace() for c in s))
+        tag = st.one_of(st.just(""), st.just(MISSING_SPEAKER), st.text(chars))
+        dim = data.draw(st.integers(1, 4))
+        ids = data.draw(st.lists(ident, max_size=6, unique=True))
+        n = len(ids)
+        corpora = data.draw(st.lists(tag, min_size=n, max_size=n))
+        speakers = data.draw(st.lists(tag, min_size=n, max_size=n))
+        values = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308])),
+            min_size=n * dim, max_size=n * dim))
+        vs = VectorSet(ids, corpora, speakers, np.reshape(values, (n, dim)))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "v.txt")
+            save_vector_table(vs, p)
+            back = load_vector_table(p)
+        assert back.dim == dim
+        for col in ("ids", "corpus_ids", "speaker_ids"):
+            assert getattr(back, col).tolist() == getattr(vs, col).tolist()
+        assert np.array_equal(back.matrix(), vs.matrix())
+        assert np.array_equal(np.signbit(back.matrix()), np.signbit(vs.matrix()))
+
+
+class TestVectorSet:
+    def test_hierarchy_candidate_shares_ood_storage(self):
+        cfg = parse_experiment_config(
+            "[synth]\nseed = 3\ndim = 4\nsubcorpora = a:5:2:0.0 b:5:2:4.0 c:5:2:8.0\n"
+            "n_enroll_speakers = 3\nn_unlabeled = 6\n\n"
+            "[hierarchy]\nlevel1 = a+c b\n\n[backend]\nlevels = 0 1\n")
+        corpora = load_corpora(cfg)
+        ood = corpora.ood
+        for token, cand in build_levels(cfg, corpora)[0].candidates:
+            arrays = [v for v in vars(cand).values()
+                      if isinstance(v, np.ndarray) and v.dtype == float]
+            assert len(arrays) == 1 and np.shares_memory(arrays[0], ood.storage)
+            wanted = np.isin(ood.corpus_ids, token.split("+"))
+            assert cand.ids.tolist() == ood.ids[wanted].tolist()
+            np.testing.assert_array_equal(cand.matrix(), ood.matrix()[wanted])
+            assert not cand.matrix().flags.writeable
+        assert not ood.matrix().flags.writeable
+        with pytest.raises(ValueError):
+            ood.matrix()[0, 0] = 1.0
+
+    def test_validation_errors(self):
+        with pytest.raises(DataError, match="dim >= 1"):
+            VectorSet([], [], [], np.empty((0, 0)))
+        with pytest.raises(DataError, match="differ in length"):
+            VectorSet(["a", "b"], ["c"], ["-"], [[1.0]])
+        with pytest.raises(DataError, match="duplicate id 'b'"):
+            VectorSet(["b", "a", "b"], ["c"] * 3, ["-"] * 3, [[1.0], [2.0], [3.0]])
+        with pytest.raises(DataError, match="non-finite value in entry 'y'"):
+            VectorSet(["x", "y"], ["c"] * 2, ["-"] * 2, [[1.0], [np.inf]])
 
 
 class TestTrialsAndScores:
@@ -114,6 +178,9 @@ class TestTrialsAndScores:
         p = write(tmp_path, "m1\tt1\ttarget\nm1\tt1\0\tnontarget\n")
         with pytest.raises(DataError, match="NUL character at line 2"):
             load_trials(p)
+        p = write(tmp_path, "#dim=1\na\tc\t-\t1.0\na\0\tc\t-\t2.0\n", "vectors.txt")
+        with pytest.raises(DataError, match="NUL character at line 3"):
+            load_vector_table(p)
 
     def test_trials_round_trip(self, tmp_path):
         tl = TrialList(["m1", "m1", "m2", "spk 7", "mé"], ["t1", "t2", "t1", "a b", ""],

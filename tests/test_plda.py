@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import DataError, TrialList, VectorEntry, VectorSet
+from recwhiten.data import MISSING_SPEAKER, DataError, TrialList, VectorSet
 from recwhiten.plda import (PldaModel, enroll_models, load_plda, save_plda,
                             score_matrix, score_pair, score_trials, train_plda)
 
@@ -32,52 +32,48 @@ def random_model(rng, d):
 
 def labeled_set(rng, ac_chol, wc_chol, n_spk, sessions, d, mean=None):
     mean = np.zeros(d) if mean is None else mean
-    entries = []
+    rows = []
     for s in range(n_spk):
         mu = mean + ac_chol @ rng.normal(size=d)
         for k in range(sessions):
-            entries.append(VectorEntry(f"s{s}_u{k}", "c", f"s{s}",
-                                       mu + wc_chol @ rng.normal(size=d)))
-    return VectorSet(d, entries)
+            rows.append(mu + wc_chol @ rng.normal(size=d))
+    speakers = [f"s{s}" for s in range(n_spk) for _ in range(sessions)]
+    ids = [f"{spk}_u{i % sessions}" for i, spk in enumerate(speakers)]
+    return VectorSet(ids, ["c"] * len(ids), speakers, np.reshape(rows, (-1, d)))
+
+
+def one_corpus(ids, speakers, vectors):
+    return VectorSet(ids, ["c"] * len(ids), speakers, vectors)
 
 
 class TestTrainPlda:
     def test_zero_within_spread_floors_wc(self):
-        entries = [VectorEntry(f"s{s}_u{k}", "c", f"s{s}", np.array([float(s), -float(s)]))
-                   for s in range(3) for k in range(2)]
-        m = train_plda(VectorSet(2, entries))
+        m = train_plda(one_corpus([f"s{s}_u{k}" for s in range(3) for k in range(2)],
+                                  [f"s{s}" for s in range(3) for k in range(2)],
+                                  [[float(s), -float(s)] for s in range(3) for k in range(2)]))
         np.testing.assert_allclose(m.wc, 1e-8 * np.eye(2))
 
     def test_identical_speaker_means_zero_ac(self):
-        entries = []
-        for s in range(3):
-            entries.append(VectorEntry(f"s{s}_a", "c", f"s{s}", np.array([1.0, 0.0])))
-            entries.append(VectorEntry(f"s{s}_b", "c", f"s{s}", np.array([-1.0, 0.0])))
-        m = train_plda(VectorSet(2, entries))
+        m = train_plda(one_corpus([f"s{s}_{k}" for s in range(3) for k in "ab"],
+                                  [f"s{s}" for s in range(3) for k in "ab"],
+                                  [[1.0, 0.0], [-1.0, 0.0]] * 3))
         np.testing.assert_allclose(m.ac, np.zeros((2, 2)), atol=1e-15)
 
     def test_hand_computed_1d_scatters(self):
         # speakers at -1/+1, sessions offset by +-1
-        entries = [
-            VectorEntry("a1", "c", "a", np.array([-2.0])),
-            VectorEntry("a2", "c", "a", np.array([0.0])),
-            VectorEntry("b1", "c", "b", np.array([0.0])),
-            VectorEntry("b2", "c", "b", np.array([2.0])),
-        ]
-        m = train_plda(VectorSet(1, entries))
+        m = train_plda(one_corpus(["a1", "a2", "b1", "b2"], ["a", "a", "b", "b"],
+                                  [[-2.0], [0.0], [0.0], [2.0]]))
         assert m.mean[0] == pytest.approx(0.0)
         assert m.ac[0, 0] == pytest.approx(2.0)
         assert m.wc[0, 0] == pytest.approx(2.0, abs=1e-7)
 
     def test_unlabeled_entry_rejected(self):
-        vs = VectorSet(1, [VectorEntry("a", "c", "s1", np.array([0.0])),
-                           VectorEntry("b", "c", None, np.array([1.0]))])
-        with pytest.raises(DataError, match="no speaker label"):
+        vs = one_corpus(["a", "b"], ["s1", MISSING_SPEAKER], [[0.0], [1.0]])
+        with pytest.raises(DataError, match="entry 'b' has no speaker label"):
             train_plda(vs)
 
     def test_single_speaker_rejected(self):
-        vs = VectorSet(1, [VectorEntry("a", "c", "s1", np.array([0.0])),
-                           VectorEntry("b", "c", "s1", np.array([1.0]))])
+        vs = one_corpus(["a", "b"], ["s1", "s1"], [[0.0], [1.0]])
         with pytest.raises(DataError, match="at least 2 speakers"):
             train_plda(vs)
 
@@ -157,8 +153,8 @@ class TestScorePair:
 class TestScoreTrials:
     def make_eval(self, rng, d=3):
         m = random_model(rng, d)
-        enroll = VectorSet(d, [VectorEntry("e1", "c", "spkA", rng.normal(size=d))])
-        test = VectorSet(d, [VectorEntry("t1", "c", None, rng.normal(size=d))])
+        enroll = one_corpus(["e1"], ["spkA"], rng.normal(size=(1, d)))
+        test = one_corpus(["t1"], [MISSING_SPEAKER], rng.normal(size=(1, d)))
         return m, enroll, test
 
     def test_single_session_equals_score_pair(self):
@@ -166,19 +162,18 @@ class TestScoreTrials:
         m, enroll, test = self.make_eval(rng)
         trials = TrialList(["spkA"], ["t1"], ["target"])
         ss = score_trials(m, enroll, test, trials)
-        e_norm = enroll.entries[0].values / np.linalg.norm(enroll.entries[0].values)
+        e = enroll.matrix()[0]
         assert ss.scores[0] == pytest.approx(
-            score_pair(m, e_norm, test.entries[0].values), rel=1e-12)
+            score_pair(m, e / np.linalg.norm(e), test.matrix()[0]), rel=1e-12)
         assert ss.trials.labels[0] == "target"
 
     def test_duplicate_sessions_idempotent(self):
         rng = np.random.default_rng(27)
         m = random_model(rng, 3)
         v = rng.normal(size=3)
-        one = VectorSet(3, [VectorEntry("e1", "c", "spkA", v)])
-        two = VectorSet(3, [VectorEntry("e1", "c", "spkA", v),
-                            VectorEntry("e2", "c", "spkA", v.copy())])
-        test = VectorSet(3, [VectorEntry("t1", "c", None, rng.normal(size=3))])
+        one = one_corpus(["e1"], ["spkA"], [v])
+        two = one_corpus(["e1", "e2"], ["spkA", "spkA"], [v, v])
+        test = one_corpus(["t1"], [MISSING_SPEAKER], rng.normal(size=(1, 3)))
         trials = TrialList(["spkA"], ["t1"], ["unknown"])
         s1 = score_trials(m, one, test, trials).scores[0]
         s2 = score_trials(m, two, test, trials).scores[0]
@@ -188,9 +183,8 @@ class TestScoreTrials:
         rng = np.random.default_rng(28)
         m = random_model(rng, 2)
         u = np.array([0.6, 0.8])
-        enroll = VectorSet(2, [VectorEntry("e1", "c", "spkA", u),
-                               VectorEntry("e2", "c", "spkA", -u)])
-        test = VectorSet(2, [VectorEntry("t1", "c", None, np.array([1.0, 0.0]))])
+        enroll = one_corpus(["e1", "e2"], ["spkA", "spkA"], [u, -u])
+        test = one_corpus(["t1"], [MISSING_SPEAKER], [[1.0, 0.0]])
         trials = TrialList(["spkA"], ["t1"], ["unknown"])
         with pytest.raises(DataError, match="zero-norm enrollment model"):
             score_trials(m, enroll, test, trials)
@@ -198,10 +192,10 @@ class TestScoreTrials:
     def test_equals_gathered_score_matrix(self):
         rng = np.random.default_rng(31)
         m = random_model(rng, 3)
-        enroll = VectorSet(3, [VectorEntry(f"e{i}", "c", f"spk{i % 3}", rng.normal(size=3))
-                               for i in range(6)])
-        test = VectorSet(3, [VectorEntry(f"t{j}", "c", None, rng.normal(size=3))
-                             for j in range(4)])
+        enroll = one_corpus([f"e{i}" for i in range(6)], [f"spk{i % 3}" for i in range(6)],
+                            rng.normal(size=(6, 3)))
+        test = one_corpus([f"t{j}" for j in range(4)], [MISSING_SPEAKER] * 4,
+                          rng.normal(size=(4, 3)))
         pairs = [(f"spk{i}", f"t{j}") for i in range(3) for j in range(4)]
         keep = rng.permutation(len(pairs))[:9]  # shuffled and sparse
         labels = ("target", "nontarget", "unknown")
@@ -210,7 +204,7 @@ class TestScoreTrials:
         ss = score_trials(m, enroll, test, trials)
         model_ids, model_vecs = enroll_models(enroll)
         llr = score_matrix(m, model_vecs, test.matrix())
-        expect = [float(llr[model_ids.index(mid), test.ids.index(tid)])
+        expect = [float(llr[model_ids.index(mid), test.ids.tolist().index(tid)])
                   for mid, tid in zip(trials.model_ids, trials.test_ids)]
         assert ss.scores.tolist() == expect
         assert ss.trials is trials
@@ -223,8 +217,7 @@ class TestScoreTrials:
             score_trials(m, enroll, test, trials)
 
     def test_enroll_models_average_then_normalize(self):
-        vs = VectorSet(2, [VectorEntry("a", "c", "s", np.array([2.0, 0.0])),
-                           VectorEntry("b", "c", "s", np.array([0.0, 2.0]))])
+        vs = one_corpus(["a", "b"], ["s", "s"], [[2.0, 0.0], [0.0, 2.0]])
         ids, vecs = enroll_models(vs)
         assert ids == ["s"]
         np.testing.assert_allclose(vecs[0], [1 / np.sqrt(2), 1 / np.sqrt(2)])

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import VectorEntry, VectorSet
+from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.projection import fit_pca, project_sets
 from recwhiten.stats import NumericalError
 
 
 def make_set(vectors, corpus_id="c", prefix="v"):
-    vectors = np.asarray(vectors, dtype=float)
-    return VectorSet(vectors.shape[1], [
-        VectorEntry(f"{prefix}{i}", corpus_id, None, vectors[i])
-        for i in range(vectors.shape[0])
-    ])
+    n = len(vectors)
+    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
+                     [MISSING_SPEAKER] * n, vectors)
 
 
 def parse_coords(text):

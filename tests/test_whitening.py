@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import VectorEntry, VectorSet
+from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments, gaussian_loglik
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhitenError, WhiteningStage, apply_stage, fit_recursive,
@@ -11,11 +11,9 @@ from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
 
 
 def make_set(vectors, corpus_id="c", prefix="v"):
-    vectors = np.asarray(vectors, dtype=float)
-    return VectorSet(vectors.shape[1], [
-        VectorEntry(f"{prefix}{i}", corpus_id, None, vectors[i])
-        for i in range(vectors.shape[0])
-    ])
+    n = len(vectors)
+    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
+                     [MISSING_SPEAKER] * n, vectors)
 
 
 class TestLengthNormalize:
@@ -149,14 +147,14 @@ class TestTransform:
         w = RecursiveWhitener([stage])
         vs = make_set(rng.normal(size=(9, 4)), corpus_id="x")
         out = transform_set(w, vs)
-        assert out.ids == vs.ids
+        assert out.ids.tolist() == vs.ids.tolist()
         for e_in, e_out in zip(vs.entries, out.entries):
             np.testing.assert_allclose(e_out.values, transform(w, e_in.values),
                                        atol=1e-12)
 
     def test_transform_empty_set(self):
         stage = WhiteningStage(0, "c", np.zeros(3), np.eye(3))
-        out = transform_set(RecursiveWhitener([stage]), VectorSet(3, []))
+        out = transform_set(RecursiveWhitener([stage]), make_set(np.empty((0, 3))))
         assert out.dim == 3 and len(out) == 0
 
     def test_whiteness_before_normalization(self):
