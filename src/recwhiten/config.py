@@ -110,13 +110,16 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    unknown = set(parser.sections()) - {"data", "synth", "hierarchy", "backend", "metrics"}
+    if unknown:
+        raise ConfigError(f"unknown sections: {sorted(unknown)}")
 
     if parser.has_section("data"):
         required = {"ood", "unlabeled", "enroll", "test", "trials"}
         given = dict(parser.items("data"))
-        missing = required - set(given)
-        if missing:
-            raise ConfigError(f"[data] missing keys: {sorted(missing)}")
+        for problem, keys in (("missing", required - set(given)), ("unknown", set(given) - required)):
+            if keys:
+                raise ConfigError(f"[data] {problem} keys: {sorted(keys)}")
         cfg.data_paths = given
     if parser.has_section("synth"):
         cfg.synth = _parse_synth(parser["synth"])
@@ -138,6 +141,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
     if parser.has_section("backend"):
         b = parser["backend"]
+        unknown = set(b) - {"levels", "shrinkage", "plda_rank", "snorm", "selection_targets"}
+        if unknown:
+            raise ConfigError(f"[backend] unknown keys: {sorted(unknown)}")
         if "levels" in b:
             cfg.levels = [int(v) for v in b["levels"].split()]
         if "shrinkage" in b:

@@ -1,16 +1,22 @@
 """Data model and text I/O for embedding tables, trial lists and score files.
 
-All three file kinds are tab-separated UTF-8. Vector tables carry a
-``#dim=<d>`` header; floats are written with 17 significant digits so that
-save/load round-trips are bit-exact. Every kind is held as columns: a vector
-set is one array each of ids, corpus ids and speaker ids next to one
-``(n, dim)`` matrix, and ``-`` (MISSING_SPEAKER) marks an unlabeled vector
-both in memory and on disk; trials and scores are one array each of model
-ids, test ids, labels and scores.
+Every kind is held as columns: a vector set is one array each of ids, corpus
+ids and speaker ids next to one ``(n, dim)`` matrix, and ``-``
+(MISSING_SPEAKER) marks an unlabeled vector both in memory and on disk;
+trials and scores are one array each of model ids, test ids, labels and scores.
+
+These three tables and the whitener and PLDA model files are UTF-8 text with
+tab-separated fields and floats at 17 significant digits, which read back bit
+for bit. Blank lines are skipped; lines starting with ``#`` are comments in the
+tables only, and a vector table's ``#dim=<d>`` header comes before its rows. An
+id or tag may be empty and hold any character but tab, LF, CR and NUL; a table
+row may not start with ``#``. What would not read back, a save refuses with
+DataError before it creates the file.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,13 +27,11 @@ LABELS = ("target", "nontarget", "unknown")
 
 MISSING_SPEAKER = "-"
 
+_fmt = "{:.17g}".format  # enough digits for every float64 to read back bit for bit
+
 
 class DataError(ValueError):
     """Malformed or inconsistent corpus/trial/score data."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class VectorEntry(NamedTuple):
@@ -104,11 +108,15 @@ class VectorSet:
             self.matrix())]
 
 
+def same_dim(sets: list[VectorSet]) -> None:
+    """Raise DataError unless every set has the same dimension."""
+    if len({s.dim for s in sets}) > 1:
+        raise DataError(f"mixed dimensions: {sorted({s.dim for s in sets})}")
+
+
 def concat(sets: list[VectorSet]) -> VectorSet:
     """One set holding the vectors of every set, in order."""
-    dims = {s.dim for s in sets}
-    if len(dims) > 1:
-        raise DataError(f"mixed dimensions: {sorted(dims)}")
+    same_dim(sets)
     return VectorSet(*(np.concatenate([getattr(s, col) for s in sets])
                        for col in ("ids", "corpus_ids", "speaker_ids")),
                      np.vstack([s.matrix() for s in sets]))
@@ -212,108 +220,113 @@ def read_blocks(path) -> list[tuple[str, list[str]]]:
     return blocks
 
 
-def load_vector_table(path) -> VectorSet:
-    """Parse a vector table file; see the module docstring for the format."""
-    dim = None
-    ids, corpora, speakers = [], [], []
-    values = array("d")
+def format_floats(values: np.ndarray) -> str:
+    """The one float-row format: space-separated, 17 significant digits."""
+    return " ".join(map(_fmt, values.tolist()))
+
+
+# what splits or ends a line, is lost in a numpy string array or is not UTF-8
+_UNSAFE = re.compile("[\t\n\r\0\ud800-\udfff]")
+
+
+def _fields(column) -> list[str] | map:
+    """One field a row of a column (a list or array): text as it is, a float
+    as one number, a matrix row as a float row; DataError for a value that
+    would not read back."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise DataError("non-finite value")
+        return map(format_floats, column) if column.ndim == 2 else map(_fmt, column.tolist())
+    text = column.tolist() if isinstance(column, np.ndarray) else column
+    joined = "".join(text)  # `in` is far faster than the regex, which only surrogates need
+    if any(c in joined for c in "\t\n\r\0") or not joined.isascii() and _UNSAFE.search(joined):
+        bad = next(v for v in text if _UNSAFE.search(v))
+        raise DataError(f"field {bad!r} holds a tab, line break, NUL or surrogate")
+    return text
+
+
+def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
+    """Write each block's header lines, then one line per row of its columns
+    with the fields joined by tabs, streamed once every field has been checked."""
+    blocks = [(_fields(header), [_fields(c) for c in columns])
+              for header, columns in blocks]
+    with open(path, "w", encoding="utf-8") as fh:
+        for header, columns in blocks:
+            fh.writelines(line + "\n" for line in header)
+            fh.writelines("\t".join(row) + "\n" for row in zip(*columns))
+
+
+def _write_table(path, header: list[str], columns: list) -> None:
+    """write_blocks for one table, whose rows may not start with '#'."""
+    comment = np.char.startswith(columns[0], "#")
+    if comment.any():
+        raise DataError(f"{str(columns[0][comment][0])!r} would start a comment line")
+    write_blocks(path, [(header, columns)])
+
+
+def _read_table(path, n_fields: int, floats: int | None = None, header: bool = False):
+    """The text columns and (rows, dim) float matrix of a table of n_fields
+    fields, field `floats` holding a row's floats; a vector table has a header."""
+    dim = None if header else 1
+    rows, values = [], array("d")
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
-                if line.startswith("#dim="):
-                    try:
-                        dim = int(line[len("#dim="):])
-                    except ValueError:
-                        dim = 0
-                    if dim < 1:
-                        raise DataError(f"malformed header at line {lineno}: {line!r}")
+                if header and line.startswith("#dim="):
+                    if rows or not line[5:].isdecimal() or int(line[5:]) < 1:
+                        raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
+                    dim = int(line[5:])
                 continue
             if dim is None:
                 raise DataError(f"data before #dim= header at line {lineno}")
             parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"expected 4 tab-separated fields at line {lineno}")
+            if len(parts) != n_fields:
+                raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
             # string arrays drop trailing NULs, which would alias two ids
             if "\0" in line:
                 raise DataError(f"NUL character at line {lineno}")
-            vid, corpus, speaker, coords = parts
-            if not vid or any(c.isspace() for c in vid):
-                raise DataError(f"bad id at line {lineno}")
-            try:
-                row = [float(v) for v in coords.split()]
-            except ValueError:
-                raise DataError(f"bad float at line {lineno}") from None
-            if len(row) != dim:
-                raise DataError(f"dimension mismatch at line {lineno}")
-            ids.append(vid)
-            corpora.append(corpus)
-            speakers.append(speaker)
-            values.extend(row)
+            if floats is not None:
+                try:
+                    values.extend(map(float, parts.pop(floats).split()))
+                except ValueError:
+                    raise DataError(f"bad float at line {lineno}") from None
+                if len(values) != (len(rows) + 1) * dim:
+                    raise DataError(f"dimension mismatch at line {lineno}")
+            rows.append(parts)
     if dim is None:
         raise DataError("missing #dim= header")
-    return VectorSet(ids, corpora, speakers, np.frombuffer(values).reshape(len(ids), dim))
+    columns = list(zip(*rows)) or [()] * (n_fields - (floats is not None))
+    return columns, np.frombuffer(values).reshape(-1, dim)
+
+
+def load_vector_table(path) -> VectorSet:
+    """Parse a vector table file; see the module docstring for the format."""
+    (ids, corpora, speakers), values = _read_table(path, 4, floats=3, header=True)
+    return VectorSet(ids, corpora, speakers, values)
 
 
 def save_vector_table(vset: VectorSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#dim={vset.dim}\n")
-        for vid, corpus, speaker, row in zip(vset.ids.tolist(), vset.corpus_ids.tolist(),
-                                             vset.speaker_ids.tolist(), vset.matrix()):
-            coords = " ".join(_fmt(v) for v in row.tolist())
-            fh.write(f"{vid}\t{corpus}\t{speaker}\t{coords}\n")
-
-
-def _read_columns(path, n_fields: int):
-    """Line numbers and columns of a tab-separated trial or score file, whose
-    last field is the trial label."""
-    linenos, rows = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
-            if parts[-1] not in LABELS:
-                raise DataError(f"unknown label at line {lineno}: {parts[-1]!r}")
-            # string arrays drop trailing NULs, which would alias two ids
-            if "\0" in line:
-                raise DataError(f"NUL character at line {lineno}")
-            linenos.append(lineno)
-            rows.append(parts)
-    return linenos, list(zip(*rows)) or [()] * n_fields
+    _write_table(path, [f"#dim={vset.dim}"],
+                 [vset.ids, vset.corpus_ids, vset.speaker_ids, vset.matrix()])
 
 
 def load_trials(path) -> TrialList:
-    _, (model, test, label) = _read_columns(path, 3)
+    (model, test, label), _ = _read_table(path, 3)
     return TrialList(model, test, label)
 
 
 def save_trials(tlist: TrialList, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for m, t, label in zip(tlist.model_ids.tolist(), tlist.test_ids.tolist(),
-                               tlist.labels.tolist()):
-            fh.write(f"{m}\t{t}\t{label}\n")
+    _write_table(path, [], [tlist.model_ids, tlist.test_ids, tlist.labels])
 
 
 def load_scores(path) -> ScoreSet:
-    linenos, (model, test, score, label) = _read_columns(path, 4)
-    values = []
-    for lineno, text in zip(linenos, score):
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise DataError(f"bad score at line {lineno}") from None
-    return ScoreSet(TrialList(model, test, label), values)
+    (model, test, label), scores = _read_table(path, 4, floats=2)
+    return ScoreSet(TrialList(model, test, label), scores[:, 0])
 
 
 def save_scores(sset: ScoreSet, path) -> None:
     tl = sset.trials
-    with open(path, "w", encoding="utf-8") as fh:
-        for m, t, score, label in zip(tl.model_ids.tolist(), tl.test_ids.tolist(),
-                                      sset.scores.tolist(), tl.labels.tolist()):
-            fh.write(f"{m}\t{t}\t{_fmt(score)}\t{label}\n")
+    _write_table(path, [], [tl.model_ids, tl.test_ids, sset.scores, tl.labels])

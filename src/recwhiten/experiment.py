@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics, plda, whitening
 from .config import ConfigError, ExperimentConfig
 from .data import (ScoreSet, TrialList, VectorSet, concat, load_trials,
-                   load_vector_table, save_scores, save_trials,
+                   load_vector_table, same_dim, save_scores, save_trials,
                    save_vector_table)
 from .metrics import EvalReport
 from .synth import SynthWorld, generate_world
@@ -35,6 +35,9 @@ class Corpora:
     enroll: VectorSet
     test: VectorSet
     trials: TrialList
+
+    def __post_init__(self):
+        same_dim([self.ood, self.unlabeled, self.enroll, self.test])
 
 
 def load_corpora(cfg: ExperimentConfig) -> Corpora:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList, VectorSet, _fmt,
-                   index_of, parse_matrix, read_blocks)
+from .data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList, VectorSet, index_of,
+                   parse_matrix, read_blocks, write_blocks)
 from .stats import COV_FLOOR, cholesky_lower
 from .whitening import length_normalize
 
@@ -175,16 +175,9 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
 # --- serialization ---------------------------------------------------------
 
 def save_plda(model: PldaModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[mean]\n" + " ".join(_fmt(v) for v in model.mean) + "\n")
-        fh.write("[ac]\n")
-        for row in model.ac:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write("[wc]\n")
-        for row in model.wc:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write("[rank]\n")
-        fh.write(("-" if model.rank is None else str(model.rank)) + "\n")
+    rank = "-" if model.rank is None else str(model.rank)
+    write_blocks(path, [(["[mean]"], [model.mean[None]]), (["[ac]"], [model.ac]),
+                        (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])
 
 
 def load_plda(path) -> PldaModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import VectorSet, _fmt
+from .data import VectorSet, format_floats, same_dim
 from .stats import NumericalError
 from .whitening import RecursiveWhitener, transform_set
 
@@ -45,6 +45,7 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     rendered coordinate table."""
     if whitener is not None:
         sets = [transform_set(whitener, s) for s in sets]
+    same_dim(sets)
     x = np.vstack([s.matrix() for s in sets])
     if not len(x):
         raise ValueError("no vectors to project")
@@ -56,7 +57,7 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     ids = np.concatenate([s.ids for s in sets])
     corpora = np.concatenate([s.corpus_ids for s in sets])
     lines = [f"#components={n_components}"]
-    lines += [f"{vid}\t{cid}\t" + " ".join(_fmt(v) for v in c)
+    lines += [f"{vid}\t{cid}\t" + format_floats(c)
               for vid, cid, c in zip(ids.tolist(), corpora.tolist(), coords)]
     for corpus_id in sorted(set(corpora.tolist())):
         pts = coords[corpora == corpus_id]
@@ -66,7 +67,7 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
             cov = (cc.T @ cc) / (pts.shape[0] - 1)
         else:
             cov = np.zeros((n_components, n_components))
-        lines.append(f"#corpus-mean\t{corpus_id}\t" + " ".join(_fmt(v) for v in mu))
+        lines.append(f"#corpus-mean\t{corpus_id}\t" + format_floats(mu))
         for row in cov:
-            lines.append(f"#corpus-cov\t{corpus_id}\t" + " ".join(_fmt(v) for v in row))
+            lines.append(f"#corpus-cov\t{corpus_id}\t" + format_floats(row))
     return "\n".join(lines) + "\n"

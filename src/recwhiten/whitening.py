@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, VectorSet, _fmt, parse_matrix, read_blocks
+from .data import DataError, VectorSet, parse_matrix, read_blocks, write_blocks
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -185,17 +185,14 @@ def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
 
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for stage in whitener.stages:
-            fh.write(f"[stage {stage.level} {stage.corpus_id}]\n")
-            fh.write(" ".join(_fmt(v) for v in stage.mean) + "\n")
-            for row in stage.w:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        for sel in whitener.selection_log:
-            fh.write(f"[selection {sel.level}]\n")
-            for i, (cid, ll) in enumerate(sel.logliks):
-                mark = "chosen" if i == sel.chosen else "-"
-                fh.write(f"{cid}\t{_fmt(ll)}\t{mark}\n")
+    blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
+              for s in whitener.stages]
+    for sel in whitener.selection_log:
+        cids = [cid for cid, _ in sel.logliks]
+        marks = ["chosen" if i == sel.chosen else "-" for i in range(len(cids))]
+        blocks.append(([f"[selection {sel.level}]"],
+                       [cids, np.array([ll for _, ll in sel.logliks], dtype=float), marks]))
+    write_blocks(path, blocks)
 
 
 def _block_header(line: str) -> tuple[str, int, str]:

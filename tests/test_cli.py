@@ -288,6 +288,22 @@ class TestExitCodes:
         assert code == 3
         assert err == "data error: whitener has dimension 3, vectors have 4\n"
 
+    def test_mixed_dimension_tables(self, tmp_path, capsys):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        flat = tmp_path / "flat.txt"
+        save_vector_table(VectorSet(["f1", "f2"], ["c"] * 2, [MISSING_SPEAKER] * 2,
+                                    np.ones((2, 3))), flat)
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(f"[data]\nood = {paths['enroll']}\nunlabeled = {flat}\n"
+                       f"enroll = {paths['enroll']}\ntest = {paths['test']}\n"
+                       f"trials = {paths['trials']}\n")
+        for argv in (["fit-whitener", "--config", cfg, "--out", tmp_path / "fit"],
+                     ["run-experiment", "--config", cfg, "--out", tmp_path / "exp"],
+                     ["project", "--vectors", paths["test"], "--vectors", flat,
+                      "--out", tmp_path / "p.txt"]):
+            assert run(argv) == 3
+            assert capsys.readouterr().err == "data error: mixed dimensions: [3, 4]\n"
+
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[backend]\nlevels = 0\n")  # neither data nor synth

@@ -80,6 +80,20 @@ def test_missing_data_keys():
         parse_experiment_config("[data]\nood = x\n")
 
 
+DATA = "[data]\nood = o\nunlabeled = u\nenroll = e\ntest = t\ntrials = r\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (GOOD.replace("snorm = on", "snrom = on"), r"\[backend\] unknown keys: \['snrom'\]"),
+    (GOOD.replace("levels = 0 1", "level = 0 1"), r"\[backend\] unknown keys: \['level'\]"),
+    (GOOD.replace("[backend]", "[backnd]"), r"unknown sections: \['backnd'\]"),
+    (DATA + "trails = r\n", r"\[data\] unknown keys: \['trails'\]"),
+], ids=["backend-snrom", "backend-level", "section-backnd", "data-trails"])
+def test_unknown_section_or_key_rejected(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(text)
+
+
 def test_load_from_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(GOOD)

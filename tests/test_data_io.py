@@ -7,17 +7,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList,
-                            VectorSet, load_scores, load_trials,
+from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, ScoreSet,
+                            TrialList, VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
 from recwhiten.experiment import build_levels, load_corpora
+from recwhiten.plda import PldaModel, load_plda, save_plda
+from recwhiten.whitening import (LevelSelection, RecursiveWhitener,
+                                 WhiteningStage, load_whitener, save_whitener)
 
 
 def write(tmp_path, text, name="table.txt"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+# Ids and tags for the round-trip properties: either any text, often what a
+# field cannot carry (tab, LF, CR, NUL, a lone surrogate) next to a leading
+# '#', spaces, the empty string and non-ASCII; or text free of those five.
+ODD = ["", " ", "a b", "#", "#x", "[x]", "-", "é", "\u2028", "\t", "x\ty", "x\n", "\r",
+       "x\0y", "x\0", "\ud800"]
+ANY_TEXT = st.one_of(st.sampled_from(ODD), st.text(max_size=4))
+FIELD_TEXT = st.text(st.characters(exclude_characters="\t\n\r\0"), max_size=4)
+ALPHABETS = st.sampled_from([ANY_TEXT, FIELD_TEXT])
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]))
+PROPERTY = settings(max_examples=200, deadline=None, database=None)
+
+
+def stripped(text):
+    # numpy string arrays drop trailing NULs, so "x\0" is "x" in a column
+    return text.rstrip("\0")
+
+
+def readable(values):
+    """Whether every value can be a field: no tab, LF, CR, NUL or surrogate."""
+    return not any(c in "\t\n\r\0" or "\ud800" <= c <= "\udfff" for v in values for c in v)
+
+
+def table_readable(columns):
+    """Whether text columns can be a table: readable, no row starting with '#'."""
+    return (readable(v for col in columns for v in col.tolist())
+            and not any(v.startswith("#") for v in columns[0].tolist()))
+
+
+def round_trip(save, load, x):
+    """load(save(x)), or None when save refuses x, which must leave no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.txt")
+        try:
+            save(x, path)
+        except DataError:
+            assert not os.path.exists(path)
+            return None
+        return load(path)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestVectorTable:
@@ -37,6 +86,11 @@ class TestVectorTable:
     def test_dimension_mismatch_reports_line(self, tmp_path):
         p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0 3.0\n")
         with pytest.raises(DataError, match="dimension mismatch at line 2"):
+            load_vector_table(p)
+
+    def test_dim_header_after_data_rejected(self, tmp_path):
+        p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0\n#dim=3\nu2\tsre\t-\t1.0 2.0 3.0\n")
+        with pytest.raises(DataError, match="misplaced header at line 3"):
             load_vector_table(p)
 
     def test_duplicate_id(self, tmp_path):
@@ -96,34 +150,25 @@ class TestVectorTable:
             back = load_vector_table(p)
             np.testing.assert_array_equal(back.matrix(), vs.matrix())
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @PROPERTY
     @given(st.data())
     def test_round_trip_property(self, data):
-        # ids: no whitespace, no leading '#' (a comment line); other fields:
-        # anything but the tab, line breaks and NUL the format cannot carry
-        chars = st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r\0")
-        ident = st.text(chars, min_size=1).filter(
-            lambda s: not s.startswith("#") and not any(c.isspace() for c in s))
-        tag = st.one_of(st.just(""), st.just(MISSING_SPEAKER), st.text(chars))
+        text = data.draw(ALPHABETS)
         dim = data.draw(st.integers(1, 4))
-        ids = data.draw(st.lists(ident, max_size=6, unique=True))
+        ids = data.draw(st.lists(text, max_size=6, unique_by=stripped))
         n = len(ids)
-        corpora = data.draw(st.lists(tag, min_size=n, max_size=n))
-        speakers = data.draw(st.lists(tag, min_size=n, max_size=n))
-        values = data.draw(st.lists(
-            st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                      st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308])),
-            min_size=n * dim, max_size=n * dim))
+        corpora = data.draw(st.lists(text, min_size=n, max_size=n))
+        speakers = data.draw(st.lists(text, min_size=n, max_size=n))
+        values = data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim))
         vs = VectorSet(ids, corpora, speakers, np.reshape(values, (n, dim)))
-        with tempfile.TemporaryDirectory() as tmp:
-            p = os.path.join(tmp, "v.txt")
-            save_vector_table(vs, p)
-            back = load_vector_table(p)
-        assert back.dim == dim
-        for col in ("ids", "corpus_ids", "speaker_ids"):
-            assert getattr(back, col).tolist() == getattr(vs, col).tolist()
-        assert np.array_equal(back.matrix(), vs.matrix())
-        assert np.array_equal(np.signbit(back.matrix()), np.signbit(vs.matrix()))
+        back = round_trip(save_vector_table, load_vector_table, vs)
+        columns = ("ids", "corpus_ids", "speaker_ids")
+        assert (back is None) == (not table_readable([getattr(vs, c) for c in columns]))
+        if back is not None:
+            assert back.dim == dim
+            for col in columns:
+                assert getattr(back, col).tolist() == getattr(vs, col).tolist()
+            assert same_bits(back.matrix(), vs.matrix())
 
 
 class TestVectorSet:
@@ -202,6 +247,109 @@ class TestTrialsAndScores:
             assert getattr(back.trials, col).tolist() == getattr(ss.trials, col).tolist()
         assert back.scores.tolist() == ss.scores.tolist()
 
+    @staticmethod
+    def draw_trials(data):
+        text = data.draw(ALPHABETS)
+        pairs = data.draw(st.lists(st.tuples(text, text), max_size=6,
+                                   unique_by=lambda p: (stripped(p[0]), stripped(p[1]))))
+        labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=len(pairs),
+                                    max_size=len(pairs)))
+        return TrialList([m for m, _ in pairs], [t for _, t in pairs], labels)
+
+    @PROPERTY
+    @given(st.data())
+    def test_trials_round_trip_property(self, data):
+        tl = self.draw_trials(data)
+        back = round_trip(save_trials, load_trials, tl)
+        columns = ("model_ids", "test_ids", "labels")
+        assert (back is None) == (not table_readable([getattr(tl, c) for c in columns]))
+        if back is not None:
+            for col in columns:
+                assert getattr(back, col).tolist() == getattr(tl, col).tolist()
+
+    @PROPERTY
+    @given(st.data())
+    def test_scores_round_trip_property(self, data):
+        tl = self.draw_trials(data)
+        ss = ScoreSet(tl, data.draw(st.lists(FLOATS, min_size=len(tl), max_size=len(tl))))
+        back = round_trip(save_scores, load_scores, ss)
+        columns = ("model_ids", "test_ids", "labels")
+        assert (back is None) == (not table_readable([getattr(tl, c) for c in columns]))
+        if back is not None:
+            for col in columns:
+                assert getattr(back.trials, col).tolist() == getattr(tl, col).tolist()
+            assert same_bits(back.scores, ss.scores)
+
     def test_non_finite_score_rejected(self):
         with pytest.raises(DataError, match="non-finite score"):
             ScoreSet(TrialList(["m"], ["t"], ["target"]), [float("inf")])
+
+
+class TestSaveRefusals:
+    @pytest.mark.parametrize("save, x", [
+        pytest.param(save_vector_table, VectorSet(["#x", "y"], ["c"] * 2, ["-"] * 2, [[1.0], [2.0]]),
+                     id="vector-id-starting-with-hash"),
+        pytest.param(save_vector_table, VectorSet(["x"], ["a\tb"], ["-"], [[1.0]]),
+                     id="tab-in-corpus-id"),
+        pytest.param(save_trials, TrialList(["#m"], ["t"], ["target"]),
+                     id="model-id-starting-with-hash"),
+        pytest.param(save_scores, ScoreSet(TrialList(["m"], ["t\nu"], ["target"]), [1.0]),
+                     id="line-break-in-test-id"),
+        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c\r", [0.0], [[1.0]])]),
+                     id="cr-in-whitener-corpus-id"),
+        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [np.nan], [[1.0]])]),
+                     id="nan-in-whitener"),
+        pytest.param(save_plda, PldaModel([np.inf], [[1.0]], [[1.0]]), id="inf-in-plda"),
+    ])
+    def test_refused_before_the_file_exists(self, tmp_path, save, x):
+        path = tmp_path / "saved.txt"
+        with pytest.raises(DataError):
+            save(x, path)
+        assert not path.exists()
+
+
+def draw_floats(data, *shape):
+    return np.reshape(data.draw(st.lists(FLOATS, min_size=int(np.prod(shape)),
+                                         max_size=int(np.prod(shape)))), shape)
+
+
+class TestModelFileProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_whitener_round_trip_property(self, data):
+        text = data.draw(ALPHABETS)
+        dim = data.draw(st.integers(1, 3))
+        depth = data.draw(st.integers(1, 3))
+        stages = [WhiteningStage(level, data.draw(text), draw_floats(data, dim),
+                                 draw_floats(data, dim, dim)) for level in range(depth)]
+        log = []
+        for level in range(1, depth):
+            logliks = data.draw(st.lists(st.tuples(text, FLOATS), min_size=1, max_size=3))
+            log.append(LevelSelection(level, logliks, data.draw(st.integers(0, len(logliks) - 1))))
+        w = RecursiveWhitener(stages, log)
+        back = round_trip(save_whitener, load_whitener, w)
+        corpus_ids = [s.corpus_id for s in stages] + [c for sel in log for c, _ in sel.logliks]
+        assert (back is None) == (not readable(corpus_ids))
+        if back is not None:
+            assert len(back.stages) == depth and len(back.selection_log) == depth - 1
+            for got, want in zip(back.stages, stages):
+                assert (got.level, got.corpus_id) == (want.level, want.corpus_id)
+                assert same_bits(got.mean, want.mean) and same_bits(got.w, want.w)
+            for got, want in zip(back.selection_log, log):
+                assert (got.level, got.chosen) == (want.level, want.chosen)
+                assert [c for c, _ in got.logliks] == [c for c, _ in want.logliks]
+                assert same_bits([ll for _, ll in got.logliks], [ll for _, ll in want.logliks])
+
+    @PROPERTY
+    @given(st.data())
+    def test_plda_round_trip_property(self, data):
+        dim = data.draw(st.integers(1, 3))
+        upper = np.triu(np.ones((dim, dim), dtype=bool))
+        ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
+        model = PldaModel(draw_floats(data, dim), np.where(upper, ac, ac.T),
+                          np.where(upper, wc, wc.T),
+                          data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+        back = round_trip(save_plda, load_plda, model)
+        assert back is not None and back.rank == model.rank
+        for name in ("mean", "ac", "wc"):
+            assert same_bits(getattr(back, name), getattr(model, name))

@@ -242,7 +242,7 @@ class TestFitRecursive:
 
 class TestWhitenerSerialization:
     def test_odd_corpus_ids_round_trip(self, tmp_path):
-        ids = ["", "ood a", "[x"]
+        ids = ["", "ood a", "[x", "#a"]
         w = RecursiveWhitener(
             [WhiteningStage(k, cid, np.zeros(2), np.eye(2)) for k, cid in enumerate(ids)],
             [LevelSelection(1, [(cid, -1.5 + k) for k, cid in enumerate(ids)], 2)])
