@@ -13,11 +13,10 @@ import sys
 import numpy as np
 
 from . import metrics, plda, whitening
-from .config import ConfigError, load_experiment_config
+from .config import ConfigError, load_experiment_config, operating_points
 from .data import DataError, load_scores, load_trials, load_vector_table, save_scores
 from .experiment import (comparison_table, fit_full_whitener, load_corpora,
                          run_experiment, write_world)
-from .metrics import OperatingPoint
 from .projection import project_sets
 from .stats import NumericalError
 from .synth import generate_world
@@ -90,16 +89,8 @@ def cmd_score(args) -> int:
 def _operating_points(args):
     if not args.op:
         return metrics.DEFAULT_OPERATING_POINTS
-    ops = []
-    for token in args.op:
-        parts = token.split(":")
-        if len(parts) != 4:
-            raise ConfigError(f"bad --op {token!r}, expected name:p_target:c_miss:c_fa")
-        ops.append(OperatingPoint(float(parts[1]), float(parts[2]),
-                                  float(parts[3]), parts[0]))
-    if len(ops) != 2:
-        raise ConfigError("exactly two --op values required")
-    return tuple(ops)
+    return operating_points((name, values) for name, *values in
+                            (token.split(":") for token in args.op))
 
 
 def cmd_evaluate(args) -> int:
@@ -132,23 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "scoring and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic multi-domain world")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("fit-whitener", help="fit the recursive whitener")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_fit_whitener)
-
-    p = sub.add_parser("run-experiment", help="run the level comparison protocol")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_run_experiment)
+    for name, func, text in (
+            ("synth", cmd_synth, "generate a synthetic multi-domain world"),
+            ("fit-whitener", cmd_fit_whitener, "fit the recursive whitener"),
+            ("run-experiment", cmd_run_experiment, "run the level comparison protocol")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("score", help="score a trial list with a PLDA model")
     p.add_argument("--plda", required=True)
@@ -182,7 +165,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, WhitenError, np.linalg.LinAlgError) as e:

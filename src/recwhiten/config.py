@@ -55,7 +55,7 @@ class ExperimentConfig:
     def validate(self):
         if (self.data_paths is None) == (self.synth is None):
             raise ConfigError("exactly one of [data] and [synth] must be given")
-        if self.levels != list(range(self.levels[0], self.levels[-1] + 1)) or self.levels[0] != 0:
+        if not self.levels or self.levels != list(range(len(self.levels))):
             raise ConfigError("levels must be contiguous from 0")
         if max(self.levels) > len(self.hierarchy):
             raise ConfigError(
@@ -63,6 +63,28 @@ class ExperimentConfig:
                 f"{len(self.hierarchy)} hierarchy levels defined")
         if self.selection_targets not in ("enroll_test", "unlabeled"):
             raise ConfigError(f"bad selection_targets {self.selection_targets!r}")
+
+
+def _check_keys(section: str, given, allowed, required=()) -> None:
+    """Raise ConfigError naming the required keys of [section] that are
+    missing, or else the given keys that are not allowed."""
+    for problem, keys in (("missing", set(required) - set(given)),
+                          ("unknown", set(given) - set(allowed))):
+        if keys:
+            raise ConfigError(f"[{section}] {problem} keys: {sorted(keys)}")
+
+
+def operating_points(pairs) -> tuple[OperatingPoint, OperatingPoint]:
+    """The two operating points named by (name, [p_target, c_miss, c_fa]) pairs,
+    from [metrics] or from --op."""
+    ops = []
+    for name, values in pairs:
+        if len(values) != 3:
+            raise ConfigError(f"operating point {name!r} needs p_target, c_miss and c_fa")
+        ops.append(OperatingPoint(*map(float, values), name))
+    if len(ops) != 2:
+        raise ConfigError(f"exactly two operating points required, got {len(ops)}")
+    return tuple(ops)
 
 
 def _parse_subcorpora(text: str) -> list[SubCorpusSpec]:
@@ -77,22 +99,33 @@ def _parse_subcorpora(text: str) -> list[SubCorpusSpec]:
 
 
 def _parse_synth(section) -> SynthConfig:
+    """Each key but subcorpora is a SynthConfig field of the default's type."""
     cfg = SynthConfig()
-    simple = {
-        "dim": int, "seed": int, "n_enroll_speakers": int, "enroll_sessions": int,
-        "test_sessions": int, "n_unlabeled": int, "language_shift": float,
-        "cov_scale": float, "condition": float, "across_var": float,
-        "within_var": float,
-    }
+    defaults = cfg.scalars()
+    _check_keys("synth", section, [*defaults, "subcorpora"])
     for key, value in section.items():
         if key == "subcorpora":
             cfg.ood_subcorpora = _parse_subcorpora(value)
-        elif key in simple:
-            setattr(cfg, key, simple[key](value))
         else:
-            raise ConfigError(f"unknown [synth] key {key!r}")
+            setattr(cfg, key, type(defaults[key])(value))
     cfg.validate()
     return cfg
+
+
+def _on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ConfigError(f"snorm must be on/off, got {value!r}")
+    return value == "on"
+
+
+# [backend] key (an ExperimentConfig field) -> parser of its value
+_BACKEND = {
+    "levels": lambda v: [int(t) for t in v.split()],
+    "shrinkage": lambda v: None if v == "auto" else float(v),
+    "plda_rank": lambda v: None if v == "none" else int(v),
+    "snorm": _on_off,
+    "selection_targets": str,
+}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -115,62 +148,28 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
 
     if parser.has_section("data"):
-        required = {"ood", "unlabeled", "enroll", "test", "trials"}
-        given = dict(parser.items("data"))
-        for problem, keys in (("missing", required - set(given)), ("unknown", set(given) - required)):
-            if keys:
-                raise ConfigError(f"[data] {problem} keys: {sorted(keys)}")
-        cfg.data_paths = given
+        data_keys = ("ood", "unlabeled", "enroll", "test", "trials")
+        _check_keys("data", parser["data"], data_keys, data_keys)
+        cfg.data_paths = dict(parser.items("data"))
     if parser.has_section("synth"):
         cfg.synth = _parse_synth(parser["synth"])
 
     if parser.has_section("hierarchy"):
-        def level_no(key):
-            if not key.startswith("level") or not key[5:].isdigit():
-                raise ConfigError(f"hierarchy keys must be level1..levelN, got {key!r}")
-            return int(key[5:])
-
-        items = sorted(parser.items("hierarchy"), key=lambda kv: level_no(kv[0]))
-        for i, (key, value) in enumerate(items, start=1):
-            if key != f"level{i}":
-                raise ConfigError(f"hierarchy keys must be level1..levelN, got {key!r}")
-            tokens = value.split()
-            if not tokens:
-                raise ConfigError(f"{key} lists no candidates")
-            cfg.hierarchy.append(tokens)
+        h = parser["hierarchy"]
+        levels = [f"level{i}" for i in range(1, len(h) + 1)]
+        _check_keys("hierarchy", h, levels)
+        cfg.hierarchy = [h[key].split() for key in levels]
+        if [] in cfg.hierarchy:
+            raise ConfigError(f"level{cfg.hierarchy.index([]) + 1} lists no candidates")
 
     if parser.has_section("backend"):
-        b = parser["backend"]
-        unknown = set(b) - {"levels", "shrinkage", "plda_rank", "snorm", "selection_targets"}
-        if unknown:
-            raise ConfigError(f"[backend] unknown keys: {sorted(unknown)}")
-        if "levels" in b:
-            cfg.levels = [int(v) for v in b["levels"].split()]
-        if "shrinkage" in b:
-            cfg.shrinkage = None if b["shrinkage"] == "auto" else float(b["shrinkage"])
-        if "plda_rank" in b:
-            cfg.plda_rank = None if b["plda_rank"] == "none" else int(b["plda_rank"])
-        if "snorm" in b:
-            if b["snorm"] not in ("on", "off"):
-                raise ConfigError(f"snorm must be on/off, got {b['snorm']!r}")
-            cfg.snorm = b["snorm"] == "on"
-        if "selection_targets" in b:
-            cfg.selection_targets = b["selection_targets"]
+        _check_keys("backend", parser["backend"], _BACKEND)
+        for key, value in parser.items("backend"):
+            setattr(cfg, key, _BACKEND[key](value))
 
     if parser.has_section("metrics"):
-        ops = []
-        for name, value in parser.items("metrics"):
-            parts = value.split()
-            if len(parts) != 3:
-                raise ConfigError(f"metric {name!r} needs 'p_target c_miss c_fa'")
-            ops.append(OperatingPoint(float(parts[0]), float(parts[1]),
-                                      float(parts[2]), name))
-        if len(ops) != 2:
-            raise ConfigError(f"exactly two operating points required, got {len(ops)}")
-        cfg.ops = tuple(ops)
+        cfg.ops = operating_points((name, value.split())
+                                   for name, value in parser.items("metrics"))
 
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise ConfigError(str(e))
+    cfg.validate()
     return cfg

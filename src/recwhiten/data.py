@@ -201,22 +201,30 @@ def parse_matrix(lines: list[str], where: str) -> np.ndarray:
     return m
 
 
+def _lines(path):
+    """The number and the text, LF stripped, of each non-blank line of a
+    UTF-8 file; DataError naming the file if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.strip():
+                    yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is not UTF-8 text") from None
+
+
 def read_blocks(path) -> list[tuple[str, list[str]]]:
     """The (header line, non-blank lines) of each block of a model file. A
     header starts with '[' and holds no tab, so a tab-separated row whose
     first field starts with '[' stays a row."""
     blocks: list[tuple[str, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("[") and "\t" not in line:
-                blocks.append((line, []))
-            elif not blocks:
-                raise DataError("data before first block header")
-            else:
-                blocks[-1][1].append(line)
+    for _, line in _lines(path):
+        if line.startswith("[") and "\t" not in line:
+            blocks.append((line, []))
+        elif not blocks:
+            raise DataError("data before first block header")
+        else:
+            blocks[-1][1].append(line)
     return blocks
 
 
@@ -269,33 +277,29 @@ def _read_table(path, n_fields: int, floats: int | None = None, header: bool = F
     fields, field `floats` holding a row's floats; a vector table has a header."""
     dim = None if header else 1
     rows, values = [], array("d")
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if header and line.startswith("#dim="):
-                    if rows or not line[5:].isdecimal() or int(line[5:]) < 1:
-                        raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
-                    dim = int(line[5:])
-                continue
-            if dim is None:
-                raise DataError(f"data before #dim= header at line {lineno}")
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
-            # string arrays drop trailing NULs, which would alias two ids
-            if "\0" in line:
-                raise DataError(f"NUL character at line {lineno}")
-            if floats is not None:
-                try:
-                    values.extend(map(float, parts.pop(floats).split()))
-                except ValueError:
-                    raise DataError(f"bad float at line {lineno}") from None
-                if len(values) != (len(rows) + 1) * dim:
-                    raise DataError(f"dimension mismatch at line {lineno}")
-            rows.append(parts)
+    for lineno, line in _lines(path):
+        if line.startswith("#"):
+            if header and line.startswith("#dim="):
+                if rows or not line[5:].isdecimal() or int(line[5:]) < 1:
+                    raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
+                dim = int(line[5:])
+            continue
+        if dim is None:
+            raise DataError(f"data before #dim= header at line {lineno}")
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
+        # string arrays drop trailing NULs, which would alias two ids
+        if "\0" in line:
+            raise DataError(f"NUL character at line {lineno}")
+        if floats is not None:
+            try:
+                values.extend(map(float, parts.pop(floats).split()))
+            except ValueError:
+                raise DataError(f"bad float at line {lineno}") from None
+            if len(values) != (len(rows) + 1) * dim:
+                raise DataError(f"dimension mismatch at line {lineno}")
+        rows.append(parts)
     if dim is None:
         raise DataError("missing #dim= header")
     columns = list(zip(*rows)) or [()] * (n_fields - (floats is not None))

@@ -163,10 +163,7 @@ def write_world(world: SynthWorld, out_dir, config_hash: str = "") -> list[str]:
     cfg = world.config
     lines = [f"#config_hash={config_hash}"] if config_hash else []
     lines += [f"file\t{name}" for name in files]
-    for key in ("dim", "seed", "n_enroll_speakers", "enroll_sessions",
-                "test_sessions", "n_unlabeled", "language_shift", "cov_scale",
-                "condition", "across_var", "within_var"):
-        lines.append(f"config.{key}\t{getattr(cfg, key)}")
+    lines += [f"config.{key}\t{value}" for key, value in cfg.scalars().items()]
     for s in cfg.ood_subcorpora:
         lines.append(f"config.subcorpus\t{s.corpus_id}:{s.n_speakers}:"
                      f"{s.sessions_per_speaker}:{s.mean_shift}")

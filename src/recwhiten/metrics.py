@@ -74,30 +74,30 @@ class EvalReport:
 
 
 def _split_scores(sset: ScoreSet):
-    tar = sset.scores[sset.trials.labels == "target"]
-    non = sset.scores[sset.trials.labels == "nontarget"]
+    """The target and the nontarget scores, each sorted."""
+    tar = np.sort(sset.scores[sset.trials.labels == "target"])
+    non = np.sort(sset.scores[sset.trials.labels == "nontarget"])
     if tar.size == 0 or non.size == 0:
         raise DataError("need at least one target and one nontarget trial")
     return tar, non
 
 
-def _error_rates(tar: np.ndarray, non: np.ndarray, thresholds: np.ndarray):
-    """P_miss and P_fa at each threshold: miss if target < t, accept if >= t."""
-    p_miss = np.searchsorted(np.sort(tar), thresholds, side="left") / tar.size
-    p_fa = 1.0 - np.searchsorted(np.sort(non), thresholds, side="left") / non.size
+def _error_rates(tar: np.ndarray, non: np.ndarray, thresholds):
+    """P_miss and P_fa of sorted scores at each threshold: miss if target < t,
+    accept if >= t."""
+    p_miss = np.searchsorted(tar, thresholds, side="left") / tar.size
+    p_fa = 1.0 - np.searchsorted(non, thresholds, side="left") / non.size
     return p_miss, p_fa
 
 
-def _candidate_thresholds(tar: np.ndarray, non: np.ndarray) -> np.ndarray:
+def _roc(tar: np.ndarray, non: np.ndarray):
+    """_error_rates at every achievable threshold, in increasing order."""
     scores = np.unique(np.concatenate([tar, non]))
-    return np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
+    thr = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
+    return _error_rates(tar, non, thr)
 
 
-def compute_eer(sset: ScoreSet) -> float:
-    """Equal error rate, linearly interpolated at the ROC crossing."""
-    tar, non = _split_scores(sset)
-    thr = _candidate_thresholds(tar, non)
-    p_miss, p_fa = _error_rates(tar, non, thr)
+def _eer(p_miss: np.ndarray, p_fa: np.ndarray) -> float:
     diff = p_miss - p_fa  # nondecreasing in the threshold
     idx = int(np.searchsorted(diff >= 0, True))
     if diff[idx] == 0.0:
@@ -107,29 +107,28 @@ def compute_eer(sset: ScoreSet) -> float:
     return float(p_miss[idx - 1] + t * (p_miss[idx] - p_miss[idx - 1]))
 
 
-def _dcf(p_miss, p_fa, op: OperatingPoint):
+def _dcf(p_miss, p_fa, op: OperatingPoint) -> float:
+    """Least normalized detection cost over the thresholds of the rates."""
     cost = op.c_miss * op.p_target * p_miss + op.c_fa * (1.0 - op.p_target) * p_fa
-    return cost / op.normalizer
+    return float(np.min(cost / op.normalizer))
+
+
+def compute_eer(sset: ScoreSet) -> float:
+    """Equal error rate, linearly interpolated at the ROC crossing."""
+    return _eer(*_roc(*_split_scores(sset)))
 
 
 def compute_min_dcf(sset: ScoreSet, op: OperatingPoint) -> float:
     """Minimum normalized detection cost over every achievable threshold."""
-    tar, non = _split_scores(sset)
-    thr = _candidate_thresholds(tar, non)
-    p_miss, p_fa = _error_rates(tar, non, thr)
-    return float(np.min(_dcf(p_miss, p_fa, op)))
+    return _dcf(*_roc(*_split_scores(sset)), op)
 
 
 def compute_act_dcf(sset: ScoreSet, op: OperatingPoint,
                     threshold: float | None = None) -> float:
     """Normalized detection cost at a fixed threshold (Bayes threshold for
     LLR scores when none is given)."""
-    tar, non = _split_scores(sset)
-    if threshold is None:
-        threshold = op.bayes_threshold
-    thr = np.array([threshold])
-    p_miss, p_fa = _error_rates(tar, non, thr)
-    return float(_dcf(p_miss, p_fa, op)[0])
+    threshold = op.bayes_threshold if threshold is None else threshold
+    return _dcf(*_error_rates(*_split_scores(sset), threshold), op)
 
 
 def evaluate(sset: ScoreSet, ops=DEFAULT_OPERATING_POINTS) -> EvalReport:
@@ -138,12 +137,13 @@ def evaluate(sset: ScoreSet, ops=DEFAULT_OPERATING_POINTS) -> EvalReport:
     if len(ops) != 2:
         raise ValueError(f"expected two operating points, got {len(ops)}")
     tar, non = _split_scores(sset)
-    min_dcf = {op.name: compute_min_dcf(sset, op) for op in ops}
-    act_dcf = {op.name: compute_act_dcf(sset, op) for op in ops}
+    roc = _roc(tar, non)
+    min_dcf = {op.name: _dcf(*roc, op) for op in ops}
     return EvalReport(
-        eer=compute_eer(sset),
+        eer=_eer(*roc),
         min_dcf=min_dcf,
-        act_dcf=act_dcf,
+        act_dcf={op.name: _dcf(*_error_rates(tar, non, op.bayes_threshold), op)
+                 for op in ops},
         c_primary=float(np.mean(list(min_dcf.values()))),
         n_target=int(tar.size),
         n_nontarget=int(non.size),

@@ -174,7 +174,19 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
 
 # --- serialization ---------------------------------------------------------
 
+def _scoreable(model: PldaModel) -> PldaModel:
+    """The model, or DataError if its scoring terms do not factor (AC + WC or
+    its Schur complement not SPD) or overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _scoring_terms(model)
+    except (ArithmeticError, ValueError) as e:
+        raise DataError(f"bad PLDA model: {e}") from None
+    return model
+
+
 def save_plda(model: PldaModel, path) -> None:
+    _scoreable(model)
     rank = "-" if model.rank is None else str(model.rank)
     write_blocks(path, [(["[mean]"], [model.mean[None]]), (["[ac]"], [model.ac]),
                         (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])
@@ -191,6 +203,7 @@ def load_plda(path) -> PldaModel:
     rank_txt = blocks["rank"][0].strip()
     try:
         rank = None if rank_txt == "-" else int(rank_txt)
-        return PldaModel(mean, ac, wc, rank)
+        model = PldaModel(mean, ac, wc, rank)
     except ValueError as e:
         raise DataError(f"bad PLDA model: {e}") from None
+    return _scoreable(model)

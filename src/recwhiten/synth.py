@@ -13,7 +13,7 @@ bit-stable across platforms and numpy versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class SynthConfig:
     condition: float = 10.0       # eigenvalue ratio of the shared base covariance
     across_var: float = 1.0       # speaker-mean variance (tau^2)
     within_var: float = 2.0       # session variance (sigma^2)
+
+    def scalars(self) -> dict:
+        """Every field but ood_subcorpora, by name in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ood_subcorpora"}
 
     def validate(self):
         if self.dim < 2:

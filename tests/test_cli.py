@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from recwhiten import cli
-from recwhiten.data import (MISSING_SPEAKER, VectorSet, load_scores,
-                            load_vector_table, save_scores, save_trials,
-                            save_vector_table)
+from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet,
+                            load_scores, load_vector_table, save_scores,
+                            save_trials, save_vector_table)
 from recwhiten.plda import save_plda, train_plda
 from recwhiten.projection import fit_pca, project_sets
 
@@ -257,7 +257,53 @@ MALFORMED_MODELS = [
                  "non-finite value in [mean]", id="plda-nan"),
     pytest.param("plda", lambda t: identity_plda(3),
                  "PLDA model has dimension 3, vectors 4/4", id="plda-dim-mismatch"),
+    pytest.param("plda", lambda t: identity_plda(4).replace(
+        "[wc]\n" + identity_rows(4), "[wc]\n" + identity_rows(4).replace("1", "-3")),
+                 "bad PLDA model: matrix is not symmetric positive definite",
+                 id="plda-not-spd"),
 ]
+
+
+def config_case(text):
+    """A run-experiment command line over a config file holding text."""
+    def argv(tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return ["run-experiment", "--config", cfg, "--out", tmp_path / "out"]
+    return argv
+
+
+def op_case(tmp_path):
+    scores = tmp_path / "scores.txt"
+    save_scores(ScoreSet(TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"]),
+                         [1.0, 0.0]), scores)
+    return ["evaluate", "--scores", scores, "--op", "a:0.1:1", "--out", tmp_path / "r.txt"]
+
+
+MALFORMED_CONFIGS = [
+    pytest.param(config_case(SMALL_SYNTH.replace("levels = 0 1", "levels =")),
+                 id="levels-empty"),
+    pytest.param(config_case(SMALL_SYNTH.replace("levels = 0 1", "levels = x")), id="levels-x"),
+    pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", "dim = x")), id="dim-x"),
+    pytest.param(config_case(SMALL_SYNTH.replace("seed = 5", "seed = 5\nsede = 5")),
+                 id="synth-unknown-key"),
+    pytest.param(config_case(SMALL_SYNTH.replace("level1 =", "level01 =")),
+                 id="hierarchy-level01"),
+    pytest.param(config_case(SMALL_SYNTH + "snorm = yes\n"), id="snorm-yes"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\ndcf16-1 = 0.01 1 1\n"),
+                 id="metrics-one-point"),
+    pytest.param(op_case, id="evaluate-op-missing-cost"),
+    pytest.param(config_case(SMALL_SYNTH.encode().replace(b"ood_b\n", b"ood_\xff\n")),
+                 id="config-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    assert run(case(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -303,6 +349,28 @@ class TestExitCodes:
                       "--out", tmp_path / "p.txt"]):
             assert run(argv) == 3
             assert capsys.readouterr().err == "data error: mixed dimensions: [3, 4]\n"
+
+    def test_data_file_not_utf8(self, tmp_path, capsys):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        scores = tmp_path / "scores.txt"
+        scores.write_bytes(b"m\xff\tt\t1.0\ttarget\n")
+        assert run(["evaluate", "--scores", scores, "--out", tmp_path / "r.txt"]) == 3
+        assert capsys.readouterr().err == f"data error: {scores} is not UTF-8 text\n"
+        paths["plda"].write_bytes(paths["plda"].read_bytes().replace(b"[rank]", b"[r\xffnk]"))
+        assert run(["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+                    "--test", paths["test"], "--trials", paths["trials"],
+                    "--out", tmp_path / "s.txt"]) == 3
+        assert capsys.readouterr().err == f"data error: {paths['plda']} is not UTF-8 text\n"
+
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        for argv in (["evaluate", "--scores", tmp_path, "--out", tmp_path / "r.txt"],
+                     ["project", "--vectors", paths["test"], "--components", "1",
+                      "--out", tmp_path]):
+            assert run(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert "Is a directory" in err
 
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -300,6 +300,7 @@ class TestSaveRefusals:
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [np.nan], [[1.0]])]),
                      id="nan-in-whitener"),
         pytest.param(save_plda, PldaModel([np.inf], [[1.0]], [[1.0]]), id="inf-in-plda"),
+        pytest.param(save_plda, PldaModel([0.0], [[1.0]], [[-3.0]]), id="plda-not-spd"),
     ])
     def test_refused_before_the_file_exists(self, tmp_path, save, x):
         path = tmp_path / "saved.txt"
@@ -345,11 +346,22 @@ class TestModelFileProperties:
     def test_plda_round_trip_property(self, data):
         dim = data.draw(st.integers(1, 3))
         upper = np.triu(np.ones((dim, dim), dtype=bool))
-        ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
+        spd = data.draw(st.booleans())
+        if spd:
+            # AC PSD and WC - I PSD put [[AC + WC, AC], [AC, AC + WC]] above I,
+            # so the model factors and save may not refuse it
+            b, c = (np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=dim * dim,
+                                                  max_size=dim * dim)), (dim, dim))
+                    for _ in range(2))
+            ac, wc = b @ b.T, np.eye(dim) + c @ c.T
+        else:
+            ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
         model = PldaModel(draw_floats(data, dim), np.where(upper, ac, ac.T),
                           np.where(upper, wc, wc.T),
                           data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
         back = round_trip(save_plda, load_plda, model)
-        assert back is not None and back.rank == model.rank
-        for name in ("mean", "ac", "wc"):
-            assert same_bits(getattr(back, name), getattr(model, name))
+        assert back is not None or not spd
+        if back is not None:
+            assert back.rank == model.rank
+            for name in ("mean", "ac", "wc"):
+                assert same_bits(getattr(back, name), getattr(model, name))
