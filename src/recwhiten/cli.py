@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Subcommands: synth, fit-whitener, run-experiment, score, evaluate, project.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes, decided by the type of the error alone (README "Exit codes"):
+0 success, 2 ConfigError, 3 DataError or OSError, 4 any ArithmeticError.
+main() runs each command with numpy raising FloatingPointError (an
+ArithmeticError) on overflow, invalid operations and division by zero.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ import sys
 import numpy as np
 
 from . import metrics, plda, whitening
-from .config import ConfigError, load_experiment_config, operating_points
-from .data import DataError, load_scores, load_trials, load_vector_table, save_scores
+from .config import load_experiment_config, operating_points
+from .data import (ConfigError, DataError, load_scores, load_trials, load_vector_table,
+                   save_scores)
 from .experiment import (comparison_table, fit_full_whitener, load_corpora,
                          run_experiment, write_world)
 from .projection import project_sets
-from .stats import NumericalError
 from .synth import generate_world
-from .whitening import WhitenError, load_whitener
+from .whitening import load_whitener
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,19 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, WhitenError, np.linalg.LinAlgError) as e:
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -31,12 +31,9 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
+from .data import ConfigError
 from .metrics import DEFAULT_OPERATING_POINTS, OperatingPoint
 from .synth import SubCorpusSpec, SynthConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -63,6 +60,10 @@ class ExperimentConfig:
                 f"{len(self.hierarchy)} hierarchy levels defined")
         if self.selection_targets not in ("enroll_test", "unlabeled"):
             raise ConfigError(f"bad selection_targets {self.selection_targets!r}")
+        if self.shrinkage is not None and not 0.0 <= self.shrinkage < 1.0:
+            raise ConfigError(f"shrinkage must be in [0, 1), got {self.shrinkage}")
+        if self.plda_rank is not None and self.plda_rank < 1:
+            raise ConfigError(f"plda_rank must be >= 1, got {self.plda_rank}")
 
 
 def _check_keys(section: str, given, allowed, required=()) -> None:
@@ -74,6 +75,14 @@ def _check_keys(section: str, given, allowed, required=()) -> None:
             raise ConfigError(f"[{section}] {problem} keys: {sorted(keys)}")
 
 
+def _number(kind, text: str, key: str):
+    """kind(text), kind int or float; ConfigError naming key if text is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad {kind.__name__} {text!r} for {key}") from None
+
+
 def operating_points(pairs) -> tuple[OperatingPoint, OperatingPoint]:
     """The two operating points named by (name, [p_target, c_miss, c_fa]) pairs,
     from [metrics] or from --op."""
@@ -81,7 +90,8 @@ def operating_points(pairs) -> tuple[OperatingPoint, OperatingPoint]:
     for name, values in pairs:
         if len(values) != 3:
             raise ConfigError(f"operating point {name!r} needs p_target, c_miss and c_fa")
-        ops.append(OperatingPoint(*map(float, values), name))
+        ops.append(OperatingPoint(*(_number(float, v, f"operating point {name!r}")
+                                    for v in values), name))
     if len(ops) != 2:
         raise ConfigError(f"exactly two operating points required, got {len(ops)}")
     return tuple(ops)
@@ -94,7 +104,8 @@ def _parse_subcorpora(text: str) -> list[SubCorpusSpec]:
         if len(parts) != 4:
             raise ConfigError(
                 f"bad subcorpus token {token!r}, expected id:speakers:sessions:shift")
-        specs.append(SubCorpusSpec(parts[0], int(parts[1]), int(parts[2]), float(parts[3])))
+        specs.append(SubCorpusSpec(parts[0], *(_number(kind, v, f"subcorpus {token!r}")
+                                               for kind, v in zip((int, int, float), parts[1:]))))
     return specs
 
 
@@ -107,7 +118,7 @@ def _parse_synth(section) -> SynthConfig:
         if key == "subcorpora":
             cfg.ood_subcorpora = _parse_subcorpora(value)
         else:
-            setattr(cfg, key, type(defaults[key])(value))
+            setattr(cfg, key, _number(type(defaults[key]), value, key))
     cfg.validate()
     return cfg
 
@@ -120,26 +131,31 @@ def _on_off(value: str) -> bool:
 
 # [backend] key (an ExperimentConfig field) -> parser of its value
 _BACKEND = {
-    "levels": lambda v: [int(t) for t in v.split()],
-    "shrinkage": lambda v: None if v == "auto" else float(v),
-    "plda_rank": lambda v: None if v == "none" else int(v),
+    "levels": lambda v: [_number(int, t, "levels") for t in v.split()],
+    "shrinkage": lambda v: None if v == "auto" else _number(float, v, "shrinkage"),
+    "plda_rank": lambda v: None if v == "none" else _number(int, v, "plda_rank"),
     "snorm": _on_off,
     "selection_targets": str,
 }
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not UTF-8 text") from None
     return parse_experiment_config(text)
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as e:
-        raise ConfigError(f"config parse error: {e}")
+        raise ConfigError("config parse error: " + " ".join(str(e).split())) from None
 
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -27,11 +27,21 @@ LABELS = ("target", "nontarget", "unknown")
 
 MISSING_SPEAKER = "-"
 
+_MAX_DIM = np.iinfo(np.intp).max  # the largest length of a numpy array axis
+
 _fmt = "{:.17g}".format  # enough digits for every float64 to read back bit for bit
 
 
+class ConfigError(ValueError):
+    """Bad configuration value or command-line option (CLI exit 2)."""
+
+
 class DataError(ValueError):
-    """Malformed or inconsistent corpus/trial/score data."""
+    """Malformed or inconsistent corpus/trial/score/model data (CLI exit 3)."""
+
+
+class NumericalError(ArithmeticError):
+    """Numerical failure: non-SPD matrix, degenerate input (CLI exit 4)."""
 
 
 class VectorEntry(NamedTuple):
@@ -280,7 +290,7 @@ def _read_table(path, n_fields: int, floats: int | None = None, header: bool = F
     for lineno, line in _lines(path):
         if line.startswith("#"):
             if header and line.startswith("#dim="):
-                if rows or not line[5:].isdecimal() or int(line[5:]) < 1:
+                if rows or not line[5:].isdecimal() or not 1 <= int(line[5:]) <= _MAX_DIM:
                     raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
                 dim = int(line[5:])
             continue

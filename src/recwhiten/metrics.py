@@ -1,8 +1,8 @@
 """Detection metrics and score post-processing.
 
 EER by linear interpolation between ROC vertices, normalized minimum and
-actual detection cost at configurable operating points, symmetric score
-normalization and fixed-weight fusion.
+actual detection cost at configurable operating points and symmetric score
+normalization.
 
 Threshold convention: a trial is accepted when score >= threshold, so ties
 count as false accepts.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, ScoreSet, index_of
+from .data import ConfigError, DataError, ScoreSet, index_of
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class OperatingPoint:
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
-            raise ValueError(f"p_target must be in (0,1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("costs must be positive")
+            raise ConfigError(f"p_target must be in (0,1), got {self.p_target}")
+        if not (0.0 < self.c_miss < np.inf and 0.0 < self.c_fa < np.inf):
+            raise ConfigError("costs must be positive and finite")
 
     @property
     def normalizer(self) -> float:
@@ -175,18 +175,3 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
     s = raw.scores
     return ScoreSet(trials, 0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t))
 
-
-def fuse(sets: list[ScoreSet], weights: list[float]) -> ScoreSet:
-    """Fixed-weight linear fusion of score sets over the same trial list."""
-    if len(sets) != len(weights):
-        raise ValueError("one weight per score set required")
-    if not sets:
-        raise ValueError("nothing to fuse")
-    base = sets[0].trials
-    fused = np.zeros(len(base))
-    for w, ss in zip(weights, sets):
-        if not (np.array_equal(ss.trials.model_ids, base.model_ids) and
-                np.array_equal(ss.trials.test_ids, base.test_ids)):
-            raise DataError("trial key mismatch across fused score sets")
-        fused = fused + w * ss.scores
-    return ScoreSet(base, fused)

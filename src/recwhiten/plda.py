@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (MISSING_SPEAKER, DataError, ScoreSet, TrialList, VectorSet, index_of,
-                   parse_matrix, read_blocks, write_blocks)
-from .stats import COV_FLOOR, cholesky_lower
+from .data import (MISSING_SPEAKER, ConfigError, DataError, NumericalError, ScoreSet,
+                   TrialList, VectorSet, index_of, parse_matrix, read_blocks, write_blocks)
+from .stats import COV_FLOOR, check_symmetric, cholesky_lower
 from .whitening import length_normalize
 
 
@@ -29,13 +29,8 @@ class PldaModel:
         self.mean = np.asarray(self.mean, dtype=float)
         self.ac = np.asarray(self.ac, dtype=float)
         self.wc = np.asarray(self.wc, dtype=float)
-        d = self.mean.shape[0]
         for name, m in (("ac", self.ac), ("wc", self.wc)):
-            if m.shape != (d, d):
-                raise ValueError(f"{name} shape {m.shape} does not match dim {d}")
-            scale = max(np.abs(m).max(), 1.0)
-            if np.abs(m - m.T).max() > 1e-12 * scale:
-                raise ValueError(f"{name} not symmetric")
+            check_symmetric(name, m, self.dim)
 
     @property
     def dim(self) -> int:
@@ -87,7 +82,7 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     ac = 0.5 * (ac + ac.T)
     if rank is not None:
         if not 1 <= rank <= d:
-            raise ValueError(f"rank must be in [1, {d}], got {rank}")
+            raise ConfigError(f"plda_rank must be in [1, {d}], got {rank}")
         vals, vecs = np.linalg.eigh(ac)
         keep = np.argsort(vals)[::-1][:rank]
         vals_r = np.clip(vals[keep], 0.0, None)
@@ -155,7 +150,7 @@ def enroll_models(enroll: VectorSet) -> tuple[list[str], np.ndarray]:
     for i, (key, rows) in enumerate(groups.items()):
         try:
             vecs[i] = length_normalize(x[rows].mean(axis=0))
-        except ArithmeticError:
+        except NumericalError:
             raise DataError(f"zero-norm enrollment model {key!r}")
     return list(groups), vecs
 

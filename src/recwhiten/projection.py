@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import VectorSet, format_floats, same_dim
-from .stats import NumericalError
+from .data import ConfigError, DataError, NumericalError, VectorSet, format_floats, same_dim
 from .whitening import RecursiveWhitener, transform_set
 
 
@@ -20,9 +19,9 @@ def fit_pca(x: np.ndarray, n_components: int):
     as an (n_components, d) row basis, sorted by decreasing variance."""
     n, d = x.shape
     if n < 2:
-        raise ValueError("need at least 2 vectors for PCA")
+        raise DataError(f"need at least 2 vectors for PCA, got {n}")
     if not 1 <= n_components <= d:
-        raise ValueError(f"n_components must be in [1, {d}]")
+        raise ConfigError(f"n_components must be in [1, {d}], got {n_components}")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / (n - 1)
@@ -47,8 +46,6 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
         sets = [transform_set(whitener, s) for s in sets]
     same_dim(sets)
     x = np.vstack([s.matrix() for s in sets])
-    if not len(x):
-        raise ValueError("no vectors to project")
     mean, axes = fit_pca(x, n_components)
     coords = np.empty((len(x), n_components))
     for i, row in enumerate(x):

@@ -11,11 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError, NumericalError
+
 COV_FLOOR = 1e-8
 
 
-class NumericalError(ArithmeticError):
-    """Numerical failure (non-SPD matrix, degenerate input)."""
+def check_symmetric(name: str, m: np.ndarray, d: int) -> None:
+    """Raise DataError unless m is a finite symmetric (d, d) matrix; finiteness
+    is tested first, so that the symmetry test never meets inf - inf."""
+    if m.shape != (d, d):
+        raise DataError(f"{name} shape {m.shape} does not match dim {d}")
+    if not np.isfinite(m).all():
+        raise DataError(f"non-finite value in {name}")
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.T).max() > 1e-12 * scale:
+        raise DataError(f"{name} not symmetric")
 
 
 @dataclass
@@ -30,14 +40,7 @@ class Moments:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        d = self.mean.shape[0]
-        if self.cov.shape != (d, d):
-            raise ValueError(f"cov shape {self.cov.shape} does not match dim {d}")
-        if self.n < 1:
-            raise ValueError("sample count must be >= 1")
-        scale = max(np.abs(self.cov).max(), 1.0)
-        if np.abs(self.cov - self.cov.T).max() > 1e-12 * scale:
-            raise ValueError("covariance not symmetric")
+        check_symmetric("covariance", self.cov, self.mean.shape[0])
 
     @property
     def dim(self) -> int:
@@ -54,18 +57,14 @@ def estimate_moments(vectors, corpus_id: str = "", shrinkage: float | None = Non
     """Sample mean and shrunk covariance of a stack of d-vectors.
 
     cov = S + (shrinkage * trace(S)/d + 1e-8) * I with S the unbiased (n-1)
-    sample covariance, so the result is always SPD even for n <= d.
+    sample covariance and shrinkage in [0, 1), so cov is SPD even for n <= d.
     """
     x = np.asarray(vectors, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D (n, d) array of vectors")
     n, d = x.shape
     if n < 2:
-        raise ValueError(f"need at least 2 vectors, got {n}")
+        raise DataError(f"need at least 2 vectors, got {n} in corpus {corpus_id!r}")
     if shrinkage is None:
         shrinkage = default_shrinkage(n, d)
-    if not 0.0 <= shrinkage < 1.0:
-        raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / (n - 1)

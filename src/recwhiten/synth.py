@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MISSING_SPEAKER, TrialList, VectorSet, concat
+from .data import MISSING_SPEAKER, ConfigError, TrialList, VectorSet, concat
 from .stats import cholesky_lower
 
 
@@ -95,27 +95,29 @@ class SynthConfig:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ood_subcorpora"}
 
     def validate(self):
+        if not 0 <= self.seed < 2 ** 128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+            raise ConfigError("dim must be >= 2")
         if not self.ood_subcorpora:
-            raise ValueError("need at least one out-of-domain sub-corpus")
+            raise ConfigError("need at least one out-of-domain sub-corpus")
         ids = [s.corpus_id for s in self.ood_subcorpora]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate sub-corpus ids")
+            raise ConfigError("duplicate sub-corpus ids")
         for s in self.ood_subcorpora:
             if s.n_speakers < 1 or s.sessions_per_speaker < 1:
-                raise ValueError(f"bad counts for sub-corpus {s.corpus_id!r}")
-            if s.mean_shift < 0:
-                raise ValueError("mean shifts must be >= 0")
+                raise ConfigError(f"bad counts for sub-corpus {s.corpus_id!r}")
+            if not 0 <= s.mean_shift < np.inf:
+                raise ConfigError("mean shifts must be finite and >= 0")
         if min(self.n_enroll_speakers, self.enroll_sessions,
                self.test_sessions, self.n_unlabeled) < 1:
-            raise ValueError("in-domain counts must be >= 1")
-        if self.language_shift < 0:
-            raise ValueError("language shift must be >= 0")
-        if self.cov_scale <= 0 or self.across_var <= 0 or self.within_var <= 0:
-            raise ValueError("variance knobs must be positive")
-        if self.condition < 1:
-            raise ValueError("condition number must be >= 1")
+            raise ConfigError("in-domain counts must be >= 1")
+        if not 0 <= self.language_shift < np.inf:
+            raise ConfigError("language shift must be finite and >= 0")
+        if not all(0 < v < np.inf for v in (self.cov_scale, self.across_var, self.within_var)):
+            raise ConfigError("variance knobs must be finite and positive")
+        if not 1 <= self.condition < np.inf:
+            raise ConfigError("condition number must be finite and >= 1")
 
 
 @dataclass

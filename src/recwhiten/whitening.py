@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, VectorSet, parse_matrix, read_blocks, write_blocks
+from .data import DataError, NumericalError, VectorSet, parse_matrix, read_blocks, write_blocks
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
-
-
-class WhitenError(ArithmeticError):
-    """Degenerate vector or stage during whitening."""
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
@@ -28,7 +24,7 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm <= ZERO_NORM_EPS:
-        raise WhitenError("zero-norm vector cannot be length-normalized")
+        raise NumericalError("zero-norm vector cannot be length-normalized")
     return v / norm
 
 
@@ -54,12 +50,6 @@ class CorpusLevel:
 
     level: int
     candidates: list[tuple[str, VectorSet]]
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("candidate levels start at 1")
-        if not self.candidates:
-            raise ValueError(f"level {self.level} has no candidates")
 
 
 @dataclass
@@ -98,10 +88,6 @@ def apply_stage(stage: WhiteningStage, v: np.ndarray) -> np.ndarray:
     return stage.w @ (v - stage.mean)
 
 
-def apply_stage_many(stage: WhiteningStage, x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - stage.mean) @ stage.w.T
-
-
 def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
     """Pick the candidate maximizing the summed log-density of the targets.
 
@@ -112,7 +98,7 @@ def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
         raise ValueError("no candidates")
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[0] < 1:
-        raise ValueError("need at least one target vector")
+        raise DataError("need at least one target vector")
     table = [float(np.sum(gaussian_loglik_many(m, targets))) for m in candidates]
     chosen = int(np.argmax(table))  # argmax keeps the first of equals
     return chosen, table
@@ -130,11 +116,11 @@ def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
     """Batch transform of the rows of an (n, d) array."""
     out = np.asarray(x, dtype=float)
     for stage in whitener.stages:
-        out = apply_stage_many(stage, out)
+        out = (out - stage.mean) @ stage.w.T
         norms = np.linalg.norm(out, axis=1)
         if np.any(norms <= ZERO_NORM_EPS):
             bad = int(np.argmin(norms))
-            raise WhitenError(f"zero-norm vector at row {bad} during whitening")
+            raise NumericalError(f"zero-norm vector at row {bad} during whitening")
         out = out / norms[:, None]
     return out
 
@@ -183,10 +169,18 @@ def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
 
 # --- serialization ---------------------------------------------------------
 
+def _full_rank(stage: WhiteningStage) -> WhiteningStage:
+    """The stage, or DataError if its matrix is singular: rank below the
+    dimension under numpy's default matrix_rank tolerance."""
+    if np.linalg.matrix_rank(stage.w) < stage.dim:
+        raise DataError(f"stage {stage.level} matrix is singular")
+    return stage
+
+
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log."""
     blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
-              for s in whitener.stages]
+              for s in map(_full_rank, whitener.stages)]
     for sel in whitener.selection_log:
         cids = [cid for cid, _ in sel.logliks]
         marks = ["chosen" if i == sel.chosen else "-" for i in range(len(cids))]
@@ -218,7 +212,7 @@ def load_whitener(path) -> RecursiveWhitener:
             m = parse_matrix(block, where)  # the mean row over the square matrix
             if m.shape[0] != m.shape[1] + 1:
                 raise DataError(f"stage {level} matrix is not square")
-            stages.append(WhiteningStage(level, corpus_id, m[0], m[1:]))
+            stages.append(_full_rank(WhiteningStage(level, corpus_id, m[0], m[1:])))
             continue
         logliks, chosen = [], None
         for line in block:

@@ -245,6 +245,10 @@ MALFORMED_MODELS = [
                  "whitener has dimension 3, vectors have 4", id="whitener-dim-mismatch"),
     pytest.param("whitener", lambda t: t + identity_whitener(3, level=1),
                  "stages differ in dimension", id="whitener-stage-dims-differ"),
+    pytest.param("whitener", lambda t: t.replace("0 0 0 1", "0 0 0 0"),
+                 "stage 0 matrix is singular", id="whitener-singular-stage"),
+    pytest.param("whitener", lambda t: t.replace("1", "0"),
+                 "stage 0 matrix is singular", id="whitener-zero-stage"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
                  "missing or empty [mean] block", id="plda-empty-mean"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
@@ -273,11 +277,24 @@ def config_case(text):
     return argv
 
 
-def op_case(tmp_path):
-    scores = tmp_path / "scores.txt"
-    save_scores(ScoreSet(TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"]),
-                         [1.0, 0.0]), scores)
-    return ["evaluate", "--scores", scores, "--op", "a:0.1:1", "--out", tmp_path / "r.txt"]
+def op_case(*ops):
+    """An evaluate command line with these --op values."""
+    def argv(tmp_path):
+        scores = tmp_path / "scores.txt"
+        save_scores(ScoreSet(TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"]),
+                             [1.0, 0.0]), scores)
+        return ["evaluate", "--scores", scores, *(a for op in ops for a in ("--op", op)),
+                "--out", tmp_path / "r.txt"]
+    return argv
+
+
+def components_case(n):
+    """A project command line asking for n components of 4-d vectors."""
+    def argv(tmp_path):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        return ["project", "--vectors", paths["test"], "--components", n,
+                "--out", tmp_path / "p.txt"]
+    return argv
 
 
 MALFORMED_CONFIGS = [
@@ -292,9 +309,35 @@ MALFORMED_CONFIGS = [
     pytest.param(config_case(SMALL_SYNTH + "snorm = yes\n"), id="snorm-yes"),
     pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\ndcf16-1 = 0.01 1 1\n"),
                  id="metrics-one-point"),
-    pytest.param(op_case, id="evaluate-op-missing-cost"),
+    pytest.param(op_case("a:0.1:1"), id="evaluate-op-missing-cost"),
     pytest.param(config_case(SMALL_SYNTH.encode().replace(b"ood_b\n", b"ood_\xff\n")),
                  id="config-not-utf8"),
+    pytest.param(lambda tmp_path: ["run-experiment", "--config", tmp_path / "missing.cfg",
+                                   "--out", tmp_path / "out"], id="config-missing"),
+    pytest.param(lambda tmp_path: ["run-experiment", "--config", tmp_path,
+                                   "--out", tmp_path / "out"], id="config-is-a-directory"),
+    pytest.param(config_case("x = 1\n"), id="config-without-section-header"),
+    pytest.param(config_case(SMALL_SYNTH.replace("shift = 5.0", "shift = 5%")),
+                 id="percent-in-value"),
+    pytest.param(config_case(SMALL_SYNTH.replace("shift = 5.0", "shift = nan")),
+                 id="language-shift-nan"),
+    pytest.param(config_case(SMALL_SYNTH.replace("seed = 5", "seed = 5\ncondition = inf")),
+                 id="condition-inf"),
+    pytest.param(lambda tmp_path: config_case(SMALL_SYNTH)(tmp_path) + ["--seed", "-1"],
+                 id="seed-negative"),
+    pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", "dim = 1")), id="dim-1"),
+    pytest.param(config_case(SMALL_SYNTH.replace("ood_b:30:4:4.0", "a:x:2:0")),
+                 id="subcorpus-count-x"),
+    pytest.param(config_case(SMALL_SYNTH + "shrinkage = 1.5\n"), id="shrinkage-1.5"),
+    pytest.param(config_case(SMALL_SYNTH + "plda_rank = 0\n"), id="plda-rank-0"),
+    pytest.param(config_case(SMALL_SYNTH + "plda_rank = 500\n"), id="plda-rank-above-dim"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na = 2 1 1\nb = 0.1 1 1\n"),
+                 id="metrics-p-target-2"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na = x 1 1\nb = 0.1 1 1\n"),
+                 id="metrics-p-target-x"),
+    pytest.param(op_case("a:2:1:1", "b:0.1:1:1"), id="evaluate-op-p-target-2"),
+    pytest.param(components_case(0), id="project-components-0"),
+    pytest.param(components_case(9), id="project-components-9"),
 ]
 
 
@@ -303,7 +346,86 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert run(case(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+WORLD_FILES = {"ood": "vectors_ood.txt", "unlabeled": "vectors_unlabeled.txt",
+               "enroll": "vectors_enroll.txt", "test": "vectors_test.txt",
+               "trials": "trials.txt"}
+
+
+def world_case(command, **change):
+    """A run-experiment or project command line over the world of SMALL_SYNTH,
+    written to files, after each table named in change is replaced by
+    change[name](table)."""
+    def argv(tmp_path):
+        (tmp_path / "synth.cfg").write_text(SMALL_SYNTH)
+        assert run(["synth", "--config", tmp_path / "synth.cfg", "--out", tmp_path]) == 0
+        paths = {key: tmp_path / name for key, name in WORLD_FILES.items()}
+        for key, table in change.items():
+            save_vector_table(table(load_vector_table(paths[key])), paths[key])
+        if command == "project":
+            return ["project", "--vectors", paths["ood"], "--out", tmp_path / "p.txt"]
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text("[data]\n" + "".join(f"{key} = {p}\n" for key, p in paths.items())
+                       + SMALL_SYNTH[SMALL_SYNTH.index("[hierarchy]"):])
+        return ["run-experiment", "--config", cfg, "--out", tmp_path / "out"]
+    return argv
+
+
+def first(n):
+    return lambda table: table.take(np.arange(n))
+
+
+def times_1e300(table):
+    return VectorSet(table.ids, table.corpus_ids, table.speaker_ids, table.matrix() * 1e300)
+
+
+def huge_enroll_case(tmp_path):
+    """score with enrollment vectors near 1e300, whose norms overflow."""
+    paths = TestScoreEvaluateCommands().build_world(tmp_path)
+    save_vector_table(times_1e300(load_vector_table(paths["enroll"])), paths["enroll"])
+    return ["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+            "--test", paths["test"], "--trials", paths["trials"], "--out", tmp_path / "s.txt"]
+
+
+def huge_dim_case(tmp_path):
+    table = tmp_path / "v.txt"
+    table.write_text("#dim=99999999999999999999\n")
+    return ["project", "--vectors", table, "--out", tmp_path / "p.txt"]
+
+
+# (command line, exit code, text the one-line error must hold)
+BAD_INPUTS = [
+    pytest.param(world_case("run-experiment", unlabeled=first(1)), 3,
+                 "need at least 2 vectors, got 1 in corpus 'indomain'", id="one-unlabeled-vector"),
+    pytest.param(world_case("run-experiment", enroll=first(0), test=first(0)), 3,
+                 "need at least one target vector", id="no-enroll-or-test-vectors"),
+    pytest.param(world_case("project", ood=first(1)), 3,
+                 "need at least 2 vectors for PCA, got 1", id="project-one-vector"),
+    pytest.param(world_case("project", ood=first(0)), 3,
+                 "need at least 2 vectors for PCA, got 0", id="project-no-vectors"),
+    pytest.param(huge_dim_case, 3, "malformed or misplaced header at line 1",
+                 id="dim-beyond-any-array"),
+    pytest.param(world_case("run-experiment", ood=times_1e300), 4, "overflow",
+                 id="ood-near-1e300"),
+    pytest.param(world_case("run-experiment", unlabeled=times_1e300), 4, "overflow",
+                 id="unlabeled-near-1e300"),
+    pytest.param(world_case("project", ood=times_1e300), 4, "overflow", id="project-near-1e300"),
+    pytest.param(huge_enroll_case, 4, "overflow", id="score-enroll-near-1e300"),
+]
+
+
+@pytest.mark.parametrize("case,code,message", BAD_INPUTS)
+def test_bad_input_exits_3_or_4(tmp_path, capsys, case, code, message):
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    prefix = {3: "data error: ", 4: "numerical failure: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 class TestExitCodes:

@@ -299,6 +299,9 @@ class TestSaveRefusals:
                      id="cr-in-whitener-corpus-id"),
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [np.nan], [[1.0]])]),
                      id="nan-in-whitener"),
+        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [0.0, 0.0],
+                                                                      [[1.0, 2.0], [2.0, 4.0]])]),
+                     id="singular-whitener-stage"),
         pytest.param(save_plda, PldaModel([np.inf], [[1.0]], [[1.0]]), id="inf-in-plda"),
         pytest.param(save_plda, PldaModel([0.0], [[1.0]], [[-3.0]]), id="plda-not-spd"),
     ])
@@ -321,8 +324,17 @@ class TestModelFileProperties:
         text = data.draw(ALPHABETS)
         dim = data.draw(st.integers(1, 3))
         depth = data.draw(st.integers(1, 3))
-        stages = [WhiteningStage(level, data.draw(text), draw_floats(data, dim),
-                                 draw_floats(data, dim, dim)) for level in range(depth)]
+        full_rank = data.draw(st.booleans())
+
+        def matrix():
+            if not full_rank:
+                return draw_floats(data, dim, dim)
+            # strictly diagonally dominant, so nonsingular and save may not refuse it
+            return 2 * dim * np.eye(dim) + np.reshape(data.draw(st.lists(
+                st.floats(-1, 1), min_size=dim * dim, max_size=dim * dim)), (dim, dim))
+
+        stages = [WhiteningStage(level, data.draw(text), draw_floats(data, dim), matrix())
+                  for level in range(depth)]
         log = []
         for level in range(1, depth):
             logliks = data.draw(st.lists(st.tuples(text, FLOATS), min_size=1, max_size=3))
@@ -330,7 +342,10 @@ class TestModelFileProperties:
         w = RecursiveWhitener(stages, log)
         back = round_trip(save_whitener, load_whitener, w)
         corpus_ids = [s.corpus_id for s in stages] + [c for sel in log for c, _ in sel.logliks]
-        assert (back is None) == (not readable(corpus_ids))
+        if not readable(corpus_ids):
+            assert back is None
+        elif full_rank:
+            assert back is not None
         if back is not None:
             assert len(back.stages) == depth and len(back.selection_log) == depth - 1
             for got, want in zip(back.stages, stages):

@@ -4,7 +4,7 @@ import pytest
 from recwhiten.data import DataError, ScoreSet, TrialList
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, OperatingPoint,
                                compute_act_dcf, compute_eer, compute_min_dcf,
-                               evaluate, fuse, snorm)
+                               evaluate, snorm)
 
 
 def score_set(rows):
@@ -241,26 +241,3 @@ class TestSnorm:
         with pytest.raises(DataError, match="zero cohort deviation"):
             snorm(sset, {"m": np.array([1.0, 1.0])}, {"t": np.array([1.0, 2.0])})
 
-
-class TestFuse:
-    def test_single_set_identity(self):
-        sset = make_scores([1, 2], [3])
-        out = fuse([sset], [1.0])
-        assert out.scores.tolist() == sset.scores.tolist()
-
-    def test_equal_weights_of_identical_sets(self):
-        sset = make_scores([1, 2], [3])
-        out = fuse([sset, sset], [0.5, 0.5])
-        assert out.scores.tolist() == sset.scores.tolist()
-
-    def test_weighted_sum(self):
-        a = score_set([("m", "t1", 1.0, "target"), ("m", "t2", 3.0, "nontarget")])
-        b = score_set([("m", "t1", 2.0, "target"), ("m", "t2", 0.0, "nontarget")])
-        out = fuse([a, b], [0.25, 0.75])
-        assert out.scores.tolist() == [1.75, 0.75]
-
-    def test_key_mismatch(self):
-        a = score_set([("m", "t1", 1.0, "target")])
-        b = score_set([("m", "t2", 1.0, "target")])
-        with pytest.raises(DataError, match="trial key mismatch"):
-            fuse([a, b], [0.5, 0.5])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from recwhiten.data import DataError
+from recwhiten.plda import PldaModel
 from recwhiten.stats import (COV_FLOOR, Moments, NumericalError, cholesky_lower,
                              estimate_moments, gaussian_loglik,
                              gaussian_loglik_many, whitening_matrix)
@@ -125,3 +127,17 @@ class TestGaussianLoglik:
         batch = gaussian_loglik_many(m, x)
         for i in range(10):
             assert batch[i] == pytest.approx(gaussian_loglik(m, x[i]), rel=1e-12)
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda m: Moments(np.zeros(1), m, 2), id="moments-cov"),
+        pytest.param(lambda m: PldaModel(np.zeros(1), m, np.eye(1)), id="plda-ac"),
+        pytest.param(lambda m: PldaModel(np.zeros(1), np.eye(1), m), id="plda-wc"),
+    ])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected_without_warning(self, make, value):
+        # the suite turns warnings into errors, so inf - inf in the symmetry
+        # test would fail this before the DataError
+        with pytest.raises(DataError, match="non-finite value in"):
+            make(np.array([[value]]))
