@@ -119,8 +119,16 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose errors are
+    ConfigErrors, so that a bad command line prints one line and exits 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recwhiten",
         description="Recursive whitening backend: synthesis, fitting, "
                     "scoring and evaluation.")
@@ -162,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except ConfigError as e:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -137,12 +137,19 @@ class TrialList:
     """Trial columns: enrollment model id, test id and label of each trial.
 
     Each column is a 1-D array of strings; (model id, test id) pairs are
-    unique and every label is one of LABELS.
+    unique and every label is one of LABELS. Each id column is factored once:
+    `models` and `tests` hold its sorted distinct ids and `model_codes` and
+    `test_codes` each trial's position in them, so that models[model_codes]
+    equals model_ids and tests[test_codes] equals test_ids.
     """
 
     model_ids: np.ndarray
     test_ids: np.ndarray
     labels: np.ndarray
+    models: np.ndarray = field(init=False, repr=False)
+    model_codes: np.ndarray = field(init=False, repr=False)
+    tests: np.ndarray = field(init=False, repr=False)
+    test_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.model_ids = np.asarray(self.model_ids, dtype=str)
@@ -153,9 +160,13 @@ class TrialList:
         bad = ~np.isin(self.labels, LABELS)
         if bad.any():
             raise DataError(f"unknown label {str(self.labels[np.argmax(bad)])!r}")
-        order = np.lexsort((self.test_ids, self.model_ids))
-        m, t = self.model_ids[order], self.test_ids[order]
-        repeat = (m[1:] == m[:-1]) & (t[1:] == t[:-1])
+        self.models, self.model_codes = np.unique(self.model_ids, return_inverse=True)
+        self.tests, self.test_codes = np.unique(self.test_ids, return_inverse=True)
+        # the codes sort as the ids do, so this stable sort orders the trials
+        # as a lexsort of the id columns would
+        pair = self.model_codes * len(self.tests) + self.test_codes
+        order = np.argsort(pair, kind="stable")
+        repeat = pair[order][1:] == pair[order][:-1]
         if repeat.any():
             raise DataError(f"duplicate trial {self.key(order[1:][repeat].min())}")
 
@@ -185,16 +196,16 @@ class ScoreSet:
         return len(self.trials)
 
 
-def index_of(keys, column: np.ndarray, missing: str) -> np.ndarray:
-    """Position in keys of each value of column; a value keys lack raises
-    DataError with the message prefix `missing`."""
+def index_of(keys, distinct: np.ndarray, codes: np.ndarray, missing: str) -> np.ndarray:
+    """Position in keys of each value of a factored column, given as its
+    sorted distinct values and each row's code into them; a value keys lack
+    raises DataError with the message prefix `missing`."""
     where = {k: i for i, k in enumerate(keys)}
-    uniq, inverse = np.unique(column, return_inverse=True)
     try:
-        found = np.array([where[k] for k in uniq.tolist()], dtype=np.intp)
+        found = np.array([where[k] for k in distinct.tolist()], dtype=np.intp)
     except KeyError as e:
         raise DataError(f"{missing} {e.args[0]!r}") from None
-    return found[inverse]
+    return found[codes]
 
 
 def parse_matrix(lines: list[str], where: str) -> np.ndarray:

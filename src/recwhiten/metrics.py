@@ -161,14 +161,18 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
         if len(v) < 2:
             raise DataError(f"cohort for {k!r} needs at least 2 scores")
 
-    def per_trial(cohort, ids, side):
-        stats = np.array([(np.mean(v), np.std(v)) for v in cohort.values()])
-        rows = index_of(cohort, ids, f"missing {side} cohort for")
-        return stats.reshape(-1, 2)[rows].T
+    def per_trial(cohort, distinct, codes, side):
+        """Mean and std of the cohort scores of each trial's id on one side,
+        from one reduction over that side's stacked cohort arrays."""
+        if len({len(v) for v in cohort.values()}) > 1:
+            raise DataError(f"{side} cohort score arrays differ in length")
+        stacked = np.stack(list(cohort.values())) if cohort else np.empty((0, 2))
+        rows = index_of(cohort, distinct, codes, f"missing {side} cohort for")
+        return stacked.mean(axis=1)[rows], stacked.std(axis=1)[rows]
 
     trials = raw.trials
-    mu_e, sd_e = per_trial(enroll_cohort, trials.model_ids, "enroll")
-    mu_t, sd_t = per_trial(test_cohort, trials.test_ids, "test")
+    mu_e, sd_e = per_trial(enroll_cohort, trials.models, trials.model_codes, "enroll")
+    mu_t, sd_t = per_trial(test_cohort, trials.tests, trials.test_codes, "test")
     zero = (sd_e == 0.0) | (sd_t == 0.0)
     if zero.any():
         raise DataError(f"zero cohort deviation for trial {trials.key(np.argmax(zero))}")

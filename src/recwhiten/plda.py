@@ -117,18 +117,6 @@ def _scoring_terms(model: PldaModel):
     return g, q, const
 
 
-def score_pair(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
-    """LLR of (enroll, test) being same-speaker versus different-speaker."""
-    e = np.asarray(enroll, dtype=float) - model.mean
-    t = np.asarray(test, dtype=float) - model.mean
-    if e.shape != (model.dim,) or t.shape != (model.dim,):
-        raise ValueError("dimension mismatch")
-    g, q, const = _scoring_terms(model)
-    # cross term written as a commutative sum so swapping the pair is exact
-    cross = (e @ q) @ t + (t @ q) @ e
-    return float(const - 0.5 * (e @ g @ e + t @ g @ t + cross))
-
-
 def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
     """All-pairs LLR matrix between the rows of two vector stacks."""
     e = np.asarray(enroll, dtype=float) - model.mean
@@ -161,8 +149,8 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
     if enroll.dim != model.dim or test.dim != model.dim:
         raise DataError(f"PLDA model has dimension {model.dim}, vectors {enroll.dim}/{test.dim}")
     model_ids, model_vecs = enroll_models(enroll)
-    rows = index_of(model_ids, trials.model_ids, "unresolved enrollment model")
-    cols = index_of(test.ids.tolist(), trials.test_ids, "unresolved test id")
+    rows = index_of(model_ids, trials.models, trials.model_codes, "unresolved enrollment model")
+    cols = index_of(test.ids.tolist(), trials.tests, trials.test_codes, "unresolved test id")
     llr = score_matrix(model, model_vecs, test.matrix())
     return ScoreSet(trials, llr[rows, cols])
 

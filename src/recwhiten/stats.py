@@ -89,22 +89,9 @@ def whitening_matrix(m: Moments) -> np.ndarray:
     return np.linalg.solve(chol, np.eye(m.dim))
 
 
-def gaussian_loglik(m: Moments, v: np.ndarray) -> float:
-    """Log-density of v under N(mean, cov); logdet taken off the Cholesky
-    diagonal for conditioning."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != m.mean.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {m.mean.shape}")
-    chol = cholesky_lower(m.cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    y = np.linalg.solve(chol, v - m.mean)
-    maha = float(y @ y)
-    d = m.dim
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
-
-
 def gaussian_loglik_many(m: Moments, vectors: np.ndarray) -> np.ndarray:
-    """Vectorized gaussian_loglik over the rows of an (n, d) array."""
+    """Log-density of each row of an (n, d) array under N(mean, cov); logdet
+    taken off the Cholesky diagonal for conditioning."""
     x = np.asarray(vectors, dtype=float)
     chol = cholesky_lower(m.cov)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))

@@ -13,6 +13,7 @@ bit-stable across platforms and numpy versions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -27,7 +28,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Box-Muller standard normals from Philox uniforms."""
-    n = int(np.prod(shape, dtype=int))
+    n = math.prod(shape)  # Python ints, which do not wrap around
     m = (n + 1) // 2
     u1 = rng.random(m)
     u2 = rng.random(m)
@@ -118,6 +119,14 @@ class SynthConfig:
             raise ConfigError("variance knobs must be finite and positive")
         if not 1 <= self.condition < np.inf:
             raise ConfigError("condition number must be finite and >= 1")
+        # rows of the largest (rows, dim) array sampled: the base covariance's
+        # eigenbasis, the joined OOD corpora, the unlabeled set, the eval pool
+        rows = max(self.dim, self.n_unlabeled,
+                   sum(s.n_speakers * s.sessions_per_speaker for s in self.ood_subcorpora),
+                   self.n_enroll_speakers * (self.enroll_sessions + self.test_sessions))
+        if rows * self.dim > np.iinfo(np.intp).max:
+            raise ConfigError(f"[synth] sizes need a {rows} x {self.dim} array, "
+                              "more values than an array can hold")
 
 
 @dataclass

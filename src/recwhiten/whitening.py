@@ -80,14 +80,6 @@ def fit_stage(data: VectorSet, level: int = 0, shrinkage: float | None = None) -
     return WhiteningStage(level, m.corpus_id, m.mean, whitening_matrix(m))
 
 
-def apply_stage(stage: WhiteningStage, v: np.ndarray) -> np.ndarray:
-    """Center and whiten, no normalization: W (v - mean)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != stage.mean.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {stage.mean.shape}")
-    return stage.w @ (v - stage.mean)
-
-
 def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
     """Pick the candidate maximizing the summed log-density of the targets.
 
@@ -102,14 +94,6 @@ def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
     table = [float(np.sum(gaussian_loglik_many(m, targets))) for m in candidates]
     chosen = int(np.argmax(table))  # argmax keeps the first of equals
     return chosen, table
-
-
-def transform(whitener: RecursiveWhitener, v: np.ndarray) -> np.ndarray:
-    """Fold v through every stage: center, whiten, length-normalize."""
-    out = np.asarray(v, dtype=float)
-    for stage in whitener.stages:
-        out = length_normalize(apply_stage(stage, out))
-    return out
 
 
 def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:

@@ -16,13 +16,12 @@ from recwhiten.experiment import (fit_full_whitener, load_corpora, run_level,
                                   whitener_prefix)
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, compute_act_dcf,
                                compute_eer, compute_min_dcf)
-from recwhiten.plda import PldaModel, score_pair, train_plda
-from recwhiten.stats import (Moments, cholesky_lower, estimate_moments,
-                             gaussian_loglik, whitening_matrix)
+from recwhiten.plda import PldaModel, train_plda
+from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening_matrix
 from recwhiten.synth import SubCorpusSpec, SynthConfig, generate_world
-from recwhiten.whitening import (RecursiveWhitener, apply_stage, fit_stage,
-                                 select_subcorpus, transform, transform_set)
+from recwhiten.whitening import RecursiveWhitener, fit_stage, select_subcorpus, transform_set
 
+from oracles import apply_stage, gaussian_loglik, score_pair, transform
 from test_metrics import make_scores, oracle_eer, oracle_min_dcf
 from test_plda import joint_gaussian_llr, labeled_set
 

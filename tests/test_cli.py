@@ -338,6 +338,19 @@ MALFORMED_CONFIGS = [
     pytest.param(op_case("a:2:1:1", "b:0.1:1:1"), id="evaluate-op-p-target-2"),
     pytest.param(components_case(0), id="project-components-0"),
     pytest.param(components_case(9), id="project-components-9"),
+    pytest.param(config_case(SMALL_SYNTH.replace("n_unlabeled = 25",
+                                                 f"n_unlabeled = {10**18}")),
+                 id="n-unlabeled-1e18"),
+    pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", f"dim = {10**18}")),
+                 id="dim-1e18"),
+    # command lines that argparse rejects
+    pytest.param(lambda tmp_path: config_case(SMALL_SYNTH)(tmp_path) + ["--sede", "5"],
+                 id="argv-unknown-option"),
+    pytest.param(lambda tmp_path: ["score", "--plda", tmp_path / "plda.txt"],
+                 id="argv-missing-required-option"),
+    pytest.param(components_case("x"), id="argv-project-components-x"),
+    pytest.param(lambda tmp_path: config_case(SMALL_SYNTH)(tmp_path) + ["--seed", "x"],
+                 id="argv-run-experiment-seed-x"),
 ]
 
 
@@ -346,7 +359,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert run(case(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "Traceback" not in err and "Warning" not in err
+    assert "Traceback" not in err and "Warning" not in err and "usage:" not in err
 
 
 WORLD_FILES = {"ood": "vectors_ood.txt", "unlabeled": "vectors_unlabeled.txt",

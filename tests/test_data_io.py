@@ -219,6 +219,23 @@ class TestTrialsAndScores:
         with pytest.raises(DataError, match="duplicate trial"):
             load_trials(p)
 
+    def test_duplicate_trial_names_first_repeat(self):
+        # the earliest trial that repeats an earlier pair, whatever the id order
+        tl = (["b", "a", "b", "a", "c", "a", "c"], ["y", "x", "y", "x", "z", "x", "w"])
+        with pytest.raises(DataError, match=r"^duplicate trial \('b', 'y'\)$"):
+            TrialList(*tl, ["unknown"] * 7)
+
+    @given(st.lists(st.tuples(st.sampled_from(["", "a", "b", "mé", "a b", "é"]),
+                              st.sampled_from(["", "t", "u", "tt", "日"])),
+                    unique=True, max_size=20))
+    def test_id_codes(self, pairs):
+        model_ids, test_ids = [p[0] for p in pairs], [p[1] for p in pairs]
+        tl = TrialList(model_ids, test_ids, ["unknown"] * len(pairs))
+        assert tl.models.tolist() == sorted(set(model_ids))
+        assert tl.tests.tolist() == sorted(set(test_ids))
+        assert tl.models[tl.model_codes].tolist() == model_ids
+        assert tl.tests[tl.test_codes].tolist() == test_ids
+
     def test_nul_in_id_rejected(self, tmp_path):
         p = write(tmp_path, "m1\tt1\ttarget\nm1\tt1\0\tnontarget\n")
         with pytest.raises(DataError, match="NUL character at line 2"):

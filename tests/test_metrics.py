@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recwhiten.data import DataError, ScoreSet, TrialList
 from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, OperatingPoint,
@@ -231,10 +233,51 @@ class TestSnorm:
             expect.append(0.5 * ((s - mu_e) / sd_e + (s - mu_t) / sd_t))
         assert snorm(score_set(rows), e, t).scores.tolist() == expect
 
+    @given(st.data())
+    def test_stacked_stats_equal_per_array(self, data):
+        # each side's cohort statistics come from one reduction over the
+        # stacked arrays; they must equal np.mean/np.std of each array
+        n_e, n_t = (data.draw(st.integers(2, 40)) for _ in range(2))
+        scale = data.draw(st.sampled_from([1.0, 1e-150, 1e150]))
+        value = st.floats(-1.0, 1.0, allow_subnormal=False).map(lambda v: v * scale)
+
+        def side(ids, n):
+            return {i: np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+                    for i in ids}
+
+        e, t = side(["m0", "m1", "m2"], n_e), side(["t0", "t1"], n_t)
+        for cohort in (e, t):
+            stacked = np.stack(list(cohort.values()))
+            assert stacked.mean(axis=1).tolist() == [np.mean(v) for v in cohort.values()]
+            assert stacked.std(axis=1).tolist() == [np.std(v) for v in cohort.values()]
+        if any(np.std(v) == 0.0 for v in [*e.values(), *t.values()]):
+            return
+        rows = [(mid, tid, scale * data.draw(st.floats(-1.0, 1.0)), "unknown")
+                for mid in e for tid in t]
+        expect = [0.5 * ((s - np.mean(e[mid])) / np.std(e[mid]) +
+                         (s - np.mean(t[tid])) / np.std(t[tid])) for mid, tid, s, _ in rows]
+        assert snorm(score_set(rows), e, t).scores.tolist() == expect
+
+    def test_ragged_cohort_side(self):
+        sset = score_set([("m", "t", 4.0, "target")])
+        t = {"t": np.array([1.0, 2.0])}
+        with pytest.raises(DataError, match="^enroll cohort score arrays differ in length$"):
+            snorm(sset, {"m": np.array([0.0, 2.0]), "n": np.array([0.0, 1.0, 2.0])}, t)
+        with pytest.raises(DataError, match="^test cohort score arrays differ in length$"):
+            snorm(sset, {"m": np.array([0.0, 2.0])}, {**t, "u": np.array([0.0, 1.0, 2.0])})
+
     def test_missing_cohort(self):
         sset = score_set([("m", "t", 4.0, "target")])
         with pytest.raises(DataError, match="missing enroll cohort"):
             snorm(sset, {}, {"t": np.array([1.0, 2.0])})
+        # the first missing id in sorted order is named
+        sset = score_set([("m", "t", 1.0, "target"), ("mz", "t", 2.0, "unknown"),
+                          ("mb", "tb", 3.0, "unknown")])
+        c = np.array([0.0, 2.0])
+        with pytest.raises(DataError, match="^missing enroll cohort for 'mb'$"):
+            snorm(sset, {"m": c}, {"t": c, "tb": c})
+        with pytest.raises(DataError, match="^missing test cohort for 'tb'$"):
+            snorm(sset, {"m": c, "mb": c, "mz": c}, {"t": c, "tz": c})
 
     def test_zero_deviation_cohort(self):
         sset = score_set([("m", "t", 4.0, "target")])

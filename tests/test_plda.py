@@ -3,7 +3,9 @@ import pytest
 
 from recwhiten.data import MISSING_SPEAKER, DataError, TrialList, VectorSet
 from recwhiten.plda import (PldaModel, enroll_models, load_plda, save_plda,
-                            score_matrix, score_pair, score_trials, train_plda)
+                            score_matrix, score_trials, train_plda)
+
+from oracles import score_pair
 
 
 def joint_gaussian_llr(model, e, t):
@@ -214,6 +216,15 @@ class TestScoreTrials:
         m, enroll, test = self.make_eval(rng)
         trials = TrialList(["ghost"], ["t1"], ["unknown"])
         with pytest.raises(DataError, match="unresolved enrollment model"):
+            score_trials(m, enroll, test, trials)
+        # the first missing id in sorted order is named
+        model, test_id = enroll_models(enroll)[0][0], test.ids[0]
+        trials = TrialList([model, "zz", "ghost", model], [test_id] * 2 + ["t9", "t0"],
+                           ["unknown"] * 4)
+        with pytest.raises(DataError, match="^unresolved enrollment model 'ghost'$"):
+            score_trials(m, enroll, test, trials)
+        trials = TrialList([model] * 3, [test_id, "zz", "t0"], ["unknown"] * 3)
+        with pytest.raises(DataError, match="^unresolved test id 't0'$"):
             score_trials(m, enroll, test, trials)
 
     def test_enroll_models_average_then_normalize(self):

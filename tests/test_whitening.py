@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from recwhiten.data import MISSING_SPEAKER, NumericalError, VectorSet
-from recwhiten.stats import COV_FLOOR, Moments, estimate_moments, gaussian_loglik
+from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
-                                 WhiteningStage, apply_stage, fit_recursive,
-                                 fit_stage, length_normalize, load_whitener,
-                                 save_whitener, select_subcorpus, transform,
-                                 transform_matrix, transform_set)
+                                 WhiteningStage, fit_recursive, fit_stage,
+                                 length_normalize, load_whitener, save_whitener,
+                                 select_subcorpus, transform_matrix, transform_set)
+
+from oracles import apply_stage, gaussian_loglik, transform
 
 
 def make_set(vectors, corpus_id="c", prefix="v"):
