@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -208,20 +209,6 @@ def index_of(keys, distinct: np.ndarray, codes: np.ndarray, missing: str) -> np.
     return found[codes]
 
 
-def parse_matrix(lines: list[str], where: str) -> np.ndarray:
-    """Rows of whitespace-separated finite floats, all of one length."""
-    try:
-        rows = [[float(v) for v in line.split()] for line in lines]
-    except ValueError:
-        raise DataError(f"bad float {where}") from None
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise DataError(f"empty or ragged matrix {where}")
-    m = np.array(rows)
-    if not np.isfinite(m).all():
-        raise DataError(f"non-finite value {where}")
-    return m
-
-
 def _lines(path):
     """The number and the text, LF stripped, of each non-blank line of a
     UTF-8 file; DataError naming the file if it is not UTF-8."""
@@ -234,19 +221,53 @@ def _lines(path):
         raise DataError(f"{path} is not UTF-8 text") from None
 
 
-def read_blocks(path) -> list[tuple[str, list[str]]]:
-    """The (header line, non-blank lines) of each block of a model file. A
-    header starts with '[' and holds no tab, so a tab-separated row whose
-    first field starts with '[' stays a row."""
-    blocks: list[tuple[str, list[str]]] = []
-    for _, line in _lines(path):
+def _rows(lines, n_fields: int, floats: int | None, dim: int | None, where: str = ""):
+    """The text columns and (rows, dim) float matrix of numbered lines of
+    n_fields tab-separated fields, field `floats` holding dim floats (None:
+    as many as the first row's); each DataError names the line."""
+    rows, values = [], array("d")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataError(f"expected {n_fields} tab-separated fields{where} at line {lineno}")
+        # string arrays drop trailing NULs, which would alias two ids
+        if "\0" in line:
+            raise DataError(f"NUL character{where} at line {lineno}")
+        if floats is not None:
+            try:
+                values.extend(map(float, parts.pop(floats).split()))
+            except ValueError:
+                raise DataError(f"bad float{where} at line {lineno}") from None
+            dim = dim or len(values)
+            if len(values) != (len(rows) + 1) * dim:
+                raise DataError(f"dimension mismatch{where} at line {lineno}")
+        rows.append(parts)
+    columns = list(zip(*rows)) or [()] * (n_fields - (floats is not None))
+    return columns, np.frombuffer(values).reshape(-1, dim or 1)
+
+
+def read_blocks(path) -> list[tuple[int, str, list[tuple[int, str]]]]:
+    """The header's line number, the header and the numbered non-blank lines
+    of each block of a model file. A header starts with '[' and holds no
+    tab, so a tab-separated row whose first field starts with '[' stays a row."""
+    blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
+    for lineno, line in _lines(path):
         if line.startswith("[") and "\t" not in line:
-            blocks.append((line, []))
+            blocks.append((lineno, line, []))
         elif not blocks:
-            raise DataError("data before first block header")
+            raise DataError(f"data before first block header at line {lineno}")
         else:
-            blocks[-1][1].append(line)
+            blocks[-1][2].append((lineno, line))
     return blocks
+
+
+def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | None = None):
+    """_rows of a block from read_blocks, named in messages; floats finite."""
+    columns, matrix = _rows(block[2], n_fields, floats, dim, f" in {name}")
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise DataError(f"non-finite value in {name} at line {block[2][np.argmax(bad)][0]}")
+    return columns, matrix
 
 
 def format_floats(values: np.ndarray) -> str:
@@ -294,37 +315,29 @@ def _write_table(path, header: list[str], columns: list) -> None:
 
 
 def _read_table(path, n_fields: int, floats: int | None = None, header: bool = False):
-    """The text columns and (rows, dim) float matrix of a table of n_fields
-    fields, field `floats` holding a row's floats; a vector table has a header."""
-    dim = None if header else 1
-    rows, values = [], array("d")
-    for lineno, line in _lines(path):
-        if line.startswith("#"):
-            if header and line.startswith("#dim="):
-                if rows or not line[5:].isdecimal() or not 1 <= int(line[5:]) <= _MAX_DIM:
-                    raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
-                dim = int(line[5:])
-            continue
-        if dim is None:
-            raise DataError(f"data before #dim= header at line {lineno}")
-        parts = line.split("\t")
-        if len(parts) != n_fields:
-            raise DataError(f"expected {n_fields} tab-separated fields at line {lineno}")
-        # string arrays drop trailing NULs, which would alias two ids
-        if "\0" in line:
-            raise DataError(f"NUL character at line {lineno}")
-        if floats is not None:
-            try:
-                values.extend(map(float, parts.pop(floats).split()))
-            except ValueError:
-                raise DataError(f"bad float at line {lineno}") from None
-            if len(values) != (len(rows) + 1) * dim:
-                raise DataError(f"dimension mismatch at line {lineno}")
-        rows.append(parts)
+    """_rows of a table's lines less its comments, among which a vector
+    table's #dim= header comes before its first row."""
+    lines, dim, first = _lines(path), None if header else 1, []
+    for lineno, line in lines:
+        if line[0] != "#":
+            first = [(lineno, line)]
+            break
+        dim = header and _dim_header(lineno, line) or dim
     if dim is None:
-        raise DataError("missing #dim= header")
-    columns = list(zip(*rows)) or [()] * (n_fields - (floats is not None))
-    return columns, np.frombuffer(values).reshape(-1, dim)
+        raise DataError(f"data before #dim= header at line {first[0][0]}" if first
+                        else "missing #dim= header")
+    # a comment after the first row is skipped, and a #dim= header there refused
+    rest = (row for row in lines if row[1][0] != "#" or header and _dim_header(*row, after=True))
+    return _rows(chain(first, rest), n_fields, floats, dim)
+
+
+def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:
+    """d of a '#dim=<d>' line before the first row, None for another comment."""
+    if not line.startswith("#dim="):
+        return None
+    if after or not line[5:].isdecimal() or not 1 <= int(line[5:]) <= _MAX_DIM:
+        raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
+    return int(line[5:])
 
 
 def load_vector_table(path) -> VectorSet:

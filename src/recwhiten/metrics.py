@@ -61,12 +61,8 @@ class EvalReport:
     def render(self) -> str:
         lines = [f"#{h}" for h in self.header]
         lines.append(f"eer\t{self.eer:.6f}")
-        for name in self.min_dcf:
-            key = name.replace("-", "_")
-            lines.append(f"min_{key}\t{self.min_dcf[name]:.6f}")
-        for name in self.act_dcf:
-            key = name.replace("-", "_")
-            lines.append(f"act_{key}\t{self.act_dcf[name]:.6f}")
+        for kind, dcf in (("min", self.min_dcf), ("act", self.act_dcf)):
+            lines += [f"{kind}_{name.replace('-', '_')}\t{v:.6f}" for name, v in dcf.items()]
         lines.append(f"c_primary\t{self.c_primary:.6f}")
         lines.append(f"n_target\t{self.n_target}")
         lines.append(f"n_nontarget\t{self.n_nontarget}")

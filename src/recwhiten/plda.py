@@ -9,11 +9,12 @@ pair under the same-speaker versus different-speaker hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .data import (MISSING_SPEAKER, ConfigError, DataError, NumericalError, ScoreSet,
-                   TrialList, VectorSet, index_of, parse_matrix, read_blocks, write_blocks)
+from .data import (MISSING_SPEAKER, ConfigError, DataError, NumericalError, ScoreSet, TrialList,
+                   VectorSet, block_rows, index_of, read_blocks, write_blocks)
 from .stats import COV_FLOOR, check_symmetric, cholesky_lower
 from .whitening import length_normalize
 
@@ -176,17 +177,21 @@ def save_plda(model: PldaModel, path) -> None:
 
 
 def load_plda(path) -> PldaModel:
-    blocks = {header.strip("[]"): lines for header, lines in read_blocks(path)}
-    for key in ("mean", "ac", "wc", "rank"):
-        if not blocks.get(key):
-            raise DataError(f"missing or empty [{key}] block")
-    mean = parse_matrix(blocks["mean"][:1], "in [mean]")[0]
-    ac = parse_matrix(blocks["ac"], "in [ac]")
-    wc = parse_matrix(blocks["wc"], "in [wc]")
-    rank_txt = blocks["rank"][0].strip()
+    """A PLDA file as save_plda writes it: [mean] (one row), [ac], [wc] and
+    [rank] (one line, '-' or an integer), in that order."""
+    blocks = read_blocks(path)
+    for block, name in zip_longest(blocks, ("[mean]", "[ac]", "[wc]", "[rank]")):
+        lineno, header, lines = block or (None, name, [])
+        if header != name:
+            raise DataError(f"block {header!r} at line {lineno} where {name or 'none'} belongs")
+        if not lines:
+            raise DataError(f"missing or empty {name} block")
+        if name in ("[mean]", "[rank]") and len(lines) > 1:
+            raise DataError(f"extra row in {name} block at line {lines[1][0]}")
+    (_, (mean,)), (_, ac), (_, wc) = (block_rows(b, f"{b[1]} block") for b in blocks[:3])
+    ((rank,),), _ = block_rows(blocks[3], "[rank] block", floats=None)
     try:
-        rank = None if rank_txt == "-" else int(rank_txt)
-        model = PldaModel(mean, ac, wc, rank)
+        model = PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
     except ValueError as e:
         raise DataError(f"bad PLDA model: {e}") from None
     return _scoreable(model)

@@ -130,12 +130,6 @@ class SynthConfig:
 
 
 @dataclass
-class DomainTruth:
-    mean: np.ndarray
-    cov: np.ndarray  # session covariance scale applies on top of this
-
-
-@dataclass
 class SynthWorld:
     config: SynthConfig
     ood_labeled: VectorSet
@@ -143,7 +137,6 @@ class SynthWorld:
     enroll: VectorSet
     test: VectorSet
     trials: TrialList
-    ground_truth: dict[str, DomainTruth]
 
 
 def _sample_corpus(rng, corpus_id, prefix, domain_mean, chol, n_speakers,
@@ -170,13 +163,11 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     base_cov = random_spd(d, cfg.condition, cfg.seed)
     chol_ood = cholesky_lower(base_cov)
     chol_in = cholesky_lower(cfg.cov_scale * base_cov)
-    truth: dict[str, DomainTruth] = {}
 
     rng = make_rng(cfg.seed, stream=1)
     ood_sets = []
     for spec in cfg.ood_subcorpora:
         offset = spec.mean_shift * random_unit(rng, d) if spec.mean_shift > 0 else np.zeros(d)
-        truth[spec.corpus_id] = DomainTruth(offset, base_cov)
         ood_sets.append(_sample_corpus(
             rng, spec.corpus_id, spec.corpus_id + "_", offset, chol_ood,
             spec.n_speakers, [f"u{k:03d}" for k in range(spec.sessions_per_speaker)],
@@ -186,7 +177,6 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     rng_in = make_rng(cfg.seed, stream=2)
     in_mean = (cfg.language_shift * random_unit(rng_in, d)
                if cfg.language_shift > 0 else np.zeros(d))
-    truth["indomain"] = DomainTruth(in_mean, cfg.cov_scale * base_cov)
 
     # unlabeled: independent speakers, one session each
     unlabeled = _sample_corpus(
@@ -207,4 +197,4 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     same = models[:, None] == test.speaker_ids
     trials = TrialList(np.repeat(models, len(test)), np.tile(test.ids, len(models)),
                        np.where(same.ravel(), "target", "nontarget"))
-    return SynthWorld(cfg, ood, unlabeled, enroll, test, trials, truth)
+    return SynthWorld(cfg, ood, unlabeled, enroll, test, trials)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, NumericalError, VectorSet, parse_matrix, read_blocks, write_blocks
+from .data import DataError, NumericalError, VectorSet, block_rows, read_blocks, write_blocks
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -173,47 +173,37 @@ def save_whitener(whitener: RecursiveWhitener, path) -> None:
     write_blocks(path, blocks)
 
 
-def _block_header(line: str) -> tuple[str, int, str]:
-    """Kind, level and corpus id of a '[stage <level> <corpus id>]' or
-    '[selection <level>]' line; the corpus id may be empty or hold spaces."""
-    kind, _, rest = line[1:-1].partition(" ")
-    if not line.endswith("]") or kind not in ("stage", "selection"):
-        raise DataError(f"unknown block {line!r}")
-    level, _, corpus_id = rest.partition(" ")
-    try:
-        return kind, int(level), corpus_id
-    except ValueError:
-        raise DataError(f"block header without a level: {line!r}") from None
-
-
 def load_whitener(path) -> RecursiveWhitener:
-    stages: list[WhiteningStage] = []
-    selections: list[LevelSelection] = []
-    for header, block in read_blocks(path):
-        kind, level, corpus_id = _block_header(header)
-        where = f"in {kind} block for level {level}"
+    """A whitener file as save_whitener writes it: '[stage <level> <corpus id>]'
+    blocks, the corpus id maybe empty or with spaces, and '[selection <level>]'
+    blocks, each marking one row 'chosen' and the others '-'."""
+    stages, selections = [], []
+    for block in read_blocks(path):
+        lineno, head, _ = block
+        kind, _, rest = head[1:-1].partition(" ")
+        level, space, corpus_id = rest.partition(" ")
+        if not head.endswith("]") or kind not in ("stage", "selection"):
+            raise DataError(f"unknown block at line {lineno}: {head!r}")
+        try:
+            level = int(level)
+        except ValueError:
+            raise DataError(f"block header without a level at line {lineno}: {head!r}") from None
+        if (kind == "stage") != bool(space):
+            raise DataError(f"malformed block header at line {lineno}: {head!r}")
         if kind == "stage":
-            m = parse_matrix(block, where)  # the mean row over the square matrix
-            if m.shape[0] != m.shape[1] + 1:
-                raise DataError(f"stage {level} matrix is not square")
+            _, m = block_rows(block, f"stage block for level {level}")
+            if m.shape[0] != m.shape[1] + 1:  # the mean row over the square matrix
+                raise DataError(f"stage {level} matrix is not square (block at line {lineno})")
+            if stages and m.shape[1] != stages[0].dim:
+                raise DataError(f"whitener stages differ in dimension at line {lineno}")
             stages.append(_full_rank(WhiteningStage(level, corpus_id, m[0], m[1:])))
             continue
-        logliks, chosen = [], None
-        for line in block:
-            try:
-                cid, ll, mark = line.split("\t")
-                logliks.append((cid, float(ll)))
-            except ValueError:
-                raise DataError(f"bad selection row {where}: {line!r}") from None
-            if mark == "chosen":
-                chosen = len(logliks) - 1
-        if not np.isfinite([ll for _, ll in logliks]).all():
-            raise DataError(f"non-finite value {where}")
-        if chosen is None:
-            raise DataError(f"selection block for level {level} marks no winner")
-        selections.append(LevelSelection(level, logliks, chosen))
+        where = f"selection block for level {level}"
+        (cids, marks), ll = block_rows(block, where, n_fields=3, floats=1, dim=1)
+        chosen = [i for i, mark in enumerate(marks) if mark != "-"]
+        if [marks[i] for i in chosen] != ["chosen"]:
+            raise DataError(f"{where} at line {lineno} must mark one 'chosen' row, others '-'")
+        selections.append(LevelSelection(level, list(zip(cids, ll[:, 0].tolist())), chosen[0]))
     if not stages:
         raise DataError("whitener file contains no stages")
-    if len({s.dim for s in stages}) > 1:
-        raise DataError("whitener stages differ in dimension")
     return RecursiveWhitener(stages, selections)

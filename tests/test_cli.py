@@ -228,6 +228,7 @@ def identity_plda(d):
 
 
 IDENTITY_WHITENER = identity_whitener(4)
+SELECTION = "[selection 1]\n"
 
 # (file to corrupt, corruption, text the one-line error must hold)
 MALFORMED_MODELS = [
@@ -238,7 +239,8 @@ MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("0 0 0 0", "0 0 zero 0"),
                  "bad float in stage block for level 0", id="whitener-bad-float"),
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1 0 0"),
-                 "ragged matrix in stage block for level 0", id="whitener-ragged-matrix"),
+                 "dimension mismatch in stage block for level 0 at line 3",
+                 id="whitener-ragged-matrix"),
     pytest.param("whitener", lambda t: t.replace("0 0 0 0", "nan 0 0 0"),
                  "non-finite value in stage block for level 0", id="whitener-nan"),
     pytest.param("whitener", lambda t: identity_whitener(3),
@@ -249,6 +251,35 @@ MALFORMED_MODELS = [
                  "stage 0 matrix is singular", id="whitener-singular-stage"),
     pytest.param("whitener", lambda t: t.replace("1", "0"),
                  "stage 0 matrix is singular", id="whitener-zero-stage"),
+    pytest.param("whitener", lambda t: "0 0 0 0\n" + t,
+                 "data before first block header at line 1", id="whitener-data-before-header"),
+    pytest.param("whitener", lambda t: t.replace("0 0 0 1\n", ""),
+                 "stage 0 matrix is not square (block at line 1)", id="whitener-not-square"),
+    pytest.param("whitener", lambda t: SELECTION + "c\t-1.5\tchosen\n",
+                 "whitener file contains no stages", id="whitener-no-stages"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\n",
+                 "expected 3 tab-separated fields in selection block for level 1 at line 8",
+                 id="whitener-selection-two-fields"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\t-\n",
+                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+                 id="whitener-marks-no-winner"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\tchosen\nd\t-2\tchosen\n",
+                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+                 id="whitener-two-winners"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\tchosen\nd\t-2\tmaybe\n",
+                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+                 id="whitener-mark-maybe"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5 2\tchosen\n",
+                 "dimension mismatch in selection block for level 1 at line 8",
+                 id="whitener-two-logliks"),
+    pytest.param("whitener", lambda t: t + "[selection 1 x]\nc\t-1.5\tchosen\n",
+                 "malformed block header at line 7: '[selection 1 x]'",
+                 id="whitener-selection-with-corpus-id"),
+    pytest.param("whitener", lambda t: t + "[bogus]\n",
+                 "unknown block at line 7: '[bogus]'", id="whitener-unknown-block"),
+    pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1\t0 0 0"),
+                 "expected 1 tab-separated fields in stage block for level 0 at line 3",
+                 id="whitener-tab-in-stage-row"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
                  "missing or empty [mean] block", id="plda-empty-mean"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
@@ -259,6 +290,14 @@ MALFORMED_MODELS = [
                  "bad PLDA model", id="plda-bad-rank"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n\S+", "[mean]\nnan", t),
                  "non-finite value in [mean]", id="plda-nan"),
+    pytest.param("plda", lambda t: re.sub(r"(\[ac\]\n(?:.*\n)*?)(\[wc\])", r"\1\1\2", t),
+                 "block '[ac]' at line 8 where [wc] belongs", id="plda-second-ac"),
+    pytest.param("plda", lambda t: t + "[bogus]\n1\n",
+                 "block '[bogus]' at line 15 where none belongs", id="plda-unknown-block"),
+    pytest.param("plda", lambda t: re.sub(r"(\[mean\]\n)(.*\n)", r"\1\2\2", t),
+                 "extra row in [mean] block at line 3", id="plda-second-mean-row"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n-\n-\n"),
+                 "extra row in [rank] block at line 15", id="plda-second-rank-line"),
     pytest.param("plda", lambda t: identity_plda(3),
                  "PLDA model has dimension 3, vectors 4/4", id="plda-dim-mismatch"),
     pytest.param("plda", lambda t: identity_plda(4).replace(
@@ -336,6 +375,11 @@ MALFORMED_CONFIGS = [
     pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na = x 1 1\nb = 0.1 1 1\n"),
                  id="metrics-p-target-x"),
     pytest.param(op_case("a:2:1:1", "b:0.1:1:1"), id="evaluate-op-p-target-2"),
+    pytest.param(op_case("x:0.01:1:1", "x:0.005:1:1"), id="evaluate-op-same-name"),
+    pytest.param(op_case("a-b:0.01:1:1", "a_b:0.005:1:1"),
+                 id="evaluate-op-names-differ-by-dash"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na-b = 0.01 1 1\na_b = 0.005 1 1\n"),
+                 id="metrics-names-collide"),
     pytest.param(components_case(0), id="project-components-0"),
     pytest.param(components_case(9), id="project-components-9"),
     pytest.param(config_case(SMALL_SYNTH.replace("n_unlabeled = 25",

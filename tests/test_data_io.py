@@ -334,29 +334,54 @@ def draw_floats(data, *shape):
                                          max_size=int(np.prod(shape)))), shape)
 
 
+def draw_whitener(data, text, full_rank):
+    """A whitener of 1-3 stages of dimension 1-3 with ids drawn from text;
+    with full_rank, every stage matrix is nonsingular, so save may not refuse it."""
+    dim = data.draw(st.integers(1, 3))
+    depth = data.draw(st.integers(1, 3))
+
+    def matrix():
+        if not full_rank:
+            return draw_floats(data, dim, dim)
+        # strictly diagonally dominant, so nonsingular
+        return 2 * dim * np.eye(dim) + np.reshape(data.draw(st.lists(
+            st.floats(-1, 1), min_size=dim * dim, max_size=dim * dim)), (dim, dim))
+
+    stages = [WhiteningStage(level, data.draw(text), draw_floats(data, dim), matrix())
+              for level in range(depth)]
+    log = []
+    for level in range(1, depth):
+        logliks = data.draw(st.lists(st.tuples(text, FLOATS), min_size=1, max_size=3))
+        log.append(LevelSelection(level, logliks, data.draw(st.integers(0, len(logliks) - 1))))
+    return RecursiveWhitener(stages, log)
+
+
+def draw_plda(data, spd):
+    """A PLDA model of dimension 1-3 with symmetric AC and WC; with spd, it
+    factors, so save may not refuse it."""
+    dim = data.draw(st.integers(1, 3))
+    upper = np.triu(np.ones((dim, dim), dtype=bool))
+    if spd:
+        # AC PSD and WC - I PSD put [[AC + WC, AC], [AC, AC + WC]] above I
+        b, c = (np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=dim * dim,
+                                              max_size=dim * dim)), (dim, dim))
+                for _ in range(2))
+        ac, wc = b @ b.T, np.eye(dim) + c @ c.T
+    else:
+        ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
+    return PldaModel(draw_floats(data, dim), np.where(upper, ac, ac.T),
+                     np.where(upper, wc, wc.T),
+                     data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+
+
 class TestModelFileProperties:
     @PROPERTY
     @given(st.data())
     def test_whitener_round_trip_property(self, data):
         text = data.draw(ALPHABETS)
-        dim = data.draw(st.integers(1, 3))
-        depth = data.draw(st.integers(1, 3))
         full_rank = data.draw(st.booleans())
-
-        def matrix():
-            if not full_rank:
-                return draw_floats(data, dim, dim)
-            # strictly diagonally dominant, so nonsingular and save may not refuse it
-            return 2 * dim * np.eye(dim) + np.reshape(data.draw(st.lists(
-                st.floats(-1, 1), min_size=dim * dim, max_size=dim * dim)), (dim, dim))
-
-        stages = [WhiteningStage(level, data.draw(text), draw_floats(data, dim), matrix())
-                  for level in range(depth)]
-        log = []
-        for level in range(1, depth):
-            logliks = data.draw(st.lists(st.tuples(text, FLOATS), min_size=1, max_size=3))
-            log.append(LevelSelection(level, logliks, data.draw(st.integers(0, len(logliks) - 1))))
-        w = RecursiveWhitener(stages, log)
+        w = draw_whitener(data, text, full_rank)
+        stages, log, depth = w.stages, w.selection_log, len(w.stages)
         back = round_trip(save_whitener, load_whitener, w)
         corpus_ids = [s.corpus_id for s in stages] + [c for sel in log for c, _ in sel.logliks]
         if not readable(corpus_ids):
@@ -376,24 +401,60 @@ class TestModelFileProperties:
     @PROPERTY
     @given(st.data())
     def test_plda_round_trip_property(self, data):
-        dim = data.draw(st.integers(1, 3))
-        upper = np.triu(np.ones((dim, dim), dtype=bool))
         spd = data.draw(st.booleans())
-        if spd:
-            # AC PSD and WC - I PSD put [[AC + WC, AC], [AC, AC + WC]] above I,
-            # so the model factors and save may not refuse it
-            b, c = (np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=dim * dim,
-                                                  max_size=dim * dim)), (dim, dim))
-                    for _ in range(2))
-            ac, wc = b @ b.T, np.eye(dim) + c @ c.T
-        else:
-            ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
-        model = PldaModel(draw_floats(data, dim), np.where(upper, ac, ac.T),
-                          np.where(upper, wc, wc.T),
-                          data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+        model = draw_plda(data, spd)
         back = round_trip(save_plda, load_plda, model)
         assert back is not None or not spd
         if back is not None:
             assert back.rank == model.rank
             for name in ("mean", "ac", "wc"):
                 assert same_bits(getattr(back, name), getattr(model, name))
+
+    @PROPERTY
+    @given(st.data())
+    def test_edited_file_property(self, data):
+        """Blank lines anywhere leave a saved model as it was; a block or row
+        that save never writes makes the load raise DataError."""
+        if data.draw(st.booleans()):
+            save, load = save_whitener, load_whitener
+            model = draw_whitener(data, FIELD_TEXT, full_rank=True)
+        else:
+            save, load, model = save_plda, load_plda, draw_plda(data, spd=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.txt")
+            save(model, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            lines = text.split("\n")[:-1]
+            heads = [i for i, line in enumerate(lines) if line.startswith("[")]
+            chosen = [i for i, line in enumerate(lines) if line.endswith("\tchosen")]
+            edits = ["blank", "unknown block"] + (
+                ["second chosen"] * bool(chosen) if load is load_whitener
+                else ["duplicate block", "extra [mean] row", "extra [rank] line"])
+            edit = data.draw(st.sampled_from(edits))
+            if edit == "blank":
+                for _ in range(data.draw(st.integers(1, 3))):
+                    lines.insert(data.draw(st.integers(0, len(lines))),
+                                 data.draw(st.sampled_from(["", " ", "\t", " \t "])))
+            elif edit == "unknown block":
+                lines.insert(data.draw(st.integers(0, len(lines))),
+                             data.draw(st.sampled_from(["[bogus]", "[]", "[Mean]"])))
+            elif edit == "duplicate block":
+                k = data.draw(st.integers(0, len(heads) - 1))
+                end = heads[k + 1] if k + 1 < len(heads) else len(lines)
+                lines[end:end] = lines[heads[k]:end]
+            elif edit == "second chosen":
+                lines.insert(chosen[-1], lines[chosen[-1]])
+            else:  # a second [mean] row (the second line) or [rank] line (the last)
+                row = 1 if edit == "extra [mean] row" else len(lines) - 1
+                lines.insert(row, lines[row])
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            if edit != "blank":
+                with pytest.raises(DataError):
+                    load(path)
+                return
+            resaved = os.path.join(tmp, "resaved.txt")
+            save(load(path), resaved)
+            with open(resaved, encoding="utf-8", newline="") as fh:
+                assert fh.read() == text

@@ -105,7 +105,8 @@ class TestGenerateWorld:
         w = generate_world(cfg)
         x = w.ood_labeled.matrix()
         emp = np.cov(x.T)
-        expected = (1.3 + 0.7) * w.ground_truth["big"].cov
+        # generate_world draws every OOD sub-corpus with this session covariance
+        expected = (1.3 + 0.7) * random_spd(cfg.dim, cfg.condition, cfg.seed)
         assert np.linalg.norm(emp - expected) / np.linalg.norm(expected) < 0.1
 
     def test_no_mismatch_control_moments_converge(self):
