@@ -94,9 +94,9 @@ def operating_points(pairs) -> tuple[OperatingPoint, OperatingPoint]:
                                     for v in values), name))
     if len(ops) != 2:
         raise ConfigError(f"exactly two operating points required, got {len(ops)}")
-    if len({op.name.replace("-", "_") for op in ops}) < 2:
+    if ops[0].key == ops[1].key:
         raise ConfigError(f"operating points {ops[0].name!r} and {ops[1].name!r} both report "
-                          f"as min_{ops[0].name.replace('-', '_')}")
+                          f"as min_{ops[0].key}")
     return tuple(ops)
 
 

@@ -108,11 +108,10 @@ def run_level(cfg: ExperimentConfig, corpora: Corpora,
 
 
 def comparison_table(cfg: ExperimentConfig, reports: dict[int, EvalReport]) -> str:
-    names = [op.name.replace("-", "_") for op in cfg.ops]
-    lines = ["#level\teer\t" + "\t".join(f"min_{n}" for n in names) + "\tc_primary"]
+    lines = ["#level\teer\t" + "\t".join(f"min_{op.key}" for op in cfg.ops) + "\tc_primary"]
     for level in sorted(reports):
         r = reports[level]
-        cols = [f"{r.eer:.6f}"] + [f"{r.min_dcf[op.name]:.6f}" for op in cfg.ops]
+        cols = [f"{r.eer:.6f}"] + [f"{r.min_dcf[op.key]:.6f}" for op in cfg.ops]
         cols.append(f"{r.c_primary:.6f}")
         lines.append(f"{level}\t" + "\t".join(cols))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,11 @@ class OperatingPoint:
         return min(self.c_miss * self.p_target, self.c_fa * (1.0 - self.p_target))
 
     @property
+    def key(self) -> str:
+        """The name as report keys spell it: min_<key>, act_<key>."""
+        return self.name.replace("-", "_")
+
+    @property
     def bayes_threshold(self) -> float:
         """Optimal fixed threshold for calibrated log-likelihood-ratio scores."""
         return float(np.log(self.c_fa * (1.0 - self.p_target) /
@@ -62,20 +67,11 @@ class EvalReport:
         lines = [f"#{h}" for h in self.header]
         lines.append(f"eer\t{self.eer:.6f}")
         for kind, dcf in (("min", self.min_dcf), ("act", self.act_dcf)):
-            lines += [f"{kind}_{name.replace('-', '_')}\t{v:.6f}" for name, v in dcf.items()]
+            lines += [f"{kind}_{key}\t{v:.6f}" for key, v in dcf.items()]
         lines.append(f"c_primary\t{self.c_primary:.6f}")
         lines.append(f"n_target\t{self.n_target}")
         lines.append(f"n_nontarget\t{self.n_nontarget}")
         return "\n".join(lines) + "\n"
-
-
-def _split_scores(sset: ScoreSet):
-    """The target and the nontarget scores, each sorted."""
-    tar = np.sort(sset.scores[sset.trials.labels == "target"])
-    non = np.sort(sset.scores[sset.trials.labels == "nontarget"])
-    if tar.size == 0 or non.size == 0:
-        raise DataError("need at least one target and one nontarget trial")
-    return tar, non
 
 
 def _error_rates(tar: np.ndarray, non: np.ndarray, thresholds):
@@ -84,13 +80,6 @@ def _error_rates(tar: np.ndarray, non: np.ndarray, thresholds):
     p_miss = np.searchsorted(tar, thresholds, side="left") / tar.size
     p_fa = 1.0 - np.searchsorted(non, thresholds, side="left") / non.size
     return p_miss, p_fa
-
-
-def _roc(tar: np.ndarray, non: np.ndarray):
-    """_error_rates at every achievable threshold, in increasing order."""
-    scores = np.unique(np.concatenate([tar, non]))
-    thr = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
-    return _error_rates(tar, non, thr)
 
 
 def _eer(p_miss: np.ndarray, p_fa: np.ndarray) -> float:
@@ -109,36 +98,20 @@ def _dcf(p_miss, p_fa, op: OperatingPoint) -> float:
     return float(np.min(cost / op.normalizer))
 
 
-def compute_eer(sset: ScoreSet) -> float:
-    """Equal error rate, linearly interpolated at the ROC crossing."""
-    return _eer(*_roc(*_split_scores(sset)))
-
-
-def compute_min_dcf(sset: ScoreSet, op: OperatingPoint) -> float:
-    """Minimum normalized detection cost over every achievable threshold."""
-    return _dcf(*_roc(*_split_scores(sset)), op)
-
-
-def compute_act_dcf(sset: ScoreSet, op: OperatingPoint,
-                    threshold: float | None = None) -> float:
-    """Normalized detection cost at a fixed threshold (Bayes threshold for
-    LLR scores when none is given)."""
-    threshold = op.bayes_threshold if threshold is None else threshold
-    return _dcf(*_error_rates(*_split_scores(sset), threshold), op)
-
-
 def evaluate(sset: ScoreSet, ops=DEFAULT_OPERATING_POINTS) -> EvalReport:
-    """Full report: EER, per-point min/act DCF and their primary average."""
-    ops = tuple(ops)
-    if len(ops) != 2:
-        raise ValueError(f"expected two operating points, got {len(ops)}")
-    tar, non = _split_scores(sset)
-    roc = _roc(tar, non)
-    min_dcf = {op.name: _dcf(*roc, op) for op in ops}
+    """EER, min/act DCF by operating-point key and c_primary, the mean min DCF."""
+    tar = np.sort(sset.scores[sset.trials.labels == "target"])
+    non = np.sort(sset.scores[sset.trials.labels == "nontarget"])
+    if tar.size == 0 or non.size == 0:
+        raise DataError("need at least one target and one nontarget trial")
+    scores = np.unique(np.concatenate([tar, non]))
+    # the rates at every achievable threshold, in increasing order
+    roc = _error_rates(tar, non, np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]]))
+    min_dcf = {op.key: _dcf(*roc, op) for op in ops}
     return EvalReport(
         eer=_eer(*roc),
         min_dcf=min_dcf,
-        act_dcf={op.name: _dcf(*_error_rates(tar, non, op.bayes_threshold), op)
+        act_dcf={op.key: _dcf(*_error_rates(tar, non, op.bayes_threshold), op)
                  for op in ops},
         c_primary=float(np.mean(list(min_dcf.values()))),
         n_target=int(tar.size),

@@ -178,7 +178,7 @@ def save_plda(model: PldaModel, path) -> None:
 
 def load_plda(path) -> PldaModel:
     """A PLDA file as save_plda writes it: [mean] (one row), [ac], [wc] and
-    [rank] (one line, '-' or an integer), in that order."""
+    [rank] (one line, '-' or str(int)), in that order."""
     blocks = read_blocks(path)
     for block, name in zip_longest(blocks, ("[mean]", "[ac]", "[wc]", "[rank]")):
         lineno, header, lines = block or (None, name, [])
@@ -194,4 +194,6 @@ def load_plda(path) -> PldaModel:
         model = PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
     except ValueError as e:
         raise DataError(f"bad PLDA model: {e}") from None
+    if rank not in ("-", str(model.rank)):  # int() also takes '+3', ' 3' and '0_3'
+        raise DataError(f"bad rank {rank!r} in [rank] block at line {blocks[3][2][0][0]}")
     return _scoreable(model)

@@ -161,6 +161,18 @@ def _full_rank(stage: WhiteningStage) -> WhiteningStage:
     return stage
 
 
+def _check_order(heads: list[str], linenos=None) -> None:
+    """DataError naming the first block header out of save_whitener's order:
+    stages at levels 0, 1, ..., then at most one selection per stage after
+    the first, at levels 1, 2, ..., each level written as str(int)."""
+    n = sum(head.startswith("[stage ") for head in heads)
+    order = [f"[stage {k} " for k in range(n)] + [f"[selection {k}]" for k in range(1, n)]
+    for i, head in enumerate(heads):
+        if i >= len(order) or not head.startswith(order[i]):
+            where = f" at line {linenos[i]}" if linenos else ""
+            raise DataError(f"block out of level order{where}: {head!r}")
+
+
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log."""
     blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
@@ -170,15 +182,16 @@ def save_whitener(whitener: RecursiveWhitener, path) -> None:
         marks = ["chosen" if i == sel.chosen else "-" for i in range(len(cids))]
         blocks.append(([f"[selection {sel.level}]"],
                        [cids, np.array([ll for _, ll in sel.logliks], dtype=float), marks]))
+    _check_order([head for (head,), _ in blocks])
     write_blocks(path, blocks)
 
 
 def load_whitener(path) -> RecursiveWhitener:
     """A whitener file as save_whitener writes it: '[stage <level> <corpus id>]'
-    blocks, the corpus id maybe empty or with spaces, and '[selection <level>]'
-    blocks, each marking one row 'chosen' and the others '-'."""
-    stages, selections = [], []
-    for block in read_blocks(path):
+    blocks, the corpus id maybe empty or with spaces, then '[selection <level>]'
+    blocks, each marking one row 'chosen' and the others '-' (_check_order)."""
+    stages, selections, blocks = [], [], read_blocks(path)
+    for block in blocks:
         lineno, head, _ = block
         kind, _, rest = head[1:-1].partition(" ")
         level, space, corpus_id = rest.partition(" ")
@@ -206,4 +219,5 @@ def load_whitener(path) -> RecursiveWhitener:
         selections.append(LevelSelection(level, list(zip(cids, ll[:, 0].tolist())), chosen[0]))
     if not stages:
         raise DataError("whitener file contains no stages")
+    _check_order([head for _, head, _ in blocks], [lineno for lineno, _, _ in blocks])
     return RecursiveWhitener(stages, selections)

@@ -14,8 +14,7 @@ from recwhiten.config import parse_experiment_config
 from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.experiment import (fit_full_whitener, load_corpora, run_level,
                                   whitener_prefix)
-from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, compute_act_dcf,
-                               compute_eer, compute_min_dcf)
+from recwhiten.metrics import DEFAULT_OPERATING_POINTS, evaluate
 from recwhiten.plda import PldaModel, train_plda
 from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening_matrix
 from recwhiten.synth import SubCorpusSpec, SynthConfig, generate_world
@@ -155,17 +154,16 @@ def test_criterion_07_metric_oracle():
         nn = int(rng.integers(1, 500))
         tar = list(rng.integers(0, 40, size=nt).astype(float))
         non = list(rng.integers(0, 40, size=nn).astype(float))
-        sset = make_scores(tar, non)
-        assert compute_eer(sset) == pytest.approx(oracle_eer(tar, non), abs=1e-12)
+        r = evaluate(make_scores(tar, non))
+        assert r.eer == pytest.approx(oracle_eer(tar, non), abs=1e-12)
         for op in DEFAULT_OPERATING_POINTS:
-            assert compute_min_dcf(sset, op) == pytest.approx(
-                oracle_min_dcf(tar, non, op), abs=1e-12)
-            assert compute_act_dcf(sset, op) >= compute_min_dcf(sset, op) - 1e-12
-    assert compute_eer(make_scores([2, 3], [0, 1])) == 0.0
-    assert compute_eer(make_scores([1], [2])) == 1.0
-    flat = make_scores([1, 1], [1, 1])
+            assert r.min_dcf[op.key] == pytest.approx(oracle_min_dcf(tar, non, op), abs=1e-12)
+            assert r.act_dcf[op.key] >= r.min_dcf[op.key] - 1e-12
+    assert evaluate(make_scores([2, 3], [0, 1])).eer == 0.0
+    assert evaluate(make_scores([1], [2])).eer == 1.0
+    flat = evaluate(make_scores([1, 1], [1, 1]))
     for op in DEFAULT_OPERATING_POINTS:
-        assert compute_min_dcf(flat, op) == pytest.approx(1.0)
+        assert flat.min_dcf[op.key] == pytest.approx(1.0)
     report("criterion 7: metric oracle", "50 score sets up to 1000 trials")
 
 
@@ -173,14 +171,12 @@ def test_criterion_08_rank_invariance():
     rng = np.random.default_rng(106)
     tar = list(rng.normal(size=200))
     non = list(rng.normal(size=300))
-    base = make_scores(tar, non)
-    eer0 = compute_eer(base)
-    dcf0 = [compute_min_dcf(base, op) for op in DEFAULT_OPERATING_POINTS]
+    r0 = evaluate(make_scores(tar, non))
     for f in (lambda s: 5.0 * s - 1.0, lambda s: s ** 3):
-        mapped = make_scores([f(s) for s in tar], [f(s) for s in non])
-        assert compute_eer(mapped) == eer0
-        for op, d0 in zip(DEFAULT_OPERATING_POINTS, dcf0):
-            assert compute_min_dcf(mapped, op) == d0
+        r = evaluate(make_scores([f(s) for s in tar], [f(s) for s in non]))
+        assert r.eer == r0.eer
+        for op in DEFAULT_OPERATING_POINTS:
+            assert r.min_dcf[op.key] == r0.min_dcf[op.key]
     report("criterion 8: rank invariance", "affine and cubic maps, exact")
 
 

@@ -116,6 +116,25 @@ class TestRunExperimentCommand:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 
+    def test_snorm_runs(self, tmp_path):
+        for name, snorm in (("on1", "on"), ("on2", "on"), ("off", "off")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(SMALL_SYNTH + f"plda_rank = 3\nsnorm = {snorm}\n")
+            assert run(["run-experiment", "--config", cfg, "--out", tmp_path / name]) == 0
+        on1, on2, off = (tmp_path / name for name in ("on1", "on2", "off"))
+        names = sorted(p.name for p in on1.iterdir())
+        assert names == sorted(p.name for p in on2.iterdir())
+        for name in names:
+            assert (on1 / name).read_bytes() == (on2 / name).read_bytes()
+        for out in (on1, on2):
+            for name in ("comparison.txt", "report_level0.txt", "report_level1.txt"):
+                assert "#snorm=on\n" in (out / name).read_text()
+        for level in (0, 1):
+            normed, raw = (load_scores(out / f"scores_level{level}.txt") for out in (on1, off))
+            assert normed.trials.model_ids.tolist() == raw.trials.model_ids.tolist()
+            assert normed.trials.test_ids.tolist() == raw.trials.test_ids.tolist()
+            assert (normed.scores != raw.scores).all()
+
     def test_level0_row_stable_across_arm_sets(self, tmp_path):
         cfg01 = tmp_path / "c01.cfg"
         cfg01.write_text(SMALL_SYNTH)
@@ -280,6 +299,23 @@ MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1\t0 0 0"),
                  "expected 1 tab-separated fields in stage block for level 0 at line 3",
                  id="whitener-tab-in-stage-row"),
+    pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage 01 c]"),
+                 "block out of level order at line 1: '[stage 01 c]'", id="whitener-level-01"),
+    pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage 1 c]") + t,
+                 "block out of level order at line 1: '[stage 1 c]'",
+                 id="whitener-stages-1-then-0"),
+    pytest.param("whitener", lambda t: t + identity_whitener(4, level=1)
+                 + 3 * "[selection 5]\nc\t-1.5\tchosen\n",
+                 "block out of level order at line 13: '[selection 5]'",
+                 id="whitener-three-selections-at-level-5"),
+    pytest.param("whitener", lambda t: t + identity_whitener(4, level=1)
+                 + "".join(f"[selection {k}]\nc\t-1.5\tchosen\n" for k in (1, 2)),
+                 "block out of level order at line 15: '[selection 2]'",
+                 id="whitener-selection-without-its-stage"),
+    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\tchosen\n"
+                 + identity_whitener(4, level=1),
+                 "block out of level order at line 7: '[selection 1]'",
+                 id="whitener-stage-after-selection"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
                  "missing or empty [mean] block", id="plda-empty-mean"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
@@ -288,6 +324,8 @@ MALFORMED_MODELS = [
                  "bad float in [wc]", id="plda-bad-float"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\nthree\n"),
                  "bad PLDA model", id="plda-bad-rank"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n+3\n"),
+                 "bad rank '+3' in [rank] block at line 14", id="plda-rank-with-sign"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n\S+", "[mean]\nnan", t),
                  "non-finite value in [mean]", id="plda-nan"),
     pytest.param("plda", lambda t: re.sub(r"(\[ac\]\n(?:.*\n)*?)(\[wc\])", r"\1\1\2", t),

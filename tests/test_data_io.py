@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -319,6 +320,14 @@ class TestSaveRefusals:
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [0.0, 0.0],
                                                                       [[1.0, 2.0], [2.0, 4.0]])]),
                      id="singular-whitener-stage"),
+        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(1, "c", [0.0], [[1.0]])]),
+                     id="whitener-first-stage-at-level-1"),
+        pytest.param(save_whitener, RecursiveWhitener(
+            [WhiteningStage(k, "c", [0.0], [[1.0]]) for k in range(2)],
+            [LevelSelection(2, [("c", 0.0)], 0)]), id="whitener-selection-at-level-2"),
+        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [0.0], [[1.0]])],
+                                                      [LevelSelection(1, [("c", 0.0)], 0)]),
+                     id="whitener-selection-without-its-stage"),
         pytest.param(save_plda, PldaModel([np.inf], [[1.0]], [[1.0]]), id="inf-in-plda"),
         pytest.param(save_plda, PldaModel([0.0], [[1.0]], [[-3.0]]), id="plda-not-spd"),
     ])
@@ -429,8 +438,9 @@ class TestModelFileProperties:
             heads = [i for i, line in enumerate(lines) if line.startswith("[")]
             chosen = [i for i, line in enumerate(lines) if line.endswith("\tchosen")]
             edits = ["blank", "unknown block"] + (
-                ["second chosen"] * bool(chosen) if load is load_whitener
-                else ["duplicate block", "extra [mean] row", "extra [rank] line"])
+                ["second chosen"] * bool(chosen) + ["respell a level"] if load is load_whitener
+                else ["duplicate block", "extra [mean] row", "extra [rank] line",
+                      "respell the rank"])
             edit = data.draw(st.sampled_from(edits))
             if edit == "blank":
                 for _ in range(data.draw(st.integers(1, 3))):
@@ -445,6 +455,13 @@ class TestModelFileProperties:
                 lines[end:end] = lines[heads[k]:end]
             elif edit == "second chosen":
                 lines.insert(chosen[-1], lines[chosen[-1]])
+            elif edit == "respell a level":  # another level, or the same one spelled otherwise
+                k = data.draw(st.sampled_from(heads))
+                spell = data.draw(st.sampled_from(["0{}", "+{}", "{}0", "{}_0"]))
+                lines[k] = re.sub(r"\d+", lambda m: spell.format(m.group()), lines[k], count=1)
+            elif edit == "respell the rank":  # int() reads an integer so spelled as that integer
+                spell = data.draw(st.sampled_from(["+{}", " {}", "{} ", "0{}"]))
+                lines[-1] = spell.format(lines[-1])
             else:  # a second [mean] row (the second line) or [rank] line (the last)
                 row = 1 if edit == "extra [mean] row" else len(lines) - 1
                 lines.insert(row, lines[row])

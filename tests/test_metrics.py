@@ -4,9 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recwhiten.data import DataError, ScoreSet, TrialList
-from recwhiten.metrics import (DEFAULT_OPERATING_POINTS, OperatingPoint,
-                               compute_act_dcf, compute_eer, compute_min_dcf,
-                               evaluate, snorm)
+from recwhiten.metrics import DEFAULT_OPERATING_POINTS, OperatingPoint, evaluate, snorm
 
 
 def score_set(rows):
@@ -59,17 +57,17 @@ def oracle_min_dcf(targets, nontargets, op):
 
 class TestEer:
     def test_perfect_separation(self):
-        assert compute_eer(make_scores([2, 3], [0, 1])) == 0.0
+        assert evaluate(make_scores([2, 3], [0, 1])).eer == 0.0
 
     def test_perfect_inversion(self):
-        assert compute_eer(make_scores([1], [2])) == 1.0
+        assert evaluate(make_scores([1], [2])).eer == 1.0
 
     def test_interleaved_half(self):
-        assert compute_eer(make_scores([3, 1], [2, 0])) == 0.5
+        assert evaluate(make_scores([3, 1], [2, 0])).eer == 0.5
 
     def test_missing_class(self):
         with pytest.raises(DataError):
-            compute_eer(make_scores([1], []))
+            evaluate(make_scores([1], []))
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(40)
@@ -79,7 +77,7 @@ class TestEer:
             # coarse grid provokes ties between and within classes
             tar = list(rng.integers(0, 10, size=nt).astype(float))
             non = list(rng.integers(0, 10, size=nn).astype(float))
-            got = compute_eer(make_scores(tar, non))
+            got = evaluate(make_scores(tar, non)).eer
             assert got == pytest.approx(oracle_eer(tar, non), abs=1e-12)
 
 
@@ -87,14 +85,15 @@ class TestMinDcf:
     OP = OperatingPoint(p_target=0.01, name="op")
 
     def test_perfect_separation(self):
-        assert compute_min_dcf(make_scores([2, 3], [0, 1]), self.OP) == 0.0
+        assert evaluate(make_scores([2, 3], [0, 1]), [self.OP]).min_dcf["op"] == 0.0
 
     def test_uninformative_scores_hit_ceiling(self):
-        assert compute_min_dcf(make_scores([1, 1], [1, 1]), self.OP) == pytest.approx(1.0)
+        r = evaluate(make_scores([1, 1], [1, 1]), [self.OP])
+        assert r.min_dcf["op"] == pytest.approx(1.0)
 
     def test_interleaved_matches_sweep(self):
         tar, non = [3.0, 1.0], [2.0, 0.0]
-        got = compute_min_dcf(make_scores(tar, non), self.OP)
+        got = evaluate(make_scores(tar, non), [self.OP]).min_dcf["op"]
         assert got == pytest.approx(oracle_min_dcf(tar, non, self.OP), abs=1e-15)
 
     def test_never_exceeds_do_nothing_cost(self):
@@ -102,16 +101,18 @@ class TestMinDcf:
         for _ in range(50):
             tar = list(rng.normal(size=int(rng.integers(1, 40))))
             non = list(rng.normal(size=int(rng.integers(1, 40))))
+            r = evaluate(make_scores(tar, non))
             for op in DEFAULT_OPERATING_POINTS:
-                assert compute_min_dcf(make_scores(tar, non), op) <= 1.0 + 1e-12
+                assert r.min_dcf[op.key] <= 1.0 + 1e-12
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             tar = list(rng.integers(0, 8, size=int(rng.integers(1, 25))).astype(float))
             non = list(rng.integers(0, 8, size=int(rng.integers(1, 25))).astype(float))
+            r = evaluate(make_scores(tar, non))
             for op in DEFAULT_OPERATING_POINTS:
-                got = compute_min_dcf(make_scores(tar, non), op)
+                got = r.min_dcf[op.key]
                 assert got == pytest.approx(oracle_min_dcf(tar, non, op), abs=1e-12)
 
 
@@ -124,16 +125,16 @@ class TestActDcf:
     def test_perfectly_calibrated_separation(self):
         op = OperatingPoint(p_target=0.01, name="op")
         sset = make_scores([5.0, 6.0], [1.0, 2.0])
-        assert compute_act_dcf(sset, op) == 0.0
+        assert evaluate(sset, [op]).act_dcf["op"] == 0.0
 
     def test_act_at_least_min(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
             tar = list(rng.normal(size=int(rng.integers(1, 30))))
             non = list(rng.normal(size=int(rng.integers(1, 30))))
-            sset = make_scores(tar, non)
+            r = evaluate(make_scores(tar, non))
             for op in DEFAULT_OPERATING_POINTS:
-                assert compute_act_dcf(sset, op) >= compute_min_dcf(sset, op) - 1e-12
+                assert r.act_dcf[op.key] >= r.min_dcf[op.key] - 1e-12
 
 
 class TestRankInvariance:
@@ -141,19 +142,13 @@ class TestRankInvariance:
         rng = np.random.default_rng(44)
         tar = list(rng.normal(size=30))
         non = list(rng.normal(size=50))
-        base = make_scores(tar, non)
-        eer0 = compute_eer(base)
-        dcf0 = [compute_min_dcf(base, op) for op in DEFAULT_OPERATING_POINTS]
+        r0 = evaluate(make_scores(tar, non))
 
         for f in (lambda s: 3.0 * s + 2.0, lambda s: s ** 3):
-            mapped = make_scores([f(s) for s in tar], [f(s) for s in non])
-            assert compute_eer(mapped) == eer0
-            for op, d0 in zip(DEFAULT_OPERATING_POINTS, dcf0):
-                assert compute_min_dcf(mapped, op) == d0
-                # fixed-threshold actDCF stays rank-invariant when the
-                # threshold is mapped along with the scores
-                thr = op.bayes_threshold
-                assert compute_act_dcf(mapped, op, f(thr)) == compute_act_dcf(base, op, thr)
+            r = evaluate(make_scores([f(s) for s in tar], [f(s) for s in non]))
+            assert r.eer == r0.eer
+            for op in DEFAULT_OPERATING_POINTS:
+                assert r.min_dcf[op.key] == r0.min_dcf[op.key]
 
 
 class TestEvaluate:
@@ -174,8 +169,20 @@ class TestEvaluate:
         non = list(rng.normal(size=100))
         sset = make_scores(tar, non)
         r = evaluate(sset)
-        expect = np.mean([compute_min_dcf(sset, op) for op in DEFAULT_OPERATING_POINTS])
+        # each point evaluated on its own
+        expect = np.mean([evaluate(sset, [op]).min_dcf[op.key]
+                          for op in DEFAULT_OPERATING_POINTS])
         assert r.c_primary == pytest.approx(expect, abs=1e-15)
+
+    def test_reports_each_point_given(self):
+        sset = make_scores([2, 3], [0, 1])
+        ops = [OperatingPoint(p, name=f"p-{i}") for i, p in enumerate((0.1, 0.2, 0.3))]
+        for k in (1, 3):
+            r = evaluate(sset, ops[:k])
+            assert list(r.min_dcf) == list(r.act_dcf) == ["p_0", "p_1", "p_2"][:k]
+            assert [ln.split("\t")[0] for ln in r.render().splitlines()] == [
+                "eer", *(f"{kind}_p_{i}" for kind in ("min", "act") for i in range(k)),
+                "c_primary", "n_target", "n_nontarget"]
 
     def test_render_format(self):
         r = evaluate(make_scores([2, 3], [0, 1]))
