@@ -8,7 +8,7 @@ pair under the same-speaker versus different-speaker hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -21,10 +21,14 @@ from .whitening import length_normalize
 
 @dataclass
 class PldaModel:
+    """A model that scores: AC and WC finite, symmetric and d x d (DataError), and
+    _scoring_terms run once, here (NumericalError if not SPD, FloatingPointError)."""
+
     mean: np.ndarray
     ac: np.ndarray  # across-class covariance, PSD
     wc: np.ndarray  # within-class covariance, SPD
     rank: int | None = None
+    terms: tuple = field(init=False, repr=False, compare=False)  # (G, Q, const)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -32,6 +36,8 @@ class PldaModel:
         self.wc = np.asarray(self.wc, dtype=float)
         for name, m in (("ac", self.ac), ("wc", self.wc)):
             check_symmetric(name, m, self.dim)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            self.terms = _scoring_terms(self)
 
     @property
     def dim(self) -> int:
@@ -122,7 +128,7 @@ def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.n
     """All-pairs LLR matrix between the rows of two vector stacks."""
     e = np.asarray(enroll, dtype=float) - model.mean
     t = np.asarray(test, dtype=float) - model.mean
-    g, q, const = _scoring_terms(model)
+    g, q, const = model.terms
     eg = np.einsum("ij,jk,ik->i", e, g, e)
     tg = np.einsum("ij,jk,ik->i", t, g, t)
     cross = (e @ q) @ t.T + ((t @ q) @ e.T).T
@@ -158,19 +164,7 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
 
 # --- serialization ---------------------------------------------------------
 
-def _scoreable(model: PldaModel) -> PldaModel:
-    """The model, or DataError if its scoring terms do not factor (AC + WC or
-    its Schur complement not SPD) or overflow."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _scoring_terms(model)
-    except (ArithmeticError, ValueError) as e:
-        raise DataError(f"bad PLDA model: {e}") from None
-    return model
-
-
 def save_plda(model: PldaModel, path) -> None:
-    _scoreable(model)
     rank = "-" if model.rank is None else str(model.rank)
     write_blocks(path, [(["[mean]"], [model.mean[None]]), (["[ac]"], [model.ac]),
                         (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])
@@ -192,8 +186,8 @@ def load_plda(path) -> PldaModel:
     ((rank,),), _ = block_rows(blocks[3], "[rank] block", floats=None)
     try:
         model = PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         raise DataError(f"bad PLDA model: {e}") from None
     if rank not in ("-", str(model.rank)):  # int() also takes '+3', ' 3' and '0_3'
         raise DataError(f"bad rank {rank!r} in [rank] block at line {blocks[3][2][0][0]}")
-    return _scoreable(model)
+    return model

@@ -30,6 +30,8 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WhiteningStage:
+    """One stage; DataError unless w is finite, d x d and of rank d (matrix_rank)."""
+
     level: int
     corpus_id: str
     mean: np.ndarray
@@ -38,6 +40,12 @@ class WhiteningStage:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
+        if self.w.shape != (self.dim, self.dim):
+            raise DataError(f"stage {self.level} matrix is not {self.dim} x {self.dim}")
+        if not np.isfinite(self.w).all():
+            raise DataError(f"non-finite value in stage {self.level} matrix")
+        if np.linalg.matrix_rank(self.w) < self.dim:
+            raise DataError(f"stage {self.level} matrix is singular")
 
     @property
     def dim(self) -> int:
@@ -59,6 +67,10 @@ class LevelSelection:
     level: int
     logliks: list[tuple[str, float]]  # candidate corpus_id -> aggregate loglik
     chosen: int  # index into logliks
+
+    def __post_init__(self):
+        if self.chosen not in range(len(self.logliks)):
+            raise DataError(f"selection {self.level} chosen row {self.chosen} out of range")
 
 
 @dataclass
@@ -153,36 +165,37 @@ def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
 
 # --- serialization ---------------------------------------------------------
 
-def _full_rank(stage: WhiteningStage) -> WhiteningStage:
-    """The stage, or DataError if its matrix is singular: rank below the
-    dimension under numpy's default matrix_rank tolerance."""
-    if np.linalg.matrix_rank(stage.w) < stage.dim:
-        raise DataError(f"stage {stage.level} matrix is singular")
-    return stage
-
-
-def _check_order(heads: list[str], linenos=None) -> None:
-    """DataError naming the first block header out of save_whitener's order:
-    stages at levels 0, 1, ..., then at most one selection per stage after
-    the first, at levels 1, 2, ..., each level written as str(int)."""
-    n = sum(head.startswith("[stage ") for head in heads)
+def _check_order(whitener: RecursiveWhitener, heads: list[str], linenos=None) -> None:
+    """DataError for a whitener save_whitener may not write, naming the line of
+    the block at fault if linenos are given: no stages; headers out of order
+    (stages at levels 0, 1, ..., then at most one selection per stage after the
+    first, at levels 1, 2, ..., levels written as str(int)); or a selection
+    whose chosen row is not its stage's corpus."""
+    where = [f" at line {lineno}" for lineno in linenos] if linenos else [""] * len(heads)
+    n = len(whitener.stages)
+    if not n:
+        raise DataError("whitener file contains no stages")
     order = [f"[stage {k} " for k in range(n)] + [f"[selection {k}]" for k in range(1, n)]
     for i, head in enumerate(heads):
         if i >= len(order) or not head.startswith(order[i]):
-            where = f" at line {linenos[i]}" if linenos else ""
-            raise DataError(f"block out of level order{where}: {head!r}")
+            raise DataError(f"block out of level order{where[i]}: {head!r}")
+    for sel, at in zip(whitener.selection_log, where[n:]):
+        cid, fitted = sel.logliks[sel.chosen][0], whitener.stages[sel.level].corpus_id
+        if cid != fitted:
+            raise DataError(f"selection block for level {sel.level}{at} marks {cid!r} "
+                            f"chosen, but stage {sel.level} is fitted on {fitted!r}")
 
 
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log."""
     blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
-              for s in map(_full_rank, whitener.stages)]
+              for s in whitener.stages]
     for sel in whitener.selection_log:
         cids = [cid for cid, _ in sel.logliks]
         marks = ["chosen" if i == sel.chosen else "-" for i in range(len(cids))]
         blocks.append(([f"[selection {sel.level}]"],
                        [cids, np.array([ll for _, ll in sel.logliks], dtype=float), marks]))
-    _check_order([head for (head,), _ in blocks])
+    _check_order(whitener, [head for (head,), _ in blocks])
     write_blocks(path, blocks)
 
 
@@ -209,7 +222,7 @@ def load_whitener(path) -> RecursiveWhitener:
                 raise DataError(f"stage {level} matrix is not square (block at line {lineno})")
             if stages and m.shape[1] != stages[0].dim:
                 raise DataError(f"whitener stages differ in dimension at line {lineno}")
-            stages.append(_full_rank(WhiteningStage(level, corpus_id, m[0], m[1:])))
+            stages.append(WhiteningStage(level, corpus_id, m[0], m[1:]))
             continue
         where = f"selection block for level {level}"
         (cids, marks), ll = block_rows(block, where, n_fields=3, floats=1, dim=1)
@@ -217,7 +230,6 @@ def load_whitener(path) -> RecursiveWhitener:
         if [marks[i] for i in chosen] != ["chosen"]:
             raise DataError(f"{where} at line {lineno} must mark one 'chosen' row, others '-'")
         selections.append(LevelSelection(level, list(zip(cids, ll[:, 0].tolist())), chosen[0]))
-    if not stages:
-        raise DataError("whitener file contains no stages")
-    _check_order([head for _, head, _ in blocks], [lineno for lineno, _, _ in blocks])
-    return RecursiveWhitener(stages, selections)
+    whitener = RecursiveWhitener(stages, selections)
+    _check_order(whitener, [head for _, head, _ in blocks], [lineno for lineno, _, _ in blocks])
+    return whitener

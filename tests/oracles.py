@@ -6,7 +6,7 @@ so that the tests can check the batched kernels of the package against it.
 
 import numpy as np
 
-from recwhiten.plda import PldaModel, _scoring_terms
+from recwhiten.plda import PldaModel
 from recwhiten.stats import Moments, cholesky_lower
 from recwhiten.whitening import RecursiveWhitener, WhiteningStage, length_normalize
 
@@ -47,7 +47,7 @@ def score_pair(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     t = np.asarray(test, dtype=float) - model.mean
     if e.shape != (model.dim,) or t.shape != (model.dim,):
         raise ValueError("dimension mismatch")
-    g, q, const = _scoring_terms(model)
+    g, q, const = model.terms
     # cross term written as a commutative sum so swapping the pair is exact
     cross = (e @ q) @ t + (t @ q) @ e
     return float(const - 0.5 * (e @ g @ e + t @ g @ t + cross))

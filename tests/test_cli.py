@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from recwhiten import cli
+from recwhiten.config import parse_experiment_config
 from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet,
                             load_scores, load_vector_table, save_scores,
                             save_trials, save_vector_table)
+from recwhiten.experiment import build_levels, load_corpora
 from recwhiten.plda import save_plda, train_plda
 from recwhiten.projection import fit_pca, project_sets
+from recwhiten.stats import estimate_moments
+from recwhiten.whitening import (RecursiveWhitener, fit_stage, load_whitener,
+                                 select_subcorpus, transform_matrix)
 
 SMALL_SYNTH = """
 [synth]
@@ -134,6 +139,26 @@ class TestRunExperimentCommand:
             assert normed.trials.model_ids.tolist() == raw.trials.model_ids.tolist()
             assert normed.trials.test_ids.tolist() == raw.trials.test_ids.tolist()
             assert (normed.scores != raw.scores).all()
+
+    def test_selection_targets_unlabeled(self, synth_cfg, tmp_path):
+        text = SMALL_SYNTH + "selection_targets = unlabeled\n"
+        cfg = tmp_path / "unlabeled.cfg"
+        cfg.write_text(text)
+        assert run(["run-experiment", "--config", cfg, "--out", tmp_path / "unlabeled"]) == 0
+        assert run(["run-experiment", "--config", synth_cfg, "--out", tmp_path / "both"]) == 0
+        got, enroll_test = (load_whitener(tmp_path / out / "whitener.txt").selection_log[0]
+                            for out in ("unlabeled", "both"))
+        # the level-1 selection over the unlabeled vectors, after stage 0
+        config = parse_experiment_config(text)
+        corpora = load_corpora(config)
+        stage0 = RecursiveWhitener([fit_stage(corpora.unlabeled)])
+        moments = [estimate_moments(transform_matrix(stage0, vs.matrix()), cid)
+                   for cid, vs in build_levels(config, corpora)[0].candidates]
+        chosen, table = select_subcorpus(moments, transform_matrix(stage0,
+                                                                   corpora.unlabeled.matrix()))
+        assert got.chosen == chosen
+        assert [ll for _, ll in got.logliks] == table
+        assert all(ll != other for (_, ll), (_, other) in zip(got.logliks, enroll_test.logliks))
 
     def test_level0_row_stable_across_arm_sets(self, tmp_path):
         cfg01 = tmp_path / "c01.cfg"
@@ -316,6 +341,10 @@ MALFORMED_MODELS = [
                  + identity_whitener(4, level=1),
                  "block out of level order at line 7: '[selection 1]'",
                  id="whitener-stage-after-selection"),
+    pytest.param("whitener", lambda t: t + identity_whitener(4, level=1)
+                 + SELECTION + "c\t-1.5\t-\nd\t-2\tchosen\n",
+                 "selection block for level 1 at line 13 marks 'd' chosen, "
+                 "but stage 1 is fitted on 'c'", id="whitener-selection-marks-another-corpus"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n.*\n", "[mean]\n", t),
                  "missing or empty [mean] block", id="plda-empty-mean"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n"),
@@ -374,6 +403,10 @@ def components_case(n):
     return argv
 
 
+# a [data] config; its files are never read by the cases that use it
+DATA_CONFIG = "[data]\n" + "".join(f"{key} = {key}.txt\n"
+                                   for key in ("ood", "unlabeled", "enroll", "test", "trials"))
+
 MALFORMED_CONFIGS = [
     pytest.param(config_case(SMALL_SYNTH.replace("levels = 0 1", "levels =")),
                  id="levels-empty"),
@@ -425,6 +458,18 @@ MALFORMED_CONFIGS = [
                  id="n-unlabeled-1e18"),
     pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", f"dim = {10**18}")),
                  id="dim-1e18"),
+    pytest.param(lambda tmp_path: config_case(DATA_CONFIG)(tmp_path) + ["--seed", "5"],
+                 id="seed-with-data-config"),
+    pytest.param(lambda tmp_path: ["synth", *config_case(DATA_CONFIG)(tmp_path)[1:]],
+                 id="synth-without-synth-section"),
+    pytest.param(config_case(SMALL_SYNTH + "selection_targets = bogus\n"),
+                 id="selection-targets-bogus"),
+    pytest.param(config_case(SMALL_SYNTH.replace("level1 = ood_a ood_b", "level1 =")),
+                 id="hierarchy-level-empty"),
+    pytest.param(config_case(SMALL_SYNTH.replace("level1 = ood_a ood_b", "level1 = ood_a ood_z")),
+                 id="hierarchy-candidate-matches-nothing"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na = 0.01 0 1\nb = 0.005 1 1\n"),
+                 id="metrics-cost-0"),
     # command lines that argparse rejects
     pytest.param(lambda tmp_path: config_case(SMALL_SYNTH)(tmp_path) + ["--sede", "5"],
                  id="argv-unknown-option"),
@@ -490,6 +535,26 @@ def huge_dim_case(tmp_path):
     return ["project", "--vectors", table, "--out", tmp_path / "p.txt"]
 
 
+def one_session_per_speaker(table):
+    _, first_rows = np.unique(table.speaker_ids, return_index=True)
+    return table.take(np.sort(first_rows))
+
+
+def enroll_at_stage_mean_case(tmp_path):
+    """score --whitener with an enrollment vector equal to the stage mean."""
+    paths = TestScoreEvaluateCommands().build_world(tmp_path)
+    enroll = load_vector_table(paths["enroll"])
+    x = enroll.matrix().copy()
+    x[1] = 0.0  # the mean of IDENTITY_WHITENER's one stage
+    save_vector_table(VectorSet(enroll.ids, enroll.corpus_ids, enroll.speaker_ids, x),
+                      paths["enroll"])
+    whitener = tmp_path / "whitener.txt"
+    whitener.write_text(IDENTITY_WHITENER)
+    return ["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+            "--test", paths["test"], "--trials", paths["trials"], "--whitener", whitener,
+            "--out", tmp_path / "s.txt"]
+
+
 # (command line, exit code, text the one-line error must hold)
 BAD_INPUTS = [
     pytest.param(world_case("run-experiment", unlabeled=first(1)), 3,
@@ -502,6 +567,13 @@ BAD_INPUTS = [
                  "need at least 2 vectors for PCA, got 0", id="project-no-vectors"),
     pytest.param(huge_dim_case, 3, "malformed or misplaced header at line 1",
                  id="dim-beyond-any-array"),
+    pytest.param(world_case("run-experiment", ood=one_session_per_speaker), 3,
+                 "need at least one extra session beyond one per speaker",
+                 id="ood-one-session-per-speaker"),
+    pytest.param(world_case("run-experiment", unlabeled=first(0)), 3,
+                 "cannot fit a whitening stage on an empty set", id="no-unlabeled-vectors"),
+    pytest.param(enroll_at_stage_mean_case, 4, "zero-norm vector at row 1 during whitening",
+                 id="score-enroll-at-stage-mean"),
     pytest.param(world_case("run-experiment", ood=times_1e300), 4, "overflow",
                  id="ood-near-1e300"),
     pytest.param(world_case("run-experiment", unlabeled=times_1e300), 4, "overflow",

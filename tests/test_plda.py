@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import MISSING_SPEAKER, DataError, TrialList, VectorSet
+from recwhiten import plda
+from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, TrialList, VectorSet
 from recwhiten.plda import (PldaModel, enroll_models, load_plda, save_plda,
                             score_matrix, score_trials, train_plda)
 
@@ -252,3 +253,49 @@ class TestPldaSerialization:
         p = tmp_path / "plda.txt"
         save_plda(m, p)
         assert load_plda(p).rank is None
+
+
+class TestModelRules:
+    """PldaModel factors its scoring terms once, when built, and refuses a
+    model that does not factor; nothing after construction factors again."""
+
+    def test_not_spd_refused_when_built(self):
+        with pytest.raises(NumericalError, match="not symmetric positive definite"):
+            PldaModel([0.0], [[1.0]], [[-3.0]])
+
+    def test_overflow_refused_when_built(self):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            PldaModel([0.0], [[1e308]], [[1e308]])
+
+    def test_train_plda_refuses_a_model_that_does_not_factor(self):
+        # speakers 1e6 apart with identical sessions: WC is the 1e-8 floor,
+        # which AC + WC cannot hold in float64
+        speakers = [f"s{s}" for s in range(3) for _ in range(2)]
+        vs = one_corpus([f"{spk}_{i % 2}" for i, spk in enumerate(speakers)], speakers,
+                        [[1e6 * s, 1e6 * s * s] for s in range(3) for _ in range(2)])
+        with pytest.raises(NumericalError, match="not symmetric positive definite"):
+            train_plda(vs)
+
+    def test_load_refuses_a_model_whose_terms_overflow(self, tmp_path):
+        p = tmp_path / "plda.txt"
+        p.write_text("[mean]\n0\n[ac]\n1e308\n[wc]\n1e308\n[rank]\n-\n")
+        with pytest.raises(DataError, match="^bad PLDA model: overflow"):
+            load_plda(p)
+
+    def test_scoring_does_not_factor_again(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        m = random_model(rng, 3)
+        enroll = one_corpus(["e1", "e2", "e3"], ["a", "a", "b"], rng.normal(size=(3, 3)))
+        test = one_corpus(["t1", "t2"], [MISSING_SPEAKER] * 2, rng.normal(size=(2, 3)))
+        trials = TrialList(["a", "b", "b"], ["t1", "t1", "t2"], ["target", "nontarget", "unknown"])
+        e, t = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        matrix, scores = score_matrix(m, e, t), score_trials(m, enroll, test, trials).scores
+
+        def refuse(model):
+            raise AssertionError("scoring terms factored again")
+
+        monkeypatch.setattr(plda, "_scoring_terms", refuse)
+        with pytest.raises(AssertionError):  # the patch is in force for a new model
+            PldaModel(m.mean, m.ac, m.wc)
+        assert score_matrix(m, e, t).tobytes() == matrix.tobytes()
+        assert score_trials(m, enroll, test, trials).scores.tobytes() == scores.tobytes()

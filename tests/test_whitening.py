@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import MISSING_SPEAKER, NumericalError, VectorSet
+from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhiteningStage, fit_recursive, fit_stage,
@@ -246,13 +246,13 @@ class TestWhitenerSerialization:
         ids = ["", "ood a", "[x", "#a"]
         w = RecursiveWhitener(
             [WhiteningStage(k, cid, np.zeros(2), np.eye(2)) for k, cid in enumerate(ids)],
-            [LevelSelection(1, [(cid, -1.5 + k) for k, cid in enumerate(ids)], 2)])
+            [LevelSelection(1, [(cid, -1.5 + k) for k, cid in enumerate(ids)], 1)])
         p = tmp_path / "whitener.txt"
         save_whitener(w, p)
         back = load_whitener(p)
         assert [(s.level, s.corpus_id) for s in back.stages] == list(enumerate(ids))
         assert back.selection_log[0].logliks == w.selection_log[0].logliks
-        assert back.selection_log[0].chosen == 2
+        assert back.selection_log[0].chosen == 1
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -273,3 +273,33 @@ class TestWhitenerSerialization:
         sel1, sel2 = w.selection_log[0], back.selection_log[0]
         assert sel1.chosen == sel2.chosen
         assert sel1.logliks == sel2.logliks
+
+
+class TestModelRules:
+    """WhiteningStage and LevelSelection refuse, when built, what no whitener
+    file can hold."""
+
+    @pytest.mark.parametrize("w, message", [
+        pytest.param([[1.0, 2.0], [2.0, 4.0]], "stage 3 matrix is singular", id="rank-1"),
+        pytest.param(np.zeros((2, 2)), "stage 3 matrix is singular", id="zero"),
+        pytest.param([[1.0, 0.0], [0.0, np.nan]], "non-finite value in stage 3 matrix",
+                     id="nan"),
+        pytest.param([[np.inf, 0.0], [0.0, 1.0]], "non-finite value in stage 3 matrix",
+                     id="inf"),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "stage 3 matrix is not 2 x 2",
+                     id="2-by-3"),
+        pytest.param(np.eye(3), "stage 3 matrix is not 2 x 2", id="3-by-3"),
+        pytest.param([1.0, 1.0], "stage 3 matrix is not 2 x 2", id="vector"),
+    ])
+    def test_stage_refused(self, w, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            WhiteningStage(3, "c", np.zeros(2), w)
+
+    @pytest.mark.parametrize("logliks, chosen", [
+        pytest.param([("c", 0.0), ("d", 1.0)], 5, id="5-of-2"),
+        pytest.param([("c", 0.0), ("d", 1.0)], 2, id="2-of-2"),
+        pytest.param([("c", 0.0), ("d", 1.0)], -1, id="minus-1"),
+        pytest.param([], 0, id="empty")])
+    def test_selection_chosen_out_of_range(self, logliks, chosen):
+        with pytest.raises(DataError, match=f"^selection 1 chosen row {chosen} out of range$"):
+            LevelSelection(1, logliks, chosen)
