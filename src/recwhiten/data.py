@@ -7,7 +7,11 @@ trials and scores are one array each of model ids, test ids, labels and scores.
 
 These three tables and the whitener and PLDA model files are UTF-8 text with
 tab-separated fields and floats at 17 significant digits, which read back bit
-for bit. Blank lines are skipped; lines starting with ``#`` are comments in the
+for bit. One writer, write_blocks, assembles the rows of all five: each block
+gets one % row format from the kinds of its columns, floats as %.17g (the
+same C conversion as "{:.17g}".format), and fixed-size chunks of rows are
+formatted by one % call each, so no file's whole text is held in memory.
+Blank lines are skipped; lines starting with ``#`` are comments in the
 tables only, and a vector table's ``#dim=<d>`` header comes before its rows. An
 id or tag may be empty and hold any character but tab, LF, CR and NUL; a table
 row may not start with ``#``. What would not read back, a save refuses with
@@ -133,15 +137,15 @@ def concat(sets: list[VectorSet]) -> VectorSet:
                      np.vstack([s.matrix() for s in sets]))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TrialList:
     """Trial columns: enrollment model id, test id and label of each trial.
 
-    Each column is a 1-D array of strings; (model id, test id) pairs are
-    unique and every label is one of LABELS. Each id column is factored once:
-    `models` and `tests` hold its sorted distinct ids and `model_codes` and
-    `test_codes` each trial's position in them, so that models[model_codes]
-    equals model_ids and tests[test_codes] equals test_ids.
+    Each column is a read-only 1-D array of strings; (model id, test id) pairs
+    are unique and every label is one of LABELS. Each id column is factored
+    once: `models` and `tests` hold its distinct ids in code-point order and
+    `model_codes` and `test_codes` each trial's position in them, so that
+    models[model_codes] equals model_ids and tests[test_codes] equals test_ids.
     """
 
     model_ids: np.ndarray
@@ -153,19 +157,20 @@ class TrialList:
     test_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.model_ids = np.asarray(self.model_ids, dtype=str)
-        self.test_ids = np.asarray(self.test_ids, dtype=str)
-        self.labels = np.asarray(self.labels, dtype=str)
-        if not self.model_ids.shape == self.test_ids.shape == self.labels.shape:
+        model_ids, test_ids, labels = (np.asarray(c, dtype=str) for c in
+                                       (self.model_ids, self.test_ids, self.labels))
+        if not model_ids.shape == test_ids.shape == labels.shape:
             raise DataError("trial columns differ in length")
-        bad = ~np.isin(self.labels, LABELS)
+        bad = ~np.isin(labels, LABELS)
         if bad.any():
-            raise DataError(f"unknown label {str(self.labels[np.argmax(bad)])!r}")
-        self.models, self.model_codes = np.unique(self.model_ids, return_inverse=True)
-        self.tests, self.test_codes = np.unique(self.test_ids, return_inverse=True)
+            raise DataError(f"unknown label {str(labels[np.argmax(bad)])!r}")
+        models, model_codes = _factor(model_ids)
+        tests, test_codes = _factor(test_ids)
+        freeze(self, model_ids=model_ids, test_ids=test_ids, labels=labels, models=models,
+               model_codes=model_codes, tests=tests, test_codes=test_codes)
         # the codes sort as the ids do, so this stable sort orders the trials
         # as a lexsort of the id columns would
-        pair = self.model_codes * len(self.tests) + self.test_codes
+        pair = model_codes * len(tests) + test_codes
         order = np.argsort(pair, kind="stable")
         repeat = pair[order][1:] == pair[order][:-1]
         if repeat.any():
@@ -178,15 +183,15 @@ class TrialList:
         return str(self.model_ids[i]), str(self.test_ids[i])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """One finite float64 score per trial of a TrialList."""
+    """One finite float64 score per trial of a TrialList, in a read-only array."""
 
     trials: TrialList
     scores: np.ndarray
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
+        freeze(self, scores=np.asarray(self.scores, dtype=float))
         if self.scores.shape != (len(self.trials),):
             raise DataError(f"{self.scores.shape} scores for {len(self.trials)} trials")
         bad = ~np.isfinite(self.scores)
@@ -195,6 +200,31 @@ class ScoreSet:
 
     def __len__(self):
         return len(self.trials)
+
+
+def freeze(obj, **fields) -> None:
+    """Set fields of a frozen dataclass, each array among them or in a tuple
+    among them as a read-only view that shares the array's memory, as
+    VectorSet's storage does: no copy, and the array passed stays writable."""
+    def read_only(value):
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        return value
+
+    for name, value in fields.items():
+        value = tuple(map(read_only, value)) if isinstance(value, tuple) else read_only(value)
+        object.__setattr__(obj, name, value)
+
+
+def _factor(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct strings of a column in code-point order, as np.unique
+    sorts them, and each row's position among them, from one dict pass."""
+    values = column.tolist()
+    distinct = sorted(dict.fromkeys(values))
+    code = {v: i for i, v in enumerate(distinct)}
+    return (np.array(distinct, dtype=column.dtype),
+            np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
 
 
 def index_of(keys, distinct: np.ndarray, codes: np.ndarray, missing: str) -> np.ndarray:
@@ -271,23 +301,20 @@ def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | 
 
 
 def format_floats(values: np.ndarray) -> str:
-    """The one float-row format: space-separated, 17 significant digits."""
+    """A float row as write_blocks writes a matrix row: space-separated, 17
+    significant digits."""
     return " ".join(map(_fmt, values.tolist()))
 
 
 # what splits or ends a line, is lost in a numpy string array or is not UTF-8
 _UNSAFE = re.compile("[\t\n\r\0\ud800-\udfff]")
 
+_CHUNK = 8192  # fields formatted per % call, so a file's text is held a chunk at a time
 
-def _fields(column) -> list[str] | map:
-    """One field a row of a column (a list or array): text as it is, a float
-    as one number, a matrix row as a float row; DataError for a value that
-    would not read back."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        if not np.isfinite(column).all():
-            raise DataError("non-finite value")
-        return map(format_floats, column) if column.ndim == 2 else map(_fmt, column.tolist())
-    text = column.tolist() if isinstance(column, np.ndarray) else column
+
+def _text(strings) -> list[str]:
+    """Strings (a list or array) as a list; DataError for one that would not read back."""
+    text = strings.tolist() if isinstance(strings, np.ndarray) else list(strings)
     joined = "".join(text)  # `in` is far faster than the regex, which only surrogates need
     if any(c in joined for c in "\t\n\r\0") or not joined.isascii() and _UNSAFE.search(joined):
         bad = next(v for v in text if _UNSAFE.search(v))
@@ -295,22 +322,51 @@ def _fields(column) -> list[str] | map:
     return text
 
 
+def _column(column) -> tuple[str, np.ndarray]:
+    """The % format of a column's fields and its (rows, fields) array of
+    values; DataError for a value that would not read back. Text is a list or
+    array of strings, or a (distinct strings, codes) pair whose strings are
+    checked once each; a float array is one field, a matrix one per column."""
+    if isinstance(column, tuple):
+        distinct, codes = column
+        return "%s", np.array(_text(distinct), dtype=object)[codes, None]
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise DataError("non-finite value")
+        if column.ndim == 1:
+            return "%.17g", column[:, None]
+        return " ".join(["%.17g"] * column.shape[1]), column
+    return "%s", np.array(_text(column), dtype=object)[:, None]
+
+
 def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
     """Write each block's header lines, then one line per row of its columns
-    with the fields joined by tabs, streamed once every field has been checked."""
-    blocks = [(_fields(header), [_fields(c) for c in columns])
-              for header, columns in blocks]
+    (see _column) with the fields joined by tabs, once every field is checked.
+
+    The rows of a block share one % format: %s for each text field, %.17g for
+    each float, and a matrix row's %.17g joined by spaces. Chunks of rows that
+    hold about _CHUNK fields are formatted by one % each. %.17g writes what
+    "{:.17g}".format writes: both hand the float to the same C conversion,
+    'g' at precision 17, which reads back bit for bit."""
+    checked = []
+    for header, columns in blocks:
+        formats, values = zip(*map(_column, columns))
+        checked.append((_text(header), "\t".join(formats) + "\n", values))
     with open(path, "w", encoding="utf-8") as fh:
-        for header, columns in blocks:
+        for header, row, values in checked:
             fh.writelines(line + "\n" for line in header)
-            fh.writelines("\t".join(row) + "\n" for row in zip(*columns))
+            step = max(1, _CHUNK // sum(v.shape[1] for v in values))
+            for i in range(0, len(values[0]), step):
+                chunk = np.hstack([v[i:i + step] for v in values])  # object if any text
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_table(path, header: list[str], columns: list) -> None:
     """write_blocks for one table, whose rows may not start with '#'."""
-    comment = np.char.startswith(columns[0], "#")
+    first = columns[0][0] if isinstance(columns[0], tuple) else columns[0]
+    comment = np.char.startswith(first, "#")
     if comment.any():
-        raise DataError(f"{str(columns[0][comment][0])!r} would start a comment line")
+        raise DataError(f"{str(first[comment][0])!r} would start a comment line")
     write_blocks(path, [(header, columns)])
 
 
@@ -357,7 +413,8 @@ def load_trials(path) -> TrialList:
 
 
 def save_trials(tlist: TrialList, path) -> None:
-    _write_table(path, [], [tlist.model_ids, tlist.test_ids, tlist.labels])
+    _write_table(path, [], [(tlist.models, tlist.model_codes), (tlist.tests, tlist.test_codes),
+                            tlist.labels])
 
 
 def load_scores(path) -> ScoreSet:
@@ -367,4 +424,5 @@ def load_scores(path) -> ScoreSet:
 
 def save_scores(sset: ScoreSet, path) -> None:
     tl = sset.trials
-    _write_table(path, [], [tl.model_ids, tl.test_ids, sset.scores, tl.labels])
+    _write_table(path, [], [(tl.models, tl.model_codes), (tl.tests, tl.test_codes),
+                            sset.scores, tl.labels])

@@ -104,7 +104,9 @@ def evaluate(sset: ScoreSet, ops=DEFAULT_OPERATING_POINTS) -> EvalReport:
     non = np.sort(sset.scores[sset.trials.labels == "nontarget"])
     if tar.size == 0 or non.size == 0:
         raise DataError("need at least one target and one nontarget trial")
-    scores = np.unique(np.concatenate([tar, non]))
+    scores = np.sort(np.concatenate([tar, non]))
+    # the distinct scores; np.unique would import numpy.ma to ask whether they are masked
+    scores = scores[np.concatenate([[True], scores[1:] != scores[:-1]])]
     # the rates at every achievable threshold, in increasing order
     roc = _error_rates(tar, non, np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]]))
     min_dcf = {op.key: _dcf(*roc, op) for op in ops}

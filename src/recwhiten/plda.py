@@ -14,15 +14,16 @@ from itertools import zip_longest
 import numpy as np
 
 from .data import (MISSING_SPEAKER, ConfigError, DataError, NumericalError, ScoreSet, TrialList,
-                   VectorSet, block_rows, index_of, read_blocks, write_blocks)
+                   VectorSet, block_rows, freeze, index_of, read_blocks, write_blocks)
 from .stats import COV_FLOOR, check_symmetric, cholesky_lower
 from .whitening import length_normalize
 
 
-@dataclass
+@dataclass(frozen=True)
 class PldaModel:
     """A model that scores: AC and WC finite, symmetric and d x d (DataError), and
-    _scoring_terms run once, here (NumericalError if not SPD, FloatingPointError)."""
+    _scoring_terms run once, here (NumericalError if not SPD, FloatingPointError).
+    Fields and arrays are read-only, so the terms always match AC and WC."""
 
     mean: np.ndarray
     ac: np.ndarray  # across-class covariance, PSD
@@ -31,13 +32,12 @@ class PldaModel:
     terms: tuple = field(init=False, repr=False, compare=False)  # (G, Q, const)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.ac = np.asarray(self.ac, dtype=float)
-        self.wc = np.asarray(self.wc, dtype=float)
+        freeze(self, mean=np.asarray(self.mean, dtype=float), ac=np.asarray(self.ac, dtype=float),
+               wc=np.asarray(self.wc, dtype=float))
         for name, m in (("ac", self.ac), ("wc", self.wc)):
             check_symmetric(name, m, self.dim)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            self.terms = _scoring_terms(self)
+            freeze(self, terms=_scoring_terms(self))
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, NumericalError
+from .data import DataError, NumericalError, freeze
 
 COV_FLOOR = 1e-8
 
@@ -28,9 +28,9 @@ def check_symmetric(name: str, m: np.ndarray, d: int) -> None:
         raise DataError(f"{name} not symmetric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Moments:
-    """Per-corpus mean and regularized covariance with sample count."""
+    """Per-corpus mean and regularized covariance with sample count; read-only."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -38,8 +38,7 @@ class Moments:
     corpus_id: str = ""
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
+        freeze(self, mean=np.asarray(self.mean, dtype=float), cov=np.asarray(self.cov, dtype=float))
         check_symmetric("covariance", self.cov, self.mean.shape[0])
 
     @property

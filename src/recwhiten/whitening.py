@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, NumericalError, VectorSet, block_rows, read_blocks, write_blocks
+from .data import (DataError, NumericalError, VectorSet, block_rows, freeze, read_blocks,
+                   write_blocks)
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -28,9 +29,10 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-@dataclass
+@dataclass(frozen=True)
 class WhiteningStage:
-    """One stage; DataError unless w is finite, d x d and of rank d (matrix_rank)."""
+    """One stage; DataError unless w is finite, d x d and of rank d (matrix_rank).
+    Fields and arrays are read-only."""
 
     level: int
     corpus_id: str
@@ -38,8 +40,7 @@ class WhiteningStage:
     w: np.ndarray  # d x d whitening matrix
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
+        freeze(self, mean=np.asarray(self.mean, dtype=float), w=np.asarray(self.w, dtype=float))
         if self.w.shape != (self.dim, self.dim):
             raise DataError(f"stage {self.level} matrix is not {self.dim} x {self.dim}")
         if not np.isfinite(self.w).all():
@@ -60,15 +61,16 @@ class CorpusLevel:
     candidates: list[tuple[str, VectorSet]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelSelection:
-    """Log-likelihood table and winner for one recursion level."""
+    """Log-likelihood table and winner for one recursion level; read-only."""
 
     level: int
-    logliks: list[tuple[str, float]]  # candidate corpus_id -> aggregate loglik
+    logliks: tuple[tuple[str, float], ...]  # candidate corpus_id -> aggregate loglik
     chosen: int  # index into logliks
 
     def __post_init__(self):
+        freeze(self, logliks=tuple(map(tuple, self.logliks)))
         if self.chosen not in range(len(self.logliks)):
             raise DataError(f"selection {self.level} chosen row {self.chosen} out of range")
 

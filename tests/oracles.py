@@ -1,7 +1,10 @@
-"""Single-vector forms of the batched kernels, kept as test oracles.
+"""Single-vector forms of the batched kernels and a row-at-a-time writer,
+kept as test oracles.
 
-Each writes one operation out for one vector, the way the paper states it,
-so that the tests can check the batched kernels of the package against it.
+Each kernel writes one operation out for one vector, the way the paper states
+it, so that the tests can check the batched kernels of the package against
+it. The writer formats one field and joins one row at a time, so that the
+tests can check the bytes of every save against it.
 """
 
 import numpy as np
@@ -51,3 +54,59 @@ def score_pair(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     # cross term written as a commutative sum so swapping the pair is exact
     cross = (e @ q) @ t + (t @ q) @ e
     return float(const - 0.5 * (e @ g @ e + t @ g @ t + cross))
+
+
+_fmt = "{:.17g}".format  # enough digits for every float64 to read back bit for bit
+
+
+def format_floats(values) -> str:
+    """A float row: space-separated, 17 significant digits."""
+    return " ".join(map(_fmt, np.asarray(values, dtype=float).tolist()))
+
+
+def _fields(column):
+    """One field a row: text as it is, a float as one number, a matrix row
+    as a float row."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(format_floats, column) if column.ndim == 2 else map(_fmt, column.tolist())
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def write_rows(blocks) -> str:
+    """The text of a file of (header lines, columns) blocks: each header
+    line, then each row's fields joined by tabs."""
+    lines = []
+    for header, columns in blocks:
+        lines += header
+        lines += ["\t".join(row) for row in zip(*map(_fields, columns))]
+    return "".join(line + "\n" for line in lines)
+
+
+def vector_table_text(vset) -> str:
+    return write_rows([([f"#dim={vset.dim}"],
+                        [vset.ids, vset.corpus_ids, vset.speaker_ids, vset.matrix()])])
+
+
+def trials_text(tlist) -> str:
+    return write_rows([([], [tlist.model_ids, tlist.test_ids, tlist.labels])])
+
+
+def scores_text(sset) -> str:
+    tl = sset.trials
+    return write_rows([([], [tl.model_ids, tl.test_ids, sset.scores, tl.labels])])
+
+
+def whitener_text(whitener: RecursiveWhitener) -> str:
+    blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
+              for s in whitener.stages]
+    for sel in whitener.selection_log:
+        blocks.append(([f"[selection {sel.level}]"], [
+            [cid for cid, _ in sel.logliks], np.array([ll for _, ll in sel.logliks]),
+            ["chosen" if i == sel.chosen else "-" for i in range(len(sel.logliks))]]))
+    return write_rows(blocks)
+
+
+def plda_text(model: PldaModel) -> str:
+    rank = "-" if model.rank is None else str(model.rank)
+    return write_rows([(["[mean]"], [model.mean[None]]), (["[ac]"], [model.ac]),
+                       (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])

@@ -1,12 +1,16 @@
 import os
 import re
 import tempfile
+from dataclasses import FrozenInstanceError, fields
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from recwhiten import data as data_module
 from recwhiten.config import parse_experiment_config
 from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, NumericalError,
                             ScoreSet, TrialList, VectorSet, load_scores, load_trials,
@@ -14,6 +18,7 @@ from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, NumericalError,
                             save_vector_table)
 from recwhiten.experiment import build_levels, load_corpora
 from recwhiten.plda import PldaModel, load_plda, save_plda
+from recwhiten.stats import Moments
 from recwhiten.whitening import (LevelSelection, RecursiveWhitener,
                                  WhiteningStage, load_whitener, save_whitener)
 
@@ -226,14 +231,14 @@ class TestTrialsAndScores:
         with pytest.raises(DataError, match=r"^duplicate trial \('b', 'y'\)$"):
             TrialList(*tl, ["unknown"] * 7)
 
-    @given(st.lists(st.tuples(st.sampled_from(["", "a", "b", "mé", "a b", "é"]),
-                              st.sampled_from(["", "t", "u", "tt", "日"])),
+    @given(st.lists(st.tuples(st.sampled_from(["", "a", "b", "mé", "a b", "é", "𝔘", "\uffff"]),
+                              st.sampled_from(["", "t", "u", "tt", "日", "𝔘", "\uffff𝔘"])),
                     unique=True, max_size=20))
     def test_id_codes(self, pairs):
         model_ids, test_ids = [p[0] for p in pairs], [p[1] for p in pairs]
         tl = TrialList(model_ids, test_ids, ["unknown"] * len(pairs))
-        assert tl.models.tolist() == sorted(set(model_ids))
-        assert tl.tests.tolist() == sorted(set(test_ids))
+        assert tl.models.tolist() == sorted(set(model_ids)) == np.unique(model_ids).tolist()
+        assert tl.tests.tolist() == sorted(set(test_ids)) == np.unique(test_ids).tolist()
         assert tl.models[tl.model_codes].tolist() == model_ids
         assert tl.tests[tl.test_codes].tolist() == test_ids
 
@@ -303,6 +308,26 @@ class TestTrialsAndScores:
             ScoreSet(TrialList(["m"], ["t"], ["target"]), [float("inf")])
 
 
+def frozen_objects():
+    tl = TrialList(["m", "n"], ["t", "t"], ["target", "nontarget"])
+    return [tl, ScoreSet(tl, [1.0, 2.0]), PldaModel(np.zeros(2), np.eye(2), 2 * np.eye(2)),
+            WhiteningStage(0, "c", [0.0, 1.0], np.eye(2)),
+            LevelSelection(1, [("c", 0.5), ("d", 1.0)], 0), Moments(np.zeros(2), np.eye(2), 3)]
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("obj", frozen_objects(), ids=lambda obj: type(obj).__name__)
+    def test_fields_and_arrays_refuse_writes(self, obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, value)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    with pytest.raises(ValueError, match="read-only"):
+                        part[...] = part
+
+
 class TestSaveRefusals:
     @pytest.mark.parametrize("save, x", [
         pytest.param(save_vector_table, VectorSet(["#x", "y"], ["c"] * 2, ["-"] * 2, [[1.0], [2.0]]),
@@ -353,8 +378,8 @@ class TestSaveRefusals:
         assert not path.exists()
 
 
-def draw_floats(data, *shape):
-    return np.reshape(data.draw(st.lists(FLOATS, min_size=int(np.prod(shape)),
+def draw_floats(data, *shape, floats=FLOATS):
+    return np.reshape(data.draw(st.lists(floats, min_size=int(np.prod(shape)),
                                          max_size=int(np.prod(shape)))), shape)
 
 
@@ -496,3 +521,110 @@ class TestModelFileProperties:
             save(load(path), resaved)
             with open(resaved, encoding="utf-8", newline="") as fh:
                 assert fh.read() == text
+
+
+# what %.17g writes differently from the shortest repr: signed zero, the least
+# subnormal, a small exponent, and both sides of 1e16 and of 1e17, where it
+# switches to exponent form
+EDGE_FLOATS = [-0.0, 5e-324, 1e-5, -1e-5, 1e16, -1e17, 1e17] + [
+    float(np.nextafter(x, to)) for x in (1e16, 1e17) for to in (0.0, np.inf)]
+WRITTEN_FLOATS = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS))
+SMALL_FLOATS = st.one_of(st.floats(-1, 1), st.sampled_from([-0.0, 5e-324, 1e-5]))
+TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\n\r\0"),
+               max_size=4)  # what a field can hold
+ROW_TEXT = TEXT.filter(lambda t: not t.startswith("#"))
+
+
+def saved_bytes(save, x, chunk=None) -> bytes:
+    """The bytes save writes for x, with _CHUNK set to chunk if given."""
+    with patch.object(data_module, "_CHUNK", chunk or data_module._CHUNK), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved.txt")
+        save(x, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def draw_rows(data):
+    """A chunk of `step` rows and a row count next to it: 0, 1, step - 1,
+    step or step + 1."""
+    step = data.draw(st.integers(1, 4))
+    return data.draw(st.sampled_from([0, 1, step - 1, step, step + 1])), step
+
+
+def draw_trial_list(data, n):
+    pairs = data.draw(st.lists(st.tuples(ROW_TEXT, TEXT), min_size=n, max_size=n,
+                               unique=True))
+    labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    return TrialList([m for m, _ in pairs], [t for _, t in pairs], labels)
+
+
+class TestWriterBytes:
+    """Every save writes exactly the bytes of the row-at-a-time oracle
+    writer, at row counts on both sides of a chunk boundary."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_vector_table(self, data):
+        (n, step), dim = draw_rows(data), data.draw(st.integers(1, 3))
+        ids = data.draw(st.lists(ROW_TEXT, min_size=n, max_size=n, unique=True))
+        tags = [data.draw(st.lists(TEXT, min_size=n, max_size=n)) for _ in range(2)]
+        vset = VectorSet(ids, *tags, draw_floats(data, n, dim, floats=WRITTEN_FLOATS))
+        assert saved_bytes(save_vector_table, vset, step * (3 + dim)) == \
+            oracles.vector_table_text(vset).encode()
+
+    @PROPERTY
+    @given(st.data())
+    def test_trials_and_scores(self, data):
+        n, step = draw_rows(data)
+        tl = draw_trial_list(data, n)
+        assert saved_bytes(save_trials, tl, step * 3) == oracles.trials_text(tl).encode()
+        ss = ScoreSet(tl, data.draw(st.lists(WRITTEN_FLOATS, min_size=n, max_size=n)))
+        assert saved_bytes(save_scores, ss, step * 4) == oracles.scores_text(ss).encode()
+
+    @PROPERTY
+    @given(st.data())
+    def test_whitener(self, data):
+        step = data.draw(st.integers(2, 4))
+        dim = data.draw(st.sampled_from([step - 2, step - 1, step]).filter(bool))  # dim + 1 rows
+
+        def stage(k):
+            mean = draw_floats(data, dim, floats=WRITTEN_FLOATS)
+            w = 2 * dim * np.eye(dim) + draw_floats(data, dim, dim, floats=SMALL_FLOATS)
+            return WhiteningStage(k, data.draw(TEXT), mean, w)  # w diagonally dominant
+
+        stages = [stage(k) for k in range(data.draw(st.integers(1, 3)))]
+        log = []
+        for k in range(1, len(stages)):
+            logliks = data.draw(st.lists(st.tuples(TEXT, WRITTEN_FLOATS),
+                                         min_size=1, max_size=step + 1))
+            chosen = data.draw(st.integers(0, len(logliks) - 1))
+            logliks[chosen] = (stages[k].corpus_id, logliks[chosen][1])
+            log.append(LevelSelection(k, logliks, chosen))
+        w = RecursiveWhitener(stages, log)
+        assert saved_bytes(save_whitener, w, step * dim) == oracles.whitener_text(w).encode()
+
+    @PROPERTY
+    @given(st.data())
+    def test_plda(self, data):
+        step = data.draw(st.integers(1, 4))
+        dim = data.draw(st.sampled_from([step - 1, step, step + 1]).filter(bool))  # dim rows
+        b, c = (draw_floats(data, dim, dim, floats=SMALL_FLOATS) for _ in range(2))
+        ac, wc = b @ b.T, np.eye(dim) + c @ c.T
+        model = PldaModel(draw_floats(data, dim, floats=WRITTEN_FLOATS),
+                          np.triu(ac) + np.triu(ac, 1).T, np.triu(wc) + np.triu(wc, 1).T,
+                          data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+        assert saved_bytes(save_plda, model, step * dim) == oracles.plda_text(model).encode()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("save, text, width", [(save_trials, oracles.trials_text, 3),
+                                                   (save_scores, oracles.scores_text, 4)])
+    def test_at_the_chunk(self, save, text, width, offset):
+        """A table of a chunk's row count at the module's _CHUNK, and one row either side."""
+        rng = np.random.default_rng(offset + 1)
+        n = data_module._CHUNK // width + offset
+        tl = TrialList([f"m{i % 7}" for i in range(n)], [f"t{i}" for i in range(n)],
+                       rng.choice(LABELS, n))
+        x = tl if save is save_trials else ScoreSet(
+            tl, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n))
+        assert saved_bytes(save, x) == text(x).encode()

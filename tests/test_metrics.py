@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -291,3 +295,16 @@ class TestSnorm:
         with pytest.raises(DataError, match="zero cohort deviation"):
             snorm(sset, {"m": np.array([1.0, 1.0])}, {"t": np.array([1.0, 2.0])})
 
+
+def test_evaluate_does_not_import_numpy_ma():
+    """numpy.ma takes 15-27 ms to import; np.unique would import it."""
+    code = ("import sys\n"
+            "import recwhiten.cli\n"
+            "from recwhiten.data import ScoreSet, TrialList\n"
+            "from recwhiten.metrics import evaluate\n"
+            "evaluate(ScoreSet(TrialList(['m', 'm'], ['t', 'u'], ['target', 'nontarget']), "
+            "[1.0, 0.0]))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "False\n"

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,7 @@ class TestScoreTrials:
 class TestPldaSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(30)
-        m = random_model(rng, 4)
-        m.rank = 3
+        m = replace(random_model(rng, 4), rank=3)
         p = tmp_path / "plda.txt"
         save_plda(m, p)
         back = load_plda(p)
@@ -299,3 +300,15 @@ class TestModelRules:
             PldaModel(m.mean, m.ac, m.wc)
         assert score_matrix(m, e, t).tobytes() == matrix.tobytes()
         assert score_trials(m, enroll, test, trials).scores.tobytes() == scores.tobytes()
+
+    def test_terms_cannot_go_stale(self):
+        """A built model's AC can be neither reassigned nor written into, so
+        it always scores as a model built with its matrices."""
+        m = PldaModel(np.zeros(2), np.eye(2), np.eye(2))
+        with pytest.raises(FrozenInstanceError):
+            m.ac = 5 * np.eye(2)
+        with pytest.raises(ValueError, match="read-only"):
+            m.ac[...] = 5 * np.eye(2)
+        e, t = np.array([[1.0, 0.0]]), np.array([[1.0, 0.5]])
+        assert score_matrix(m, e, t).tobytes() == \
+            score_matrix(PldaModel(np.zeros(2), np.eye(2), np.eye(2)), e, t).tobytes()
