@@ -3,7 +3,8 @@
 Every kind is held as columns: a vector set is one array each of ids, corpus
 ids and speaker ids next to one ``(n, dim)`` matrix, and ``-``
 (MISSING_SPEAKER) marks an unlabeled vector both in memory and on disk;
-trials and scores are one array each of model ids, test ids, labels and scores.
+trials keep each id column factored into its distinct ids and one code per
+trial, next to an array of labels, and scores add one array of scores.
 
 These three tables and the whitener and PLDA model files are UTF-8 text with
 tab-separated fields and floats at 17 significant digits, which read back bit
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ MISSING_SPEAKER = "-"
 
 _MAX_DIM = np.iinfo(np.intp).max  # the largest length of a numpy array axis
 
-_fmt = "{:.17g}".format  # enough digits for every float64 to read back bit for bit
+_FLOAT = "%.17g"  # enough digits for every float64 to read back bit for bit
 
 
 class ConfigError(ValueError):
@@ -78,8 +79,7 @@ class VectorSet:
         self.ids = np.asarray(self.ids, dtype=str)
         self.corpus_ids = np.asarray(self.corpus_ids, dtype=str)
         self.speaker_ids = np.asarray(self.speaker_ids, dtype=str)
-        self.storage = np.asarray(self.storage, dtype=float).view()
-        self.storage.flags.writeable = False
+        freeze(self, storage=np.asarray(self.storage, dtype=float))
         if self.storage.ndim != 2 or self.storage.shape[1] < 1:
             raise DataError(f"vectors must be (n, dim) with dim >= 1, got {self.storage.shape}")
         n = len(self.storage if self.rows is None else self.rows)
@@ -137,28 +137,27 @@ def concat(sets: list[VectorSet]) -> VectorSet:
                      np.vstack([s.matrix() for s in sets]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TrialList:
     """Trial columns: enrollment model id, test id and label of each trial.
 
-    Each column is a read-only 1-D array of strings; (model id, test id) pairs
-    are unique and every label is one of LABELS. Each id column is factored
-    once: `models` and `tests` hold its distinct ids in code-point order and
-    `model_codes` and `test_codes` each trial's position in them, so that
-    models[model_codes] equals model_ids and tests[test_codes] equals test_ids.
+    Each id column is kept factored: `models` and `tests` hold its distinct
+    ids in code-point order and `model_codes` and `test_codes` each trial's
+    position in them, and model_ids and test_ids are gathered from these, so
+    no array a caller passed in is kept. `labels` is a 1-D array of strings.
+    Every array is read-only; (model id, test id) pairs are unique and every
+    label is one of LABELS.
     """
 
-    model_ids: np.ndarray
-    test_ids: np.ndarray
+    models: np.ndarray
+    model_codes: np.ndarray
+    tests: np.ndarray
+    test_codes: np.ndarray
     labels: np.ndarray
-    models: np.ndarray = field(init=False, repr=False)
-    model_codes: np.ndarray = field(init=False, repr=False)
-    tests: np.ndarray = field(init=False, repr=False)
-    test_codes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        model_ids, test_ids, labels = (np.asarray(c, dtype=str) for c in
-                                       (self.model_ids, self.test_ids, self.labels))
+    def __init__(self, model_ids, test_ids, labels):
+        model_ids, test_ids = np.asarray(model_ids, dtype=str), np.asarray(test_ids, dtype=str)
+        labels = np.array(labels, dtype=str)
         if not model_ids.shape == test_ids.shape == labels.shape:
             raise DataError("trial columns differ in length")
         bad = ~np.isin(labels, LABELS)
@@ -166,8 +165,8 @@ class TrialList:
             raise DataError(f"unknown label {str(labels[np.argmax(bad)])!r}")
         models, model_codes = _factor(model_ids)
         tests, test_codes = _factor(test_ids)
-        freeze(self, model_ids=model_ids, test_ids=test_ids, labels=labels, models=models,
-               model_codes=model_codes, tests=tests, test_codes=test_codes)
+        freeze(self, models=models, model_codes=model_codes, tests=tests, test_codes=test_codes,
+               labels=labels)
         # the codes sort as the ids do, so this stable sort orders the trials
         # as a lexsort of the id columns would
         pair = model_codes * len(tests) + test_codes
@@ -176,11 +175,19 @@ class TrialList:
         if repeat.any():
             raise DataError(f"duplicate trial {self.key(order[1:][repeat].min())}")
 
+    @property
+    def model_ids(self) -> np.ndarray:
+        return self.models[self.model_codes]
+
+    @property
+    def test_ids(self) -> np.ndarray:
+        return self.tests[self.test_codes]
+
     def __len__(self):
         return len(self.labels)
 
     def key(self, i: int) -> tuple[str, str]:
-        return str(self.model_ids[i]), str(self.test_ids[i])
+        return str(self.models[self.model_codes[i]]), str(self.tests[self.test_codes[i]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +198,7 @@ class ScoreSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        freeze(self, scores=np.asarray(self.scores, dtype=float))
+        freeze(self, scores=np.array(self.scores, dtype=float))
         if self.scores.shape != (len(self.trials),):
             raise DataError(f"{self.scores.shape} scores for {len(self.trials)} trials")
         bad = ~np.isfinite(self.scores)
@@ -203,9 +210,10 @@ class ScoreSet:
 
 
 def freeze(obj, **fields) -> None:
-    """Set fields of a frozen dataclass, each array among them or in a tuple
-    among them as a read-only view that shares the array's memory, as
-    VectorSet's storage does: no copy, and the array passed stays writable."""
+    """Set fields of a dataclass, each array among them or in a tuple among
+    them as a read-only view that shares the array's memory. The view is no
+    copy: a constructor copies what a caller passes in first (np.array), but
+    for VectorSet's storage, which take() shares."""
     def read_only(value):
         if isinstance(value, np.ndarray):
             value = value.view()
@@ -300,10 +308,14 @@ def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | 
     return columns, matrix
 
 
+def _float_row(n: int) -> str:
+    """The % format of a row of n floats, space-separated."""
+    return " ".join([_FLOAT] * n)
+
+
 def format_floats(values: np.ndarray) -> str:
-    """A float row as write_blocks writes a matrix row: space-separated, 17
-    significant digits."""
-    return " ".join(map(_fmt, values.tolist()))
+    """A float row as write_blocks writes a matrix row."""
+    return _float_row(len(values)) % tuple(values.tolist())
 
 
 # what splits or ends a line, is lost in a numpy string array or is not UTF-8
@@ -334,8 +346,8 @@ def _column(column) -> tuple[str, np.ndarray]:
         if not np.isfinite(column).all():
             raise DataError("non-finite value")
         if column.ndim == 1:
-            return "%.17g", column[:, None]
-        return " ".join(["%.17g"] * column.shape[1]), column
+            return _FLOAT, column[:, None]
+        return _float_row(column.shape[1]), column
     return "%s", np.array(_text(column), dtype=object)[:, None]
 
 

@@ -32,8 +32,8 @@ class PldaModel:
     terms: tuple = field(init=False, repr=False, compare=False)  # (G, Q, const)
 
     def __post_init__(self):
-        freeze(self, mean=np.asarray(self.mean, dtype=float), ac=np.asarray(self.ac, dtype=float),
-               wc=np.asarray(self.wc, dtype=float))
+        freeze(self, mean=np.array(self.mean, dtype=float), ac=np.array(self.ac, dtype=float),
+               wc=np.array(self.wc, dtype=float))
         for name, m in (("ac", self.ac), ("wc", self.wc)):
             check_symmetric(name, m, self.dim)
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -38,7 +38,7 @@ class Moments:
     corpus_id: str = ""
 
     def __post_init__(self):
-        freeze(self, mean=np.asarray(self.mean, dtype=float), cov=np.asarray(self.cov, dtype=float))
+        freeze(self, mean=np.array(self.mean, dtype=float), cov=np.array(self.cov, dtype=float))
         check_symmetric("covariance", self.cov, self.mean.shape[0])
 
     @property

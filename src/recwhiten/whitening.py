@@ -40,7 +40,7 @@ class WhiteningStage:
     w: np.ndarray  # d x d whitening matrix
 
     def __post_init__(self):
-        freeze(self, mean=np.asarray(self.mean, dtype=float), w=np.asarray(self.w, dtype=float))
+        freeze(self, mean=np.array(self.mean, dtype=float), w=np.array(self.w, dtype=float))
         if self.w.shape != (self.dim, self.dim):
             raise DataError(f"stage {self.level} matrix is not {self.dim} x {self.dim}")
         if not np.isfinite(self.w).all():

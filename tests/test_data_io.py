@@ -17,7 +17,7 @@ from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, NumericalError,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
 from recwhiten.experiment import build_levels, load_corpora
-from recwhiten.plda import PldaModel, load_plda, save_plda
+from recwhiten.plda import PldaModel, load_plda, save_plda, score_matrix
 from recwhiten.stats import Moments
 from recwhiten.whitening import (LevelSelection, RecursiveWhitener,
                                  WhiteningStage, load_whitener, save_whitener)
@@ -327,8 +327,34 @@ class TestReadOnly:
                     with pytest.raises(ValueError, match="read-only"):
                         part[...] = part
 
+    def test_arrays_passed_in_are_not_kept(self, tmp_path):
+        """Writing into the arrays an object was built from leaves it as built."""
+        ids, labels = np.array(["m", "n"]), np.array(["target", "nontarget"])
+        tl = TrialList(ids, ids, labels)
+        mean, ac, wc = np.zeros(2), np.eye(2), 2 * np.eye(2)
+        model = PldaModel(mean, ac, wc)
+        before = score_matrix(model, np.ones((1, 2)), np.ones((1, 2)))
+        ids[0], labels[0] = "z", "bogus"
+        ac *= 5
+        assert tl.model_ids.tolist() == tl.test_ids.tolist() == ["m", "n"]
+        assert tl.labels.tolist() == ["target", "nontarget"]
+        assert model.ac.tolist() == np.eye(2).tolist()
+        assert score_matrix(model, np.ones((1, 2)), np.ones((1, 2))).tolist() == before.tolist()
+        save_trials(tl, tmp_path / "trials.txt")
+        assert (tmp_path / "trials.txt").read_text() == "m\tm\ttarget\nn\tn\tnontarget\n"
+
 
 class TestSaveRefusals:
+    def test_refusal_names_the_first_bad_distinct_id(self, tmp_path):
+        """Trial ids are checked once per distinct id, so of two bad ids the
+        refusal names the first in code-point order, not in row order."""
+        tl = TrialList(["m", "b\tx", "a\tx"], ["t"] * 3, ["target"] * 3)
+        with pytest.raises(DataError, match=re.escape(repr("a\tx"))):
+            save_trials(tl, tmp_path / "trials.txt")
+        tl = TrialList(["m", "#b", "#a"], ["t"] * 3, ["target"] * 3)
+        with pytest.raises(DataError, match="'#a' would start a comment line"):
+            save_trials(tl, tmp_path / "trials.txt")
+
     @pytest.mark.parametrize("save, x", [
         pytest.param(save_vector_table, VectorSet(["#x", "y"], ["c"] * 2, ["-"] * 2, [[1.0], [2.0]]),
                      id="vector-id-starting-with-hash"),
@@ -615,6 +641,13 @@ class TestWriterBytes:
                           np.triu(ac) + np.triu(ac, 1).T, np.triu(wc) + np.triu(wc, 1).T,
                           data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
         assert saved_bytes(save_plda, model, step * dim) == oracles.plda_text(model).encode()
+
+    @PROPERTY
+    @given(st.data())
+    def test_format_floats(self, data):
+        """The float rows of project's coordinate table share the writer's format."""
+        values = draw_floats(data, data.draw(st.integers(0, 4)), floats=WRITTEN_FLOATS)
+        assert data_module.format_floats(values) == oracles.format_floats(values)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("save, text, width", [(save_trials, oracles.trials_text, 3),
