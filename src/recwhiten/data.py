@@ -143,10 +143,9 @@ class TrialList:
 
     Each id column is kept factored: `models` and `tests` hold its distinct
     ids in code-point order and `model_codes` and `test_codes` each trial's
-    position in them, and model_ids and test_ids are gathered from these, so
-    no array a caller passed in is kept. `labels` is a 1-D array of strings.
-    Every array is read-only; (model id, test id) pairs are unique and every
-    label is one of LABELS.
+    position in them, so no array a caller passed in is kept. `labels` is a
+    1-D array of strings. Every array is read-only; (model id, test id) pairs
+    are unique and every label is one of LABELS.
     """
 
     models: np.ndarray
@@ -174,14 +173,6 @@ class TrialList:
         repeat = pair[order][1:] == pair[order][:-1]
         if repeat.any():
             raise DataError(f"duplicate trial {self.key(order[1:][repeat].min())}")
-
-    @property
-    def model_ids(self) -> np.ndarray:
-        return self.models[self.model_codes]
-
-    @property
-    def test_ids(self) -> np.ndarray:
-        return self.tests[self.test_codes]
 
     def __len__(self):
         return len(self.labels)

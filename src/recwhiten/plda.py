@@ -13,10 +13,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .data import (MISSING_SPEAKER, ConfigError, DataError, NumericalError, ScoreSet, TrialList,
-                   VectorSet, block_rows, freeze, index_of, read_blocks, write_blocks)
-from .stats import COV_FLOOR, check_symmetric, cholesky_lower
-from .whitening import length_normalize
+from .data import (MISSING_SPEAKER, ConfigError, DataError, ScoreSet, TrialList, VectorSet,
+                   block_rows, freeze, index_of, read_blocks, write_blocks)
+from .stats import COV_FLOOR, check_symmetric, scatter, spd_inverse, top_eigen
+from .whitening import ZERO_NORM_EPS
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,8 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     within = np.zeros((d, d))
     spk_means = np.empty((n_spk, d))
     for i, rows in enumerate(groups):
-        m = x[rows]
-        spk_means[i] = mu = m.mean(axis=0)
-        xc = m - mu
-        within += xc.T @ xc
+        spk_means[i], s = scatter(x[rows])
+        within += s
     wc = within / (n_total - n_spk) + COV_FLOOR * np.eye(d)
     wc = 0.5 * (wc + wc.T)
 
@@ -90,11 +88,8 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     if rank is not None:
         if not 1 <= rank <= d:
             raise ConfigError(f"plda_rank must be in [1, {d}], got {rank}")
-        vals, vecs = np.linalg.eigh(ac)
-        keep = np.argsort(vals)[::-1][:rank]
-        vals_r = np.clip(vals[keep], 0.0, None)
-        v = vecs[:, keep]
-        ac = v @ np.diag(vals_r) @ v.T
+        vals, v = top_eigen(ac, rank)
+        ac = v @ np.diag(np.clip(vals, 0.0, None)) @ v.T
         ac = 0.5 * (ac + ac.T)
     return PldaModel(mean, ac, wc, rank)
 
@@ -108,17 +103,12 @@ def _scoring_terms(model: PldaModel):
     G = P - T^-1.
     """
     t = model.ac + model.wc
-    d = model.dim
-    chol_t = cholesky_lower(t)
-    t_inv = np.linalg.solve(chol_t.T, np.linalg.solve(chol_t, np.eye(d)))
+    t_inv, logdet_t = spd_inverse(t)
     schur = t - model.ac @ t_inv @ model.ac
     schur = 0.5 * (schur + schur.T)
-    chol_s = cholesky_lower(schur)
-    p = np.linalg.solve(chol_s.T, np.linalg.solve(chol_s, np.eye(d)))
+    p, logdet_s = spd_inverse(schur)
     q = -t_inv @ model.ac @ p
     q = 0.5 * (q + q.T)
-    logdet_t = 2.0 * np.sum(np.log(np.diag(chol_t)))
-    logdet_s = 2.0 * np.sum(np.log(np.diag(chol_s)))
     const = -0.5 * (logdet_s - logdet_t)
     g = p - t_inv
     return g, q, const
@@ -137,17 +127,22 @@ def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.n
 
 def enroll_models(enroll: VectorSet) -> tuple[list[str], np.ndarray]:
     """Average each speaker's sessions and re-length-normalize into one
-    model vector; entries without a speaker label enroll under their own id."""
+    model vector; entries without a speaker label enroll under their own id.
+
+    Each norm is one BLAS dot product of a stacked matmul, as np.linalg.norm
+    of one vector computes it; a row-wise norm or einsum would round
+    differently."""
     keys = np.where(enroll.speaker_ids == MISSING_SPEAKER, enroll.ids, enroll.speaker_ids)
     groups = _groups(keys)
     x = enroll.matrix()
     vecs = np.empty((len(groups), enroll.dim))
-    for i, (key, rows) in enumerate(groups.items()):
-        try:
-            vecs[i] = length_normalize(x[rows].mean(axis=0))
-        except NumericalError:
-            raise DataError(f"zero-norm enrollment model {key!r}")
-    return list(groups), vecs
+    for i, rows in enumerate(groups.values()):
+        vecs[i] = x[rows].mean(axis=0)
+    norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
+    zero = norms <= ZERO_NORM_EPS
+    if zero.any():
+        raise DataError(f"zero-norm enrollment model {list(groups)[np.argmax(zero)]!r}")
+    return list(groups), vecs / norms[:, None]
 
 
 def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import ConfigError, DataError, NumericalError, VectorSet, format_floats, same_dim
+from .stats import scatter, top_eigen
 from .whitening import RecursiveWhitener, transform_set
 
 
@@ -22,15 +23,11 @@ def fit_pca(x: np.ndarray, n_components: int):
         raise DataError(f"need at least 2 vectors for PCA, got {n}")
     if not 1 <= n_components <= d:
         raise ConfigError(f"n_components must be in [1, {d}], got {n_components}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1][:n_components]
-    if vals[order[-1]] <= 1e-12 * max(vals[order[0]], 1.0):
-        raise NumericalError(
-            f"input is rank-deficient for {n_components} components")
-    axes = vecs[:, order].T
+    mean, s = scatter(x)
+    vals, vecs = top_eigen(s / (n - 1), n_components)
+    if vals[-1] <= 1e-12 * max(vals[0], 1.0):
+        raise NumericalError(f"input is rank-deficient for {n_components} components")
+    axes = vecs.T
     # deterministic sign: largest-magnitude coefficient positive
     for row in axes:
         if row[np.argmax(np.abs(row))] < 0:
@@ -47,9 +44,9 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     same_dim(sets)
     x = np.vstack([s.matrix() for s in sets])
     mean, axes = fit_pca(x, n_components)
-    coords = np.empty((len(x), n_components))
-    for i, row in enumerate(x):
-        coords[i] = (row - mean) @ axes.T  # per row: a batched product rounds differently
+    # a stack of (1, d) @ (d, k) products is one gemv per row, as `row @ axes.T`
+    # of one row is; a single (n, d) @ (d, k) product would round differently
+    coords = np.matmul((x - mean)[:, None, :], axes.T)[:, 0, :]
 
     ids = np.concatenate([s.ids for s in sets])
     corpora = np.concatenate([s.corpus_ids for s in sets])
@@ -58,12 +55,8 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
               for vid, cid, c in zip(ids.tolist(), corpora.tolist(), coords)]
     for corpus_id in sorted(set(corpora.tolist())):
         pts = coords[corpora == corpus_id]
-        mu = pts.mean(axis=0)
-        if pts.shape[0] > 1:
-            cc = pts - mu
-            cov = (cc.T @ cc) / (pts.shape[0] - 1)
-        else:
-            cov = np.zeros((n_components, n_components))
+        mu, s = scatter(pts)
+        cov = s / max(len(pts) - 1, 1)  # one point: its scatter is zero
         lines.append(f"#corpus-mean\t{corpus_id}\t" + format_floats(mu))
         for row in cov:
             lines.append(f"#corpus-cov\t{corpus_id}\t" + format_floats(row))

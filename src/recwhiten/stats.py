@@ -1,8 +1,11 @@
 """Second-order statistics and SPD linear algebra kernels.
 
-Everything downstream (whitening stages, sub-corpus selection, PLDA) sits on
-these four operations: shrunk moment estimation, Cholesky factorization, the
-whitening matrix W = L^-1, and Gaussian log-density.
+Everything downstream (whitening stages, sub-corpus selection, PLDA,
+projection) sits on these operations, each written once, here: the row
+scatter (`scatter`), shrunk moment estimation, Cholesky factorization, the
+whitening matrix W = L^-1, the SPD inverse with its log-determinant
+(`spd_inverse`), the top eigenpairs of a symmetric matrix (`top_eigen`), and
+Gaussian log-density.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ class Moments:
         return self.mean.shape[0]
 
 
+def scatter(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row mean of an (n, d) array and the scatter xc^T xc of its centered rows."""
+    mean = x.mean(axis=0)
+    xc = x - mean
+    return mean, xc.T @ xc
+
+
 def default_shrinkage(n: int, d: int) -> float:
     """Shrinkage weight used when the caller does not pin one: 0.1 in the
     small-sample regime (n <= 2d), 0 otherwise."""
@@ -64,9 +74,8 @@ def estimate_moments(vectors, corpus_id: str = "", shrinkage: float | None = Non
         raise DataError(f"need at least 2 vectors, got {n} in corpus {corpus_id!r}")
     if shrinkage is None:
         shrinkage = default_shrinkage(n, d)
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
+    mean, s = scatter(x)
+    cov = s / (n - 1)
     cov = 0.5 * (cov + cov.T)
     lam = shrinkage * np.trace(cov) / d + COV_FLOOR
     cov = cov + lam * np.eye(d)
@@ -80,6 +89,22 @@ def cholesky_lower(m: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NumericalError("matrix is not symmetric positive definite")
+
+
+def spd_inverse(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """m^-1 through its Cholesky factor L, and log det m off L's diagonal for
+    conditioning; raises NumericalError if m is not SPD."""
+    chol = cholesky_lower(m)
+    inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(m.shape[0])))
+    return inv, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def top_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of a symmetric matrix, largest first, and
+    their eigenvectors as the columns of a (d, k) array."""
+    vals, vecs = np.linalg.eigh(m)
+    keep = np.argsort(vals)[::-1][:k]
+    return vals[keep], vecs[:, keep]
 
 
 def whitening_matrix(m: Moments) -> np.ndarray:

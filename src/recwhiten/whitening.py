@@ -20,15 +20,6 @@ from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_ma
 ZERO_NORM_EPS = 1e-12
 
 
-def length_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean norm; refuses near-zero vectors."""
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm <= ZERO_NORM_EPS:
-        raise NumericalError("zero-norm vector cannot be length-normalized")
-    return v / norm
-
-
 @dataclass(frozen=True)
 class WhiteningStage:
     """One stage; DataError unless w is finite, d x d and of rank d (matrix_rank).
@@ -100,8 +91,6 @@ def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
     Returns (chosen index, list of per-candidate aggregate log-likelihoods).
     Ties resolve to the lowest index.
     """
-    if not candidates:
-        raise ValueError("no candidates")
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[0] < 1:
         raise DataError("need at least one target vector")

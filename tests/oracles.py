@@ -1,5 +1,5 @@
-"""Single-vector forms of the batched kernels and a row-at-a-time writer,
-kept as test oracles.
+"""Single-vector forms of the batched kernels, a row-at-a-time writer and the
+trial id columns, kept as test oracles.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
@@ -9,9 +9,19 @@ tests can check the bytes of every save against it.
 
 import numpy as np
 
+from recwhiten.data import NumericalError
 from recwhiten.plda import PldaModel
 from recwhiten.stats import Moments, cholesky_lower
-from recwhiten.whitening import RecursiveWhitener, WhiteningStage, length_normalize
+from recwhiten.whitening import ZERO_NORM_EPS, RecursiveWhitener, WhiteningStage
+
+
+def length_normalize(v: np.ndarray) -> np.ndarray:
+    """Scale to unit Euclidean norm; refuses near-zero vectors."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm <= ZERO_NORM_EPS:
+        raise NumericalError("zero-norm vector cannot be length-normalized")
+    return v / norm
 
 
 def gaussian_loglik(m: Moments, v: np.ndarray) -> float:
@@ -82,18 +92,25 @@ def write_rows(blocks) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def trial_columns(tlist) -> tuple[list[str], list[str], list[str]]:
+    """The model id, test id and label of each trial, the ids gathered from
+    the TrialList's factored codes."""
+    return (tlist.models[tlist.model_codes].tolist(), tlist.tests[tlist.test_codes].tolist(),
+            tlist.labels.tolist())
+
+
 def vector_table_text(vset) -> str:
     return write_rows([([f"#dim={vset.dim}"],
                         [vset.ids, vset.corpus_ids, vset.speaker_ids, vset.matrix()])])
 
 
 def trials_text(tlist) -> str:
-    return write_rows([([], [tlist.model_ids, tlist.test_ids, tlist.labels])])
+    return write_rows([([], list(trial_columns(tlist)))])
 
 
 def scores_text(sset) -> str:
-    tl = sset.trials
-    return write_rows([([], [tl.model_ids, tl.test_ids, sset.scores, tl.labels])])
+    model_ids, test_ids, labels = trial_columns(sset.trials)
+    return write_rows([([], [model_ids, test_ids, sset.scores, labels])])
 
 
 def whitener_text(whitener: RecursiveWhitener) -> str:

@@ -1,8 +1,12 @@
 """No function without a caller: every top-level function and class and every
 non-dunder method of the package is referred to somewhere in the package.
 
-A reference is a name, an attribute or an imported name equal to the
-definition's own name, so two definitions of one name share their callers.
+A method or property is referred to only through an attribute load
+(`obj.name`). A top-level function or class is referred to only through a
+loaded name (`name`, or `module.name` for a module of the package imported
+with `from . import module`) or an imported name (`from .module import name`).
+A local variable, a parameter or an assigned attribute that shares the name
+is not a reference. Two definitions of one name and kind share their callers.
 """
 
 import ast
@@ -18,36 +22,53 @@ ALLOWED = {
 
 
 def definitions(module: str, tree: ast.Module):
-    """(qualified name, name) of each top-level function and class and each
-    method of a top-level class whose name is not a dunder."""
+    """(qualified name, name, is a method) of each top-level function and class
+    and each method of a top-level class whose name is not a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def references(tree: ast.Module):
+    """(name, is an attribute load) of each reference a module makes: loaded
+    and imported names, `module.name` of an imported package module counted
+    as a name, and the name of every other attribute load."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+               for alias in node.names}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, False
         elif isinstance(node, ast.alias):
-            yield node.name
+            yield node.name, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            qualified = isinstance(node.value, ast.Name) and node.value.id in modules
+            yield node.attr, not qualified
 
 
 def test_every_definition_has_a_caller():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    referenced = {name for tree in trees.values() for name in references(tree)}
+    referenced = {ref for tree in trees.values() for ref in references(tree)}
     defined = [d for module, tree in trees.items() for d in definitions(module, tree)]
-    assert set(ALLOWED) <= {qualified for qualified, _ in defined}
-    uncalled = [qualified for qualified, name in defined
-                if name not in referenced and qualified not in ALLOWED]
-    assert uncalled == []
+    assert set(ALLOWED) <= {qualified for qualified, _, _ in defined}
+    called = {qualified for qualified, name, method in defined if (name, method) in referenced}
+    assert [q for q, _, _ in defined if q not in called and q not in ALLOWED] == []
     # an allowed definition that gains a caller leaves the list
-    assert [q for q, name in defined if q in ALLOWED and name in referenced] == []
+    assert sorted(called & set(ALLOWED)) == []
+
+
+def test_the_rule_counts_only_references_of_the_same_kind():
+    """A local variable or a stored attribute is no caller of a method or a
+    function of its name; a method call is no caller of a function."""
+    tree = ast.parse("from . import plda\n"
+                     "model_ids, key = plda.f(x)\n"
+                     "obj.dim = key\n"
+                     "obj.g()\n")
+    assert set(references(tree)) == {("plda", False), ("f", False), ("x", False),
+                                     ("key", False), ("obj", False), ("g", True)}

@@ -8,12 +8,14 @@ from recwhiten.config import parse_experiment_config
 from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet,
                             load_scores, load_vector_table, save_scores,
                             save_trials, save_vector_table)
-from recwhiten.experiment import build_levels, load_corpora
+from recwhiten.experiment import build_levels, load_corpora, run_experiment
 from recwhiten.plda import save_plda, train_plda
 from recwhiten.projection import fit_pca, project_sets
 from recwhiten.stats import estimate_moments
 from recwhiten.whitening import (RecursiveWhitener, fit_stage, load_whitener,
                                  select_subcorpus, transform_matrix)
+
+from oracles import trial_columns
 
 SMALL_SYNTH = """
 [synth]
@@ -136,8 +138,7 @@ class TestRunExperimentCommand:
                 assert "#snorm=on\n" in (out / name).read_text()
         for level in (0, 1):
             normed, raw = (load_scores(out / f"scores_level{level}.txt") for out in (on1, off))
-            assert normed.trials.model_ids.tolist() == raw.trials.model_ids.tolist()
-            assert normed.trials.test_ids.tolist() == raw.trials.test_ids.tolist()
+            assert trial_columns(normed.trials) == trial_columns(raw.trials)
             assert (normed.scores != raw.scores).all()
 
     def test_selection_targets_unlabeled(self, synth_cfg, tmp_path):
@@ -170,6 +171,25 @@ class TestRunExperimentCommand:
         row = lambda p: [ln for ln in (p / "comparison.txt").read_text().splitlines()
                          if ln.startswith("0\t")]
         assert row(tmp_path / "both") == row(tmp_path / "only0")
+
+    def test_levels_do_not_depend_on_deeper_levels(self, tmp_path):
+        """Adding level 2 leaves the scores of levels 0 and 1 as they were, byte
+        for byte; their reports differ only in the config hash."""
+        text = SMALL_SYNTH.replace("level1 = ood_a ood_b\n",
+                                   "level1 = ood_a ood_b\nlevel2 = ood_a ood_b\n")
+        text += "snorm = on\n"
+        shallow, deep = tmp_path / "01", tmp_path / "012"
+        run_experiment(parse_experiment_config(text), shallow)
+        run_experiment(parse_experiment_config(text.replace("levels = 0 1", "levels = 0 1 2")),
+                       deep)
+        assert (deep / "scores_level2.txt").exists()
+        for level in (0, 1):
+            name = f"scores_level{level}.txt"
+            assert (shallow / name).read_bytes() == (deep / name).read_bytes()
+            reports = [(out / f"report_level{level}.txt").read_text().splitlines()
+                       for out in (shallow, deep)]
+            assert len(reports[0]) == len(reports[1])
+            assert [a.startswith("#config_hash=") for a, b in zip(*reports) if a != b] == [True]
 
 
 class TestScoreEvaluateCommands:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from recwhiten.data import DataError, ScoreSet, TrialList
 from recwhiten.metrics import DEFAULT_OPERATING_POINTS, OperatingPoint, evaluate, snorm
 
+from oracles import trial_columns
+
 
 def score_set(rows):
     """ScoreSet from (model id, test id, score, label) rows."""
@@ -199,8 +201,9 @@ class TestEvaluate:
 
 class TestSnorm:
     def cohorts(self, sset, e, t):
-        enroll = {m: np.asarray(e, dtype=float) for m in sset.trials.model_ids.tolist()}
-        test = {t_id: np.asarray(t, dtype=float) for t_id in sset.trials.test_ids.tolist()}
+        model_ids, test_ids, _ = trial_columns(sset.trials)
+        enroll = {m: np.asarray(e, dtype=float) for m in model_ids}
+        test = {t_id: np.asarray(t, dtype=float) for t_id in test_ids}
         return enroll, test
 
     def test_standardized_cohorts_identity(self):
@@ -227,8 +230,7 @@ class TestSnorm:
         sset = make_scores([1, 2], [3])
         e, t = self.cohorts(sset, [0.0, 1.0], [0.5, 2.0])
         out = snorm(sset, e, t)
-        for col in ("model_ids", "test_ids", "labels"):
-            assert getattr(out.trials, col).tolist() == getattr(sset.trials, col).tolist()
+        assert trial_columns(out.trials) == trial_columns(sset.trials)
 
     def test_equals_per_trial_formula(self):
         rng = np.random.default_rng(5)

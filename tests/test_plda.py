@@ -8,7 +8,7 @@ from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, TrialList
 from recwhiten.plda import (PldaModel, enroll_models, load_plda, save_plda,
                             score_matrix, score_trials, train_plda)
 
-from oracles import score_pair
+from oracles import score_pair, trial_columns
 
 
 def joint_gaussian_llr(model, e, t):
@@ -210,7 +210,7 @@ class TestScoreTrials:
         model_ids, model_vecs = enroll_models(enroll)
         llr = score_matrix(m, model_vecs, test.matrix())
         expect = [float(llr[model_ids.index(mid), test.ids.tolist().index(tid)])
-                  for mid, tid in zip(trials.model_ids, trials.test_ids)]
+                  for mid, tid, _ in zip(*trial_columns(trials))]
         assert ss.scores.tolist() == expect
         assert ss.trials is trials
 

@@ -5,10 +5,10 @@ from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhiteningStage, fit_recursive, fit_stage,
-                                 length_normalize, load_whitener, save_whitener,
-                                 select_subcorpus, transform_matrix, transform_set)
+                                 load_whitener, save_whitener, select_subcorpus,
+                                 transform_matrix, transform_set)
 
-from oracles import apply_stage, gaussian_loglik, transform
+from oracles import apply_stage, gaussian_loglik, length_normalize, transform
 
 
 def make_set(vectors, corpus_id="c", prefix="v"):
