@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 LABELS = ("target", "nontarget", "unknown")
+_SORTED_LABELS = np.array(sorted(LABELS))  # save_* write labels as codes into these
 
 MISSING_SPEAKER = "-"
 
@@ -59,14 +60,16 @@ class VectorEntry(NamedTuple):
     values: np.ndarray  # row view of the set's matrix
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VectorSet:
     """Fixed-dimension embeddings as columns: the id, corpus id and speaker
     id of each vector next to one read-only (n, dim) float64 matrix.
 
     Ids are unique and every value is finite. The matrix is `storage`, or
     with `rows` set its rows at those positions, gathered by matrix(), so
-    that a subset made by take() shares its parent's storage.
+    that a subset made by take() shares its parent's storage. Fields and
+    arrays are read-only and the id columns copies, but storage is a view:
+    writing into the array a set was built from is unsupported.
     """
 
     ids: np.ndarray
@@ -76,10 +79,10 @@ class VectorSet:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=str)
-        self.corpus_ids = np.asarray(self.corpus_ids, dtype=str)
-        self.speaker_ids = np.asarray(self.speaker_ids, dtype=str)
-        freeze(self, storage=np.asarray(self.storage, dtype=float))
+        freeze(self, ids=np.array(self.ids, dtype=str),
+               corpus_ids=np.array(self.corpus_ids, dtype=str),
+               speaker_ids=np.array(self.speaker_ids, dtype=str),
+               storage=np.asarray(self.storage, dtype=float), rows=self.rows)
         if self.storage.ndim != 2 or self.storage.shape[1] < 1:
             raise DataError(f"vectors must be (n, dim) with dim >= 1, got {self.storage.shape}")
         n = len(self.storage if self.rows is None else self.rows)
@@ -417,7 +420,7 @@ def load_trials(path) -> TrialList:
 
 def save_trials(tlist: TrialList, path) -> None:
     _write_table(path, [], [(tlist.models, tlist.model_codes), (tlist.tests, tlist.test_codes),
-                            tlist.labels])
+                            (_SORTED_LABELS, np.searchsorted(_SORTED_LABELS, tlist.labels))])
 
 
 def load_scores(path) -> ScoreSet:
@@ -427,5 +430,5 @@ def load_scores(path) -> ScoreSet:
 
 def save_scores(sset: ScoreSet, path) -> None:
     tl = sset.trials
-    _write_table(path, [], [(tl.models, tl.model_codes), (tl.tests, tl.test_codes),
-                            sset.scores, tl.labels])
+    _write_table(path, [], [(tl.models, tl.model_codes), (tl.tests, tl.test_codes), sset.scores,
+                            (_SORTED_LABELS, np.searchsorted(_SORTED_LABELS, tl.labels))])

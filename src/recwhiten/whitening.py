@@ -5,10 +5,15 @@ and length-normalizes. At levels >= 1 the fitting corpus is chosen from a set
 of candidates by maximum aggregate Gaussian log-likelihood of the
 target-domain vectors, all measured in the space produced by the previous
 stages.
+
+transform_set extends the last prefix it applied to a live VectorSet: if a
+whitener's stages start with those stage objects, only the rest are applied,
+to the remembered output, bit-identically. One output is held per live set.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +23,7 @@ from .data import (DataError, NumericalError, VectorSet, block_rows, freeze, rea
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
+_LAST_TRANSFORM = weakref.WeakKeyDictionary()  # VectorSet -> (stages applied, output)
 
 
 @dataclass(frozen=True)
@@ -103,21 +109,27 @@ def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
     """Batch transform of the rows of an (n, d) array."""
     out = np.asarray(x, dtype=float)
     for stage in whitener.stages:
-        out = (out - stage.mean) @ stage.w.T
-        norms = np.linalg.norm(out, axis=1)
+        out = (out - stage.mean) @ stage.w.T  # a fresh array: x is never written
+        norms = np.sqrt(np.add.reduce(out * out, axis=1))  # np.linalg.norm's sum, no conj copy
         if np.any(norms <= ZERO_NORM_EPS):
             bad = int(np.argmin(norms))
             raise NumericalError(f"zero-norm vector at row {bad} during whitening")
-        out = out / norms[:, None]
+        out /= norms[:, None]
     return out
 
 
 def transform_set(whitener: RecursiveWhitener, vset: VectorSet) -> VectorSet:
-    """Element-wise transform; ids, corpus and speaker tags preserved."""
+    """Element-wise transform, ids and tags kept; extends the set's last prefix (module doc)."""
     if vset.dim != whitener.dim:
         raise DataError(f"whitener has dimension {whitener.dim}, vectors have {vset.dim}")
-    return VectorSet(vset.ids, vset.corpus_ids, vset.speaker_ids,
-                     transform_matrix(whitener, vset.matrix()))
+    done, out = _LAST_TRANSFORM.get(vset) or ((), vset.matrix())
+    if len(done) > len(whitener.stages) or any(a is not b for a, b in zip(done, whitener.stages)):
+        done, out = (), vset.matrix()
+    if len(done) < len(whitener.stages):
+        out = transform_matrix(RecursiveWhitener(whitener.stages[len(done):]), out)
+        out.flags.writeable = False
+    _LAST_TRANSFORM[vset] = (tuple(whitener.stages), out)
+    return VectorSet(vset.ids, vset.corpus_ids, vset.speaker_ids, out)
 
 
 def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from recwhiten import cli
+from recwhiten import cli, whitening
 from recwhiten.config import parse_experiment_config
 from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet,
                             load_scores, load_vector_table, save_scores,
@@ -190,6 +190,27 @@ class TestRunExperimentCommand:
                        for out in (shallow, deep)]
             assert len(reports[0]) == len(reports[1])
             assert [a.startswith("#config_hash=") for a, b in zip(*reports) if a != b] == [True]
+
+    def test_each_set_is_whitened_once_per_stage(self, tmp_path, monkeypatch):
+        """Row-stage applications of a 4-level run: the fit pushes the targets
+        and every candidate through stages 0..k-1 at level k, and run_level
+        applies each stage once to each set it transforms, extending the
+        previous level's output."""
+        text = SMALL_SYNTH.replace("level1 = ood_a ood_b\n", "".join(
+            f"level{k} = ood_a ood_b\n" for k in (1, 2, 3)))
+        cfg = parse_experiment_config(text.replace("levels = 0 1", "levels = 0 1 2 3")
+                                      + "snorm = on\n")
+        applied, kernel = [], whitening.transform_matrix
+
+        def spy(w, x):
+            applied.append(len(w.stages) * len(x))
+            return kernel(w, x)
+        monkeypatch.setattr(whitening, "transform_matrix", spy)
+        run_experiment(cfg, tmp_path / "out")
+        c = load_corpora(cfg)
+        fit = (len(c.enroll) + len(c.test) + len(c.ood)) * (1 + 2 + 3)
+        levels = (len(c.ood) + len(c.enroll) + len(c.test) + len(c.unlabeled)) * 4
+        assert sum(applied) == fit + levels
 
 
 class TestScoreEvaluateCommands:

@@ -307,7 +307,8 @@ def frozen_objects():
     tl = TrialList(["m", "n"], ["t", "t"], ["target", "nontarget"])
     return [tl, ScoreSet(tl, [1.0, 2.0]), PldaModel(np.zeros(2), np.eye(2), 2 * np.eye(2)),
             WhiteningStage(0, "c", [0.0, 1.0], np.eye(2)),
-            LevelSelection(1, [("c", 0.5), ("d", 1.0)], 0), Moments(np.zeros(2), np.eye(2), 3)]
+            LevelSelection(1, [("c", 0.5), ("d", 1.0)], 0), Moments(np.zeros(2), np.eye(2), 3),
+            VectorSet(["a", "b"], ["c"] * 2, ["s", "-"], np.eye(2)).take([1, 0])]
 
 
 class TestReadOnly:
@@ -329,8 +330,10 @@ class TestReadOnly:
         mean, ac, wc = np.zeros(2), np.eye(2), 2 * np.eye(2)
         model = PldaModel(mean, ac, wc)
         before = score_matrix(model, np.ones((1, 2)), np.ones((1, 2)))
+        vs = VectorSet(ids, ids, ids, np.eye(2))
         ids[0], labels[0] = "z", "bogus"
         ac *= 5
+        assert vs.ids.tolist() == vs.corpus_ids.tolist() == vs.speaker_ids.tolist() == ["m", "n"]
         assert oracles.trial_columns(tl) == (["m", "n"], ["m", "n"], ["target", "nontarget"])
         assert model.ac.tolist() == np.eye(2).tolist()
         assert score_matrix(model, np.ones((1, 2)), np.ones((1, 2))).tolist() == before.tolist()

@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from recwhiten import whitening
 from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
@@ -168,6 +171,79 @@ class TestTransform:
         sample_cov = np.cov(y.T)
         assert np.abs(sample_cov - np.eye(20)).max() < 0.15
         assert np.abs(y.mean(axis=0)).max() < 0.05
+
+
+def random_stages(rng, dim, n):
+    """n full-rank stages with random means and matrices."""
+    return [WhiteningStage(k, f"c{k}", rng.normal(size=dim) / dim,
+                           rng.normal(size=(dim, dim)) / np.sqrt(dim) + np.eye(dim))
+            for k in range(n)]
+
+
+class TestTransformMemo:
+    """transform_set extends the prefix it last applied to a live set; at dim
+    200 the products run through the BLAS kernels the pipeline uses."""
+
+    DIM = 200
+
+    def setup_method(self):
+        rng = np.random.default_rng(40)
+        self.full = RecursiveWhitener(random_stages(rng, self.DIM, 4))
+        self.vs = make_set(rng.normal(size=(150, self.DIM)))
+
+    def prefix(self, k):
+        return RecursiveWhitener(self.full.stages[:k])
+
+    def test_kernel_matches_the_norm_loop(self):
+        """The stage loop of transform_matrix, byte for byte."""
+        out = self.vs.matrix()
+        for stage in self.full.stages:
+            out = (out - stage.mean) @ stage.w.T
+            out = out / np.linalg.norm(out, axis=1)[:, None]
+        assert transform_matrix(self.full, self.vs.matrix()).tobytes() == out.tobytes()
+
+    def test_prefixes_in_order_apply_one_stage_each(self, monkeypatch):
+        applied, kernel = [], whitening.transform_matrix
+
+        def spy(w, x):
+            applied.append(len(w.stages) * len(x))
+            return kernel(w, x)
+        monkeypatch.setattr(whitening, "transform_matrix", spy)
+        for k in range(1, 5):
+            got = transform_set(self.prefix(k), self.vs).matrix()
+            assert got.tobytes() == kernel(self.prefix(k), self.vs.matrix()).tobytes()
+            _, kept = whitening._LAST_TRANSFORM[self.vs]
+            assert np.shares_memory(got, kept) and not kept.flags.writeable
+        assert applied == [len(self.vs)] * 4
+
+    def test_deep_then_shallow_recomputes(self):
+        for k in (4, 2, 3, 1):
+            got = transform_set(self.prefix(k), self.vs).matrix()
+            assert got.tobytes() == transform_matrix(self.prefix(k), self.vs.matrix()).tobytes()
+
+    def test_other_stage_objects_are_not_a_prefix(self):
+        transform_set(self.prefix(2), self.vs)
+        other = RecursiveWhitener(random_stages(np.random.default_rng(41), self.DIM, 3))
+        got = transform_set(other, self.vs).matrix()
+        assert got.tobytes() == transform_matrix(other, self.vs.matrix()).tobytes()
+
+    def test_zero_norm_row_named_after_a_memo_hit(self):
+        """A stage centered on row 7 of the prefix output leaves it zero."""
+        mid = transform_set(self.prefix(2), self.vs).matrix()
+        bad = WhiteningStage(2, "bad", mid[7], np.eye(self.DIM))
+        with pytest.raises(NumericalError, match="zero-norm vector at row 7 "):
+            transform_set(RecursiveWhitener(self.full.stages[:2] + [bad]), self.vs)
+        got = transform_set(self.prefix(3), self.vs).matrix()
+        assert got.tobytes() == transform_matrix(self.prefix(3), self.vs.matrix()).tobytes()
+
+    def test_entry_dies_with_the_set(self):
+        gc.collect()
+        before = len(whitening._LAST_TRANSFORM)
+        transform_set(self.prefix(1), self.vs)
+        assert len(whitening._LAST_TRANSFORM) == before + 1
+        del self.vs
+        gc.collect()
+        assert len(whitening._LAST_TRANSFORM) == before
 
 
 class TestFitRecursive:
