@@ -13,6 +13,13 @@ import argparse
 import os
 import sys
 
+# BLAS and LAPACK kernels sum in another order on more threads, so output bytes
+# would depend on the thread count. The variables act only before numpy's first
+# import: a program that imported numpy before the CLI keeps its own setting.
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 import numpy as np
 
 from . import metrics, plda, whitening

@@ -63,36 +63,33 @@ class VectorEntry(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class VectorSet:
     """Fixed-dimension embeddings as columns: the id, corpus id and speaker
-    id of each vector next to one read-only (n, dim) float64 matrix.
+    id of each vector next to one read-only (n, dim) float64 matrix, storage.
 
-    Ids are unique and every value is finite. The matrix is `storage`, or
-    with `rows` set its rows at those positions, gathered by matrix(), so
-    that a subset made by take() shares its parent's storage. Fields and
-    arrays are read-only and the id columns copies, but storage is a view:
-    writing into the array a set was built from is unsupported.
+    Ids are unique and every value is finite. Fields and arrays are read-only,
+    the id columns copies. storage is a view of the array the set is built from,
+    which must not be written; take() gives a view of consecutive rows, else a copy.
     """
 
     ids: np.ndarray
     corpus_ids: np.ndarray
     speaker_ids: np.ndarray
     storage: np.ndarray
-    rows: np.ndarray | None = None
 
     def __post_init__(self):
         freeze(self, ids=np.array(self.ids, dtype=str),
                corpus_ids=np.array(self.corpus_ids, dtype=str),
                speaker_ids=np.array(self.speaker_ids, dtype=str),
-               storage=np.asarray(self.storage, dtype=float), rows=self.rows)
+               storage=np.asarray(self.storage, dtype=float))
         if self.storage.ndim != 2 or self.storage.shape[1] < 1:
             raise DataError(f"vectors must be (n, dim) with dim >= 1, got {self.storage.shape}")
-        n = len(self.storage if self.rows is None else self.rows)
+        n = len(self.storage)
         if not self.ids.shape == self.corpus_ids.shape == self.speaker_ids.shape == (n,):
             raise DataError("vector columns differ in length")
         order = np.argsort(self.ids, kind="stable")
         repeat = self.ids[order][1:] == self.ids[order][:-1]
         if repeat.any():
             raise DataError(f"duplicate id {str(self.ids[order[1:][repeat].min()])!r}")
-        bad = ~np.isfinite(self.matrix()).all(axis=1)
+        bad = ~np.isfinite(self.storage).all(axis=1)
         if bad.any():
             raise DataError(f"non-finite value in entry {str(self.ids[np.argmax(bad)])!r}")
 
@@ -105,18 +102,15 @@ class VectorSet:
 
     def matrix(self) -> np.ndarray:
         """The set's vectors in order, as a read-only (n, dim) array."""
-        if self.rows is None:
-            return self.storage
-        out = self.storage[self.rows]
-        out.flags.writeable = False
-        return out
+        return self.storage
 
     def take(self, index) -> VectorSet:
-        """The vectors at index (positions or a boolean mask), in order,
-        sharing this set's storage."""
-        rows = (np.arange(len(self)) if self.rows is None else self.rows)[index]
-        return VectorSet(self.ids[index], self.corpus_ids[index], self.speaker_ids[index],
-                         self.storage, rows)
+        """The vectors at index (positions or a boolean mask), in order."""
+        rows = np.arange(len(self))[index]
+        if len(rows) and (np.diff(rows) == 1).all():  # consecutive: a view, not a copy
+            rows = slice(rows[0], rows[-1] + 1)
+        return VectorSet(self.ids[rows], self.corpus_ids[rows], self.speaker_ids[rows],
+                         self.storage[rows])
 
     @property
     def entries(self) -> list[VectorEntry]:
@@ -205,9 +199,8 @@ class ScoreSet:
 
 def freeze(obj, **fields) -> None:
     """Set fields of a dataclass, each array among them or in a tuple among
-    them as a read-only view that shares the array's memory. The view is no
-    copy: a constructor copies what a caller passes in first (np.array), but
-    for VectorSet's storage, which take() shares."""
+    them as a read-only view of the array's memory, no copy. Constructors copy
+    what a caller passes in first, but for VectorSet's storage: see VectorSet."""
     def read_only(value):
         if isinstance(value, np.ndarray):
             value = value.view()
@@ -384,7 +377,7 @@ def _read_table(path, n_fields: int, floats: int | None = None, header: bool = F
         if line[0] != "#":
             first = [(lineno, line)]
             break
-        dim = header and _dim_header(lineno, line) or dim
+        dim = header and _dim_header(lineno, line, after=dim is not None) or dim
     if dim is None:
         raise DataError(f"data before #dim= header at line {first[0][0]}" if first
                         else "missing #dim= header")
@@ -394,10 +387,11 @@ def _read_table(path, n_fields: int, floats: int | None = None, header: bool = F
 
 
 def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:
-    """d of a '#dim=<d>' line before the first row, None for another comment."""
+    """d of the one '#dim=<d>' line before the first row, spelled as save
+    writes it (str(d)), None for another comment."""
     if not line.startswith("#dim="):
         return None
-    if after or not line[5:].isdecimal() or not 1 <= int(line[5:]) <= _MAX_DIM:
+    if after or not re.fullmatch("[1-9][0-9]{0,18}", line[5:]) or int(line[5:]) > _MAX_DIM:
         raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
     return int(line[5:])
 

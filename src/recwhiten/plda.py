@@ -21,8 +21,9 @@ from .whitening import ZERO_NORM_EPS
 
 @dataclass(frozen=True)
 class PldaModel:
-    """A model that scores: AC and WC finite, symmetric and d x d (DataError), and
-    _scoring_terms run once, here (NumericalError if not SPD, FloatingPointError).
+    """A model that scores: AC and WC finite, symmetric and d x d, rank None or in
+    [1, d] (DataError), and _scoring_terms run once, here (NumericalError if not
+    SPD, FloatingPointError).
     Fields and arrays are read-only, so the terms always match AC and WC."""
 
     mean: np.ndarray
@@ -36,6 +37,8 @@ class PldaModel:
                wc=np.array(self.wc, dtype=float))
         for name, m in (("ac", self.ac), ("wc", self.wc)):
             check_symmetric(name, m, self.dim)
+        if self.rank is not None and not 1 <= self.rank <= self.dim:
+            raise DataError(f"rank must be in [1, {self.dim}], got {self.rank}")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             freeze(self, terms=_scoring_terms(self))
 
@@ -127,12 +130,18 @@ def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.n
 
 def enroll_models(enroll: VectorSet) -> tuple[list[str], np.ndarray]:
     """Average each speaker's sessions and re-length-normalize into one
-    model vector; entries without a speaker label enroll under their own id.
+    model vector; entries without a speaker label enroll under their own id,
+    which may not be a speaker id of the set (DataError).
 
     Each norm is one BLAS dot product of a stacked matmul, as np.linalg.norm
     of one vector computes it; a row-wise norm or einsum would round
     differently."""
-    keys = np.where(enroll.speaker_ids == MISSING_SPEAKER, enroll.ids, enroll.speaker_ids)
+    unlabeled = enroll.speaker_ids == MISSING_SPEAKER
+    clash = np.isin(enroll.ids[unlabeled], enroll.speaker_ids[~unlabeled])
+    if clash.any():
+        raise DataError(f"unlabeled enrollment id {str(enroll.ids[unlabeled][clash][0])!r} "
+                        "is also a speaker id")
+    keys = np.where(unlabeled, enroll.ids, enroll.speaker_ids)
     groups = _groups(keys)
     x = enroll.matrix()
     vecs = np.empty((len(groups), enroll.dim))

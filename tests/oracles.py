@@ -1,5 +1,6 @@
 """Single-vector forms of the batched kernels, a row-at-a-time writer and the
-trial id columns, kept as test oracles.
+trial id columns, kept as test oracles, and the helpers that several test
+files share: make_set builds a vector set, parse_coords reads project's output.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
@@ -9,10 +10,25 @@ tests can check the bytes of every save against it.
 
 import numpy as np
 
-from recwhiten.data import NumericalError
+from recwhiten.data import MISSING_SPEAKER, NumericalError, VectorSet
 from recwhiten.plda import PldaModel
 from recwhiten.stats import Moments, cholesky_lower
 from recwhiten.whitening import ZERO_NORM_EPS, RecursiveWhitener, WhiteningStage
+
+
+def make_set(vectors, corpus_id="c", prefix="v"):
+    n = len(vectors)
+    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
+                     [MISSING_SPEAKER] * n, vectors)
+
+
+def parse_coords(text) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The id, corpus id and coordinates of each row of project's coordinate
+    table, in order: ids as a list, corpus ids as an array, coordinates as an
+    (n, k) matrix."""
+    rows = [line.split("\t") for line in text.splitlines() if not line.startswith("#")]
+    return ([r[0] for r in rows], np.array([r[1] for r in rows]),
+            np.array([[float(v) for v in r[2].split()] for r in rows]))
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:

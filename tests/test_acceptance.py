@@ -11,7 +11,6 @@ import pytest
 
 from recwhiten import cli
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.experiment import (fit_full_whitener, load_corpora, run_level,
                                   whitener_prefix)
 from recwhiten.metrics import DEFAULT_OPERATING_POINTS, evaluate
@@ -20,7 +19,7 @@ from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening
 from recwhiten.synth import SubCorpusSpec, SynthConfig, generate_world
 from recwhiten.whitening import RecursiveWhitener, fit_stage, select_subcorpus, transform_set
 
-from oracles import apply_stage, gaussian_loglik, score_pair, transform
+from oracles import apply_stage, gaussian_loglik, make_set, score_pair, transform
 from test_metrics import make_scores, oracle_eer, oracle_min_dcf
 from test_plda import joint_gaussian_llr, labeled_set
 
@@ -28,12 +27,6 @@ from test_plda import joint_gaussian_llr, labeled_set
 def report(criterion, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"PASS {criterion}{suffix}")
-
-
-def make_set(vectors, corpus_id="c", prefix="v"):
-    n = len(vectors)
-    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
-                     [MISSING_SPEAKER] * n, vectors)
 
 
 def test_criterion_01_whiteness():

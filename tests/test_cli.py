@@ -1,11 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recwhiten
 from recwhiten import cli, whitening
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet,
+from recwhiten.data import (MISSING_SPEAKER, ScoreSet, TrialList, VectorSet, concat,
                             load_scores, load_vector_table, save_scores,
                             save_trials, save_vector_table)
 from recwhiten.experiment import build_levels, load_corpora, run_experiment
@@ -72,6 +77,25 @@ class TestSynthCommand:
         run(["synth", "--config", synth_cfg, "--out", tmp_path / "w2", "--seed", 99])
         assert (tmp_path / "w1" / "vectors_enroll.txt").read_bytes() != \
             (tmp_path / "w2" / "vectors_enroll.txt").read_bytes()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """At dim 200 LAPACK's Cholesky of the base covariance rounds
+        differently on two threads than on one, so each run is a fresh
+        process that imports numpy through the CLI."""
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("[synth]\nseed = 0\ndim = 200\nsubcorpora = a:4:2:0.0 b:4:2:3.0\n"
+                       "n_enroll_speakers = 3\nn_unlabeled = 4\n")
+        path = [str(Path(recwhiten.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        worlds = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, path)))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "recwhiten.cli", "synth", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            worlds.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(worlds[0]) == sorted(worlds[1]) and len(worlds[0]) == 6
+        assert [name for name in worlds[0] if worlds[0][name] != worlds[1][name]] == []
 
 
 class TestFitWhitenerCommand:
@@ -396,6 +420,10 @@ MALFORMED_MODELS = [
                  "bad PLDA model", id="plda-bad-rank"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n+3\n"),
                  "bad rank '+3' in [rank] block at line 14", id="plda-rank-with-sign"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n0\n"),
+                 "bad PLDA model: rank must be in [1, 4], got 0", id="plda-rank-0"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n5\n"),
+                 "bad PLDA model: rank must be in [1, 4], got 5", id="plda-rank-above-dim"),
     pytest.param("plda", lambda t: re.sub(r"\[mean\]\n\S+", "[mean]\nnan", t),
                  "non-finite value in [mean]", id="plda-nan"),
     pytest.param("plda", lambda t: re.sub(r"(\[ac\]\n(?:.*\n)*?)(\[wc\])", r"\1\1\2", t),
@@ -596,6 +624,16 @@ def enroll_at_stage_mean_case(tmp_path):
             "--out", tmp_path / "s.txt"]
 
 
+def enroll_id_is_a_speaker_case(tmp_path):
+    """score with an unlabeled enrollment vector whose id is another vector's speaker."""
+    paths = TestScoreEvaluateCommands().build_world(tmp_path)
+    enroll = load_vector_table(paths["enroll"])
+    extra = VectorSet(["spkA"], ["c"], [MISSING_SPEAKER], enroll.matrix()[1:])
+    save_vector_table(concat([enroll, extra]), paths["enroll"])
+    return ["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+            "--test", paths["test"], "--trials", paths["trials"], "--out", tmp_path / "s.txt"]
+
+
 # (command line, exit code, text the one-line error must hold)
 BAD_INPUTS = [
     pytest.param(world_case("run-experiment", unlabeled=first(1)), 3,
@@ -615,6 +653,9 @@ BAD_INPUTS = [
                  "cannot fit a whitening stage on an empty set", id="no-unlabeled-vectors"),
     pytest.param(enroll_at_stage_mean_case, 4, "zero-norm vector at row 1 during whitening",
                  id="score-enroll-at-stage-mean"),
+    pytest.param(enroll_id_is_a_speaker_case, 3,
+                 "unlabeled enrollment id 'spkA' is also a speaker id",
+                 id="score-unlabeled-id-is-a-speaker-id"),
     pytest.param(world_case("run-experiment", ood=times_1e300), 4, "overflow",
                  id="ood-near-1e300"),
     pytest.param(world_case("run-experiment", unlabeled=times_1e300), 4, "overflow",

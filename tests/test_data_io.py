@@ -94,6 +94,21 @@ class TestVectorTable:
         with pytest.raises(DataError, match="dimension mismatch at line 2"):
             load_vector_table(p)
 
+    @pytest.mark.parametrize("headers, line", [
+        pytest.param("#dim=5\n#dim=2\n", 2, id="two-headers"),
+        pytest.param("#dim=2\n# note\n#dim=2\n", 3, id="same-header-twice"),
+        pytest.param("#dim=02\n", 1, id="leading-zero"),
+        pytest.param("#dim=\u0662\n", 1, id="arabic-indic-digit"),
+        pytest.param("#dim=+2\n", 1, id="sign"),
+        pytest.param("#dim=0\n", 1, id="zero"),
+        pytest.param(f"#dim={2**63}\n", 1, id="beyond-any-array"),
+        pytest.param("#dim=" + "9" * 5000 + "\n", 1, id="beyond-int-str-digits"),
+    ])
+    def test_dim_header_once_as_save_spells_it(self, tmp_path, headers, line):
+        p = write(tmp_path, headers + "u1\tsre\t-\t1.0 2.0\n")
+        with pytest.raises(DataError, match=f"malformed or misplaced header at line {line}:"):
+            load_vector_table(p)
+
     def test_dim_header_after_data_rejected(self, tmp_path):
         p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0\n#dim=3\nu2\tsre\t-\t1.0 2.0 3.0\n")
         with pytest.raises(DataError, match="misplaced header at line 3"):
@@ -178,24 +193,39 @@ class TestVectorTable:
 
 
 class TestVectorSet:
-    def test_hierarchy_candidate_shares_ood_storage(self):
+    def test_hierarchy_candidate_views_ood_rows_when_consecutive(self):
         cfg = parse_experiment_config(
             "[synth]\nseed = 3\ndim = 4\nsubcorpora = a:5:2:0.0 b:5:2:4.0 c:5:2:8.0\n"
             "n_enroll_speakers = 3\nn_unlabeled = 6\n\n"
-            "[hierarchy]\nlevel1 = a+c b\n\n[backend]\nlevels = 0 1\n")
+            "[hierarchy]\nlevel1 = a+c b c\n\n[backend]\nlevels = 0 1\n")
         corpora = load_corpora(cfg)
         ood = corpora.ood
+        assert ood.matrix() is ood.matrix()
         for token, cand in build_levels(cfg, corpora)[0].candidates:
-            arrays = [v for v in vars(cand).values()
-                      if isinstance(v, np.ndarray) and v.dtype == float]
-            assert len(arrays) == 1 and np.shares_memory(arrays[0], ood.storage)
+            # a single corpus is a run of OOD rows; a+c skips b's, so it is a copy
+            assert np.shares_memory(cand.matrix(), ood.matrix()) == (token != "a+c")
             wanted = np.isin(ood.corpus_ids, token.split("+"))
             assert cand.ids.tolist() == ood.ids[wanted].tolist()
-            np.testing.assert_array_equal(cand.matrix(), ood.matrix()[wanted])
+            assert cand.matrix().tobytes() == ood.matrix()[wanted].tobytes()
+            assert cand.matrix() is cand.matrix()
             assert not cand.matrix().flags.writeable
         assert not ood.matrix().flags.writeable
         with pytest.raises(ValueError):
             ood.matrix()[0, 0] = 1.0
+
+    @pytest.mark.parametrize("index, view", [
+        ([1, 2], True), (slice(1, None), True), ([False, True, True, False], True),
+        ([3], True), ([-1], True), ([0, 2], False), ([2, 1], False), ([], False),
+    ])
+    def test_take_views_consecutive_rows_and_copies_others(self, index, view):
+        vs = VectorSet([f"v{i}" for i in range(4)], ["c"] * 4, ["-"] * 4,
+                       np.arange(8.0).reshape(4, 2))
+        sub = vs.take(index)
+        rows = np.arange(4)[index]
+        assert sub.ids.tolist() == vs.ids[rows].tolist()
+        assert sub.matrix().tobytes() == vs.matrix()[rows].tobytes()
+        assert np.shares_memory(sub.matrix(), vs.matrix()) == view
+        assert not sub.matrix().flags.writeable
 
     def test_validation_errors(self):
         with pytest.raises(DataError, match="dim >= 1"):
@@ -433,7 +463,8 @@ def draw_whitener(data, text, full_rank):
 
 def draw_plda(data, spd):
     """A PLDA model of dimension 1-3 with symmetric AC and WC; with spd, it
-    factors, so neither PldaModel nor save may refuse it."""
+    factors and its rank is None or in [1, dim], so neither PldaModel nor
+    save may refuse it. Without, the rank may also lie outside [1, dim]."""
     dim = data.draw(st.integers(1, 3))
     upper = np.triu(np.ones((dim, dim), dtype=bool))
     if spd:
@@ -444,9 +475,9 @@ def draw_plda(data, spd):
         ac, wc = b @ b.T, np.eye(dim) + c @ c.T
     else:
         ac, wc = (draw_floats(data, dim, dim) for _ in range(2))
+    ranks = [st.none(), st.integers(1, dim)] + [st.integers(-3, 10**6)] * (not spd)
     return PldaModel(draw_floats(data, dim), np.where(upper, ac, ac.T),
-                     np.where(upper, wc, wc.T),
-                     data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+                     np.where(upper, wc, wc.T), data.draw(st.one_of(ranks)))
 
 
 class TestModelFileProperties:
@@ -480,9 +511,10 @@ class TestModelFileProperties:
         spd = data.draw(st.booleans())
         try:
             model = draw_plda(data, spd)
-        except (ValueError, ArithmeticError):  # refused when built: does not factor
-            assert not spd
+        except (ValueError, ArithmeticError):  # refused when built: does not factor,
+            assert not spd                      # or its rank lies outside [1, dim]
             return
+        assert model.rank is None or 1 <= model.rank <= model.dim
         back = round_trip(save_plda, load_plda, model)
         assert back.rank == model.rank
         for name in ("mean", "ac", "wc"):
@@ -636,7 +668,7 @@ class TestWriterBytes:
         ac, wc = b @ b.T, np.eye(dim) + c @ c.T
         model = PldaModel(draw_floats(data, dim, floats=WRITTEN_FLOATS),
                           np.triu(ac) + np.triu(ac, 1).T, np.triu(wc) + np.triu(wc, 1).T,
-                          data.draw(st.one_of(st.none(), st.integers(-3, 10**6))))
+                          data.draw(st.one_of(st.none(), st.integers(1, dim))))
         assert saved_bytes(save_plda, model, step * dim) == oracles.plda_text(model).encode()
 
     @PROPERTY

@@ -236,6 +236,13 @@ class TestScoreTrials:
         assert ids == ["s"]
         np.testing.assert_allclose(vecs[0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
+    def test_unlabeled_id_equal_to_a_speaker_id_rejected(self):
+        # 'spk1' would enroll under its own id, a1 and a2 under speaker spk1
+        vs = one_corpus(["spk1", "a1", "a2"], [MISSING_SPEAKER, "spk1", "spk1"],
+                        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="^unlabeled enrollment id 'spk1' is also a speaker"):
+            enroll_models(vs)
+
 
 class TestPldaSerialization:
     def test_round_trip(self, tmp_path):
@@ -263,6 +270,11 @@ class TestModelRules:
     def test_not_spd_refused_when_built(self):
         with pytest.raises(NumericalError, match="not symmetric positive definite"):
             PldaModel([0.0], [[1.0]], [[-3.0]])
+
+    @pytest.mark.parametrize("rank", [-5, 0, 3, 99])
+    def test_rank_outside_dim_refused_when_built(self, rank):
+        with pytest.raises(DataError, match=rf"^rank must be in \[1, 2\], got {rank}$"):
+            PldaModel(np.zeros(2), np.eye(2), np.eye(2), rank)
 
     def test_overflow_refused_when_built(self):
         with pytest.raises(FloatingPointError, match="overflow"):

@@ -1,31 +1,17 @@
 import numpy as np
 import pytest
 
-from recwhiten.data import MISSING_SPEAKER, VectorSet
 from recwhiten.projection import fit_pca, project_sets
 from recwhiten.stats import NumericalError
 
-
-def make_set(vectors, corpus_id="c", prefix="v"):
-    n = len(vectors)
-    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
-                     [MISSING_SPEAKER] * n, vectors)
-
-
-def parse_coords(text):
-    out = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        vid, corpus, coords = line.split("\t")
-        out[vid] = np.array([float(v) for v in coords.split()])
-    return out
+from oracles import make_set, parse_coords
 
 
 def test_full_rank_projection_is_isometric():
     rng = np.random.default_rng(70)
     x = rng.normal(size=(40, 2)) @ np.array([[2.0, 0.3], [0.3, 1.0]])
-    coords = parse_coords(project_sets([make_set(x)], n_components=2))
+    ids, _, rows = parse_coords(project_sets([make_set(x)], n_components=2))
+    coords = dict(zip(ids, rows))
     y = np.stack([coords[f"v{i}"] for i in range(40)])
     dist_x = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     dist_y = np.linalg.norm(y[:, None, :] - y[None, :, :], axis=2)
@@ -46,13 +32,9 @@ def test_separated_corpora_stay_separated():
     b = make_set(rng.normal(size=(200, 4)) + 40.0, "cb", prefix="b")
     text = project_sets([a, b], n_components=2)
     means, stds = {}, {}
-    coords = {"ca": [], "cb": []}
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            _, corpus, cs = line.split("\t")
-            coords[corpus].append([float(v) for v in cs.split()])
-    for cid, pts in coords.items():
-        pts = np.array(pts)
+    _, corpora, coords = parse_coords(text)
+    for cid in ("ca", "cb"):
+        pts = coords[corpora == cid]
         means[cid] = pts.mean(axis=0)
         stds[cid] = pts.std(axis=0).max()
     gap = np.linalg.norm(means["ca"] - means["cb"])

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from recwhiten import whitening
-from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
+from recwhiten.data import DataError, NumericalError
 from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
 from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhiteningStage, fit_recursive, fit_stage,
                                  load_whitener, save_whitener, select_subcorpus,
                                  transform_matrix, transform_set)
 
-from oracles import apply_stage, gaussian_loglik, length_normalize, transform
-
-
-def make_set(vectors, corpus_id="c", prefix="v"):
-    n = len(vectors)
-    return VectorSet([f"{prefix}{i}" for i in range(n)], [corpus_id] * n,
-                     [MISSING_SPEAKER] * n, vectors)
+from oracles import apply_stage, gaussian_loglik, length_normalize, make_set, transform
 
 
 class TestLengthNormalize:
