@@ -11,12 +11,15 @@ tab-separated fields and floats at 17 significant digits, which read back bit
 for bit. One writer, write_blocks, assembles the rows of all five: each block
 gets one % row format from the kinds of its columns, floats as %.17g (the
 same C conversion as "{:.17g}".format), and fixed-size chunks of rows are
-formatted by one % call each, so no file's whole text is held in memory.
-Blank lines are skipped; lines starting with ``#`` are comments in the
-tables only, and a vector table's ``#dim=<d>`` header comes before its rows. An
-id or tag may be empty and hold any character but tab, LF, CR and NUL; a table
-row may not start with ``#``. What would not read back, a save refuses with
-DataError before it creates the file.
+formatted by one % call each, so no file's whole text is held in memory. One
+reader, _rows, takes all five apart a chunk of _READ characters at a time, so
+a table's text is never held whole either: _chunks splits a chunk into lines
+and _split the lines into fields with one split each, _split checks them at
+once, and only float fields are parsed row by row. Blank lines are skipped; lines starting with ``#`` are
+comments in the tables only, and a vector table's ``#dim=<d>`` header comes
+before its rows. An id or tag may be empty and hold any character but tab, LF,
+CR and NUL; a table row may not start with ``#``. What would not read back, a
+save refuses with DataError before it creates the file.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -152,15 +155,13 @@ class TrialList:
     labels: np.ndarray
 
     def __init__(self, model_ids, test_ids, labels):
-        model_ids, test_ids = np.asarray(model_ids, dtype=str), np.asarray(test_ids, dtype=str)
+        (models, model_codes), (tests, test_codes) = _factor(model_ids), _factor(test_ids)
         labels = np.array(labels, dtype=str)
-        if not model_ids.shape == test_ids.shape == labels.shape:
+        if not model_codes.shape == test_codes.shape == labels.shape:
             raise DataError("trial columns differ in length")
         bad = ~np.isin(labels, LABELS)
         if bad.any():
             raise DataError(f"unknown label {str(labels[np.argmax(bad)])!r}")
-        models, model_codes = _factor(model_ids)
-        tests, test_codes = _factor(test_ids)
         freeze(self, models=models, model_codes=model_codes, tests=tests, test_codes=test_codes,
                labels=labels)
         # the codes sort as the ids do, so this stable sort orders the trials
@@ -212,13 +213,19 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _factor(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct strings of a column in code-point order, as np.unique
-    sorts them, and each row's position among them, from one dict pass."""
-    values = column.tolist()
-    distinct = sorted(dict.fromkeys(values))
-    code = {v: i for i, v in enumerate(distinct)}
-    return (np.array(distinct, dtype=column.dtype),
+def _factor(column) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct strings of a column (a sequence or an array) as np.unique
+    sorts them, in code-point order, and each row's position among them.
+    Values are taken as a numpy string array holds them: str of a non-str,
+    trailing NULs dropped."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    distinct = set(values)
+    if (2 * len(distinct) > len(values) or not {str}.issuperset(map(type, distinct))
+            or "\0" in "".join(distinct)):  # np.unique sorts mostly distinct ids faster
+        return np.unique(np.array(values, dtype=str), return_inverse=True)
+    distinct = sorted(distinct)
+    code = dict(zip(distinct, range(len(distinct))))
+    return (np.array(distinct, dtype=str),
             np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
 
 
@@ -234,64 +241,99 @@ def index_of(keys, distinct: np.ndarray, codes: np.ndarray, missing: str) -> np.
     return found[codes]
 
 
-def _lines(path):
-    """The number and the text, LF stripped, of each non-blank line of a
-    UTF-8 file; DataError naming the file if it is not UTF-8."""
+_READ = 1 << 16  # characters read per chunk, so a file's text is held a chunk at a time
+
+
+def _chunks(path):
+    """The line numbers and the lines, LF stripped, of the non-blank lines of a
+    UTF-8 file, read _READ characters at a time: the line a chunk cuts goes
+    whole into the next. DataError naming the file if it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if raw.strip():
-                    yield lineno, raw.rstrip("\n")
+            start, head, text = 1, "", None
+            while text != "":
+                text = fh.read(_READ)
+                lines = text.split("\n")
+                lines[0] = head + lines[0]
+                head = lines.pop() if text else ""
+                numbers, start = range(start, start + len(lines)), start + len(lines)
+                if not all(map(str.strip, lines)):
+                    keep = [i for i, line in enumerate(lines) if line.strip()]
+                    numbers, lines = [numbers[i] for i in keep], [lines[i] for i in keep]
+                if lines:
+                    yield numbers, lines
     except UnicodeDecodeError:
         raise DataError(f"{path} is not UTF-8 text") from None
 
 
-def _rows(lines, n_fields: int, floats: int | None, dim: int | None, where: str = ""):
-    """The text columns and (rows, dim) float matrix of numbered lines of
-    n_fields tab-separated fields, field `floats` holding dim floats (None:
-    as many as the first row's); each DataError names the line."""
-    rows, values = [], array("d")
-    for lineno, line in lines:
-        parts = line.split("\t")
-        if len(parts) != n_fields:
-            raise DataError(f"expected {n_fields} tab-separated fields{where} at line {lineno}")
-        # string arrays drop trailing NULs, which would alias two ids
-        if "\0" in line:
-            raise DataError(f"NUL character{where} at line {lineno}")
-        if floats is not None:
-            try:
-                values.extend(map(float, parts.pop(floats).split()))
-            except ValueError:
-                raise DataError(f"bad float{where} at line {lineno}") from None
-            dim = dim or len(values)
-            if len(values) != (len(rows) + 1) * dim:
-                raise DataError(f"dimension mismatch{where} at line {lineno}")
-        rows.append(parts)
-    columns = list(zip(*rows)) or [()] * (n_fields - (floats is not None))
+def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str = ""):
+    """The text columns (lists) and (rows, dim) float matrix of chunks of
+    (line numbers, lines) that _split takes apart. A chunk _split refuses is
+    checked again line by line, so that the DataError names the first faulty line."""
+    text = [i for i in range(n_fields) if i != floats]
+    columns, values = [[] for _ in text], array("d")
+    for numbers, lines in chunks:
+        if not lines:
+            continue
+        try:
+            fields, dim = _split(lines, n_fields, floats, dim, values)
+        except DataError:
+            for lineno, line in zip(numbers, lines):
+                try:
+                    dim = _split([line], n_fields, floats, dim, array("d"))[1]
+                except DataError as e:
+                    raise DataError(f"{e}{where} at line {lineno}") from None
+        for column, i in zip(columns, text):
+            column += fields[i::n_fields]
     return columns, np.frombuffer(values).reshape(-1, dim or 1)
 
 
-def read_blocks(path) -> list[tuple[int, str, list[tuple[int, str]]]]:
-    """The header's line number, the header and the numbered non-blank lines
-    of each block of a model file. A header starts with '[' and holds no
-    tab, so a tab-separated row whose first field starts with '[' stays a row."""
-    blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
-    for lineno, line in _lines(path):
-        if line.startswith("[") and "\t" not in line:
-            blocks.append((lineno, line, []))
-        elif not blocks:
-            raise DataError(f"data before first block header at line {lineno}")
-        else:
-            blocks[-1][2].append((lineno, line))
-    return blocks
+def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: array):
+    """The fields of lines of n_fields tab-separated fields, all split at once,
+    and the dim of their float rows: field `floats` of each line holds dim
+    floats (None: as many as the first line's), appended to values. DataError
+    naming the first check that fails: field count, NUL, float, dimension."""
+    joined = "\t".join(lines)
+    if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) != len(lines):
+        raise DataError(f"expected {n_fields} tab-separated fields")
+    if "\0" in joined:  # string arrays drop trailing NULs, which would alias two ids
+        raise DataError("NUL character")
+    fields = joined.split("\t")
+    if floats is not None:
+        rows = list(map(str.split, fields[floats::n_fields]))
+        dim = len(rows[0]) if dim is None else dim
+        try:
+            values.extend(map(float, chain.from_iterable(rows)))
+        except ValueError:
+            raise DataError("bad float") from None
+        if list(map(len, rows)).count(dim) != len(rows):
+            raise DataError("dimension mismatch")
+    return fields, dim
+
+
+def read_blocks(path) -> list[tuple[int, str, tuple[list[int], list[str]]]]:
+    """The header's line number, the header, and the line numbers and the
+    lines of the rows of each block of a model file. A header starts with '['
+    and holds no tab, so a tab-separated row whose first field starts with '['
+    stays a row."""
+    numbers, lines, heads = [], [], []
+    for chunk_numbers, chunk_lines in _chunks(path):
+        heads += [len(lines) + i for i, line in enumerate(chunk_lines)
+                  if line[0] == "[" and "\t" not in line]
+        if heads[:1] != [0]:
+            raise DataError(f"data before first block header at line {chunk_numbers[0]}")
+        numbers += chunk_numbers
+        lines += chunk_lines
+    return [(numbers[i], lines[i], (numbers[i + 1:j], lines[i + 1:j]))
+            for i, j in zip(heads, heads[1:] + [len(lines)])]
 
 
 def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | None = None):
     """_rows of a block from read_blocks, named in messages; floats finite."""
-    columns, matrix = _rows(block[2], n_fields, floats, dim, f" in {name}")
+    columns, matrix = _rows([block[2]], n_fields, floats, dim, f" in {name}")
     bad = ~np.isfinite(matrix).all(axis=1)
     if bad.any():
-        raise DataError(f"non-finite value in {name} at line {block[2][np.argmax(bad)][0]}")
+        raise DataError(f"non-finite value in {name} at line {block[2][0][np.argmax(bad)]}")
     return columns, matrix
 
 
@@ -372,18 +414,34 @@ def _write_table(path, header: list[str], columns: list) -> None:
 def _read_table(path, n_fields: int, floats: int | None = None, header: bool = False):
     """_rows of a table's lines less its comments, among which a vector
     table's #dim= header comes before its first row."""
-    lines, dim, first = _lines(path), None if header else 1, []
-    for lineno, line in lines:
-        if line[0] != "#":
-            first = [(lineno, line)]
+    chunks, dim, start = _chunks(path), None if header else 1, None
+    for numbers, lines in chunks:
+        n = next((i for i, line in enumerate(lines) if line[0] != "#"), len(lines))
+        for lineno, line in zip(numbers[:n], lines[:n]):
+            dim = header and _dim_header(lineno, line, after=dim is not None) or dim
+        if n < len(lines):
+            start = numbers[n:], lines[n:]
             break
-        dim = header and _dim_header(lineno, line, after=dim is not None) or dim
     if dim is None:
-        raise DataError(f"data before #dim= header at line {first[0][0]}" if first
+        raise DataError(f"data before #dim= header at line {start[0][0]}" if start
                         else "missing #dim= header")
-    # a comment after the first row is skipped, and a #dim= header there refused
-    rest = (row for row in lines if row[1][0] != "#" or header and _dim_header(*row, after=True))
-    return _rows(chain(first, rest), n_fields, floats, dim)
+    return _rows(_uncommented(chain([start] if start else [], chunks), header),
+                 n_fields, floats, dim)
+
+
+def _uncommented(chunks, header: bool):
+    """Chunks of table lines after the first row, less their comments; with
+    header, a #dim= line there is refused where it stands."""
+    for numbers, lines in chunks:
+        if any(map(str.startswith, lines, repeat("#"))):
+            keep = [i for i, line in enumerate(lines)
+                    if line[0] != "#" or header and line.startswith("#dim=")]
+            numbers, lines = [numbers[i] for i in keep], [lines[i] for i in keep]
+            misplaced = next((i for i, line in enumerate(lines) if line[0] == "#"), None)
+            if misplaced is not None:
+                yield numbers[:misplaced], lines[:misplaced]
+                _dim_header(numbers[misplaced], lines[misplaced], after=True)
+        yield numbers, lines
 
 
 def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:

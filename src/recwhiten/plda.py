@@ -8,6 +8,7 @@ pair under the same-speaker versus different-speaker hypotheses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -179,19 +180,21 @@ def load_plda(path) -> PldaModel:
     [rank] (one line, '-' or str(int)), in that order."""
     blocks = read_blocks(path)
     for block, name in zip_longest(blocks, ("[mean]", "[ac]", "[wc]", "[rank]")):
-        lineno, header, lines = block or (None, name, [])
+        lineno, header, (numbers, lines) = block or (None, name, ([], []))
         if header != name:
             raise DataError(f"block {header!r} at line {lineno} where {name or 'none'} belongs")
         if not lines:
             raise DataError(f"missing or empty {name} block")
         if name in ("[mean]", "[rank]") and len(lines) > 1:
-            raise DataError(f"extra row in {name} block at line {lines[1][0]}")
+            raise DataError(f"extra row in {name} block at line {numbers[1]}")
     (_, (mean,)), (_, ac), (_, wc) = (block_rows(b, f"{b[1]} block") for b in blocks[:3])
     ((rank,),), _ = block_rows(blocks[3], "[rank] block", floats=None)
+    # as str(int) writes it, before int() takes '+3', ' 3', '0_3', non-ASCII
+    # digits or more digits than it converts
+    if rank != "-" and not re.fullmatch("0|-?[1-9][0-9]{0,18}", rank):
+        raise DataError(f"bad PLDA model: bad rank {rank!r} in [rank] block "
+                        f"at line {blocks[3][2][0][0]}")
     try:
-        model = PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
+        return PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
     except (ValueError, ArithmeticError) as e:
         raise DataError(f"bad PLDA model: {e}") from None
-    if rank not in ("-", str(model.rank)):  # int() also takes '+3', ' 3' and '0_3'
-        raise DataError(f"bad rank {rank!r} in [rank] block at line {blocks[3][2][0][0]}")
-    return model

@@ -1,16 +1,21 @@
-"""Single-vector forms of the batched kernels, a row-at-a-time writer and the
-trial id columns, kept as test oracles, and the helpers that several test
-files share: make_set builds a vector set, parse_coords reads project's output.
+"""Single-vector forms of the batched kernels, a row-at-a-time writer and
+table reader and the trial id columns, kept as test oracles, and the helpers
+that several test files share: make_set builds a vector set, parse_coords
+reads project's output.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
-it. The writer formats one field and joins one row at a time, so that the
-tests can check the bytes of every save against it.
+it. The writer formats one field and joins one row at a time, and the reader
+checks and splits one line at a time, so that the tests can check the bytes of
+every save and the result or the error of every table read against them.
 """
+
+from array import array
+from itertools import chain
 
 import numpy as np
 
-from recwhiten.data import MISSING_SPEAKER, NumericalError, VectorSet
+from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet, _dim_header
 from recwhiten.plda import PldaModel
 from recwhiten.stats import Moments, cholesky_lower
 from recwhiten.whitening import ZERO_NORM_EPS, RecursiveWhitener, WhiteningStage
@@ -143,3 +148,55 @@ def plda_text(model: PldaModel) -> str:
     rank = "-" if model.rank is None else str(model.rank)
     return write_rows([(["[mean]"], [model.mean[None]]), (["[ac]"], [model.ac]),
                        (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])
+
+
+def numbered_lines(path):
+    """The number and the text, LF stripped, of each non-blank line of a
+    UTF-8 file; DataError naming the file if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.strip():
+                    yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is not UTF-8 text") from None
+
+
+def rows(lines, n_fields: int, floats, dim, where: str = ""):
+    """The text columns and (rows, dim) float matrix of numbered lines of
+    n_fields tab-separated fields, field `floats` holding dim floats (None:
+    as many as the first row's); each DataError names the line."""
+    text, values = [], array("d")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataError(f"expected {n_fields} tab-separated fields{where} at line {lineno}")
+        if "\0" in line:
+            raise DataError(f"NUL character{where} at line {lineno}")
+        if floats is not None:
+            try:
+                values.extend(map(float, parts.pop(floats).split()))
+            except ValueError:
+                raise DataError(f"bad float{where} at line {lineno}") from None
+            dim = dim or len(values)
+            if len(values) != (len(text) + 1) * dim:
+                raise DataError(f"dimension mismatch{where} at line {lineno}")
+        text.append(parts)
+    columns = list(zip(*text)) or [()] * (n_fields - (floats is not None))
+    return columns, np.frombuffer(values).reshape(-1, dim or 1)
+
+
+def read_table(path, n_fields: int, floats=None, header: bool = False):
+    """rows of a table's lines less its comments, among which a vector
+    table's #dim= header comes before its first row."""
+    lines, dim, first = numbered_lines(path), None if header else 1, []
+    for lineno, line in lines:
+        if line[0] != "#":
+            first = [(lineno, line)]
+            break
+        dim = header and _dim_header(lineno, line, after=dim is not None) or dim
+    if dim is None:
+        raise DataError(f"data before #dim= header at line {first[0][0]}" if first
+                        else "missing #dim= header")
+    rest = (row for row in lines if row[1][0] != "#" or header and _dim_header(*row, after=True))
+    return rows(chain(first, rest), n_fields, floats, dim)

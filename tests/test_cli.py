@@ -420,6 +420,11 @@ MALFORMED_MODELS = [
                  "bad PLDA model", id="plda-bad-rank"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n+3\n"),
                  "bad rank '+3' in [rank] block at line 14", id="plda-rank-with-sign"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n" + "1" * 5000 + "\n"),
+                 "bad rank '" + "1" * 5000 + "' in [rank] block at line 14",
+                 id="plda-rank-of-5000-digits"),
+    pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n\u0665\n"),
+                 "bad rank '\u0665' in [rank] block at line 14", id="plda-rank-arabic-indic-5"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n0\n"),
                  "bad PLDA model: rank must be in [1, 4], got 0", id="plda-rank-0"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n5\n"),

@@ -35,7 +35,8 @@ def write(tmp_path, text, name="table.txt"):
 ODD = ["", " ", "a b", "#", "#x", "[x]", "-", "é", "\u2028", "\t", "x\ty", "x\n", "\r",
        "x\0y", "x\0", "\ud800"]
 ANY_TEXT = st.one_of(st.sampled_from(ODD), st.text(max_size=4))
-FIELD_TEXT = st.text(st.characters(exclude_characters="\t\n\r\0"), max_size=4)
+FIELD_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\n\r\0"),
+                     max_size=4)
 ALPHABETS = st.sampled_from([ANY_TEXT, FIELD_TEXT])
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]))
@@ -690,3 +691,137 @@ class TestWriterBytes:
         x = tl if save is save_trials else ScoreSet(
             tl, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n))
         assert saved_bytes(save, x) == text(x).encode()
+
+
+# (fields, float field, #dim= header) of the vector, trial and score tables
+TABLES = {"vectors": (4, 3, True), "trials": (3, None, False), "scores": (4, 2, False)}
+# what a reader must take as it is: spaces, non-ASCII, Unicode whitespace and
+# line separators that split a float field but not a line, '#' and '[' inside
+READ_TEXT = st.one_of(st.sampled_from(["", " ", "a b", "é", "日本", " ", "\x0c", "\x85",
+                                       "#", "x#", "[x]", "-"]), TEXT)
+BLANKS = ["", " ", "\t", " \t ", "\x0c", "　"]
+COMMENTS = ["#", "# note", "#\tx\ty", "#dim"]
+SPACES = [" ", "  ", "\x0c", " 　", "\x85"]
+
+
+def read_outcome(read, path, *args):
+    """The text columns (lists), matrix shape and matrix bytes that a table
+    reader returns, or the message of the DataError it raises."""
+    try:
+        columns, matrix = read(path, *args)
+    except DataError as e:
+        return str(e)
+    return [list(column) for column in columns], matrix.shape, matrix.tobytes()
+
+
+class TestReaderChunks:
+    """The chunked table reader against the line-at-a-time oracle
+    (oracles.read_table), with the reader's chunk so small that lines cross it:
+    the same columns and matrix bytes, or the same DataError message."""
+
+    @staticmethod
+    def draw_table(data) -> tuple[tuple, bytes]:
+        kind = data.draw(st.sampled_from(sorted(TABLES)))
+        n_fields, floats, header = TABLES[kind]
+        dim = data.draw(st.integers(1, 3)) if header else 1
+
+        def float_field(n):
+            pad = data.draw(st.sampled_from(["", " ", "\x0c"]))
+            return pad + data.draw(st.sampled_from(SPACES)).join(
+                map(repr, data.draw(st.lists(WRITTEN_FLOATS, min_size=n, max_size=n)))) + pad
+
+        def row():
+            fields = [data.draw(READ_TEXT) for _ in range(n_fields - (floats is not None))]
+            if floats is not None:
+                fields.insert(floats, float_field(dim))
+            return "\t".join(fields)
+
+        lines = data.draw(st.lists(st.sampled_from(COMMENTS + BLANKS), max_size=2))
+        lines += [f"#dim={dim}"] * header
+        for _ in range(data.draw(st.integers(0, 8))):
+            lines += data.draw(st.lists(st.sampled_from(COMMENTS + BLANKS), max_size=2))
+            lines.append(row())
+        rows = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+        faults = ["utf8"] if data.draw(st.sampled_from([0] * 9 + [1])) else data.draw(st.lists(
+            st.sampled_from(["fields", "nul"] + ["header"] * header
+                            + ["float", "dimension"] * (floats is not None)), max_size=3))
+        for fault in faults:
+            at = data.draw(st.sampled_from(rows)) if rows else None
+            if fault == "fields" and at is not None:
+                lines[at] = data.draw(st.sampled_from([lines[at] + "\tx",
+                                                       lines[at].rpartition("\t")[0]]))
+            elif fault == "nul" and at is not None:
+                i = data.draw(st.integers(0, len(lines[at])))
+                lines[at] = lines[at][:i] + "\0" + lines[at][i:]
+            elif fault in ("float", "dimension") and at is not None:
+                fields = lines[at].split("\t")
+                if len(fields) == n_fields:
+                    tokens = fields[floats].split()
+                    if fault == "float":
+                        tokens.insert(data.draw(st.integers(0, len(tokens))),
+                                      data.draw(st.sampled_from(["1.0x", "--1", "0x1", "one"])))
+                    elif tokens and data.draw(st.booleans()):
+                        tokens.pop()
+                    else:
+                        tokens.append("1.5")
+                    fields[floats] = " ".join(tokens)
+                    lines[at] = "\t".join(fields)
+            elif fault == "header":  # misplaced, respelled or missing
+                if data.draw(st.booleans()) and f"#dim={dim}" in lines:
+                    lines.remove(f"#dim={dim}")
+                lines.insert(data.draw(st.integers(0, len(lines))),
+                             data.draw(st.sampled_from([f"#dim={dim}", f"#dim=0{dim}", "#dim=+1"])))
+        ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        if ends and data.draw(st.booleans()):
+            ends[-1] = ""  # no line break after the last line
+        text = "".join(line + end for line, end in zip(lines, ends)).encode()
+        if faults == ["utf8"]:  # after io's first 8 KiB, so that the reader has read chunks before
+            filler = ["x"] * n_fields
+            if floats is not None:
+                filler[floats] = " ".join(["0"] * dim)
+            filler = "\t".join(filler) + "\n"
+            text += b"\n" + (filler * (8192 // len(filler) + 1)).encode() + data.draw(
+                st.sampled_from([b"\xff", b"\xc3("]))
+        return (n_fields, floats, header), text
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_the_line_at_a_time_oracle(self, data):
+        args, text = self.draw_table(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.txt")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            with patch.object(data_module, "_READ", data.draw(st.integers(1, 48))):
+                got = read_outcome(data_module._read_table, path, *args)
+            assert got == read_outcome(oracles.read_table, path, *args)
+
+    @pytest.mark.parametrize("args, text, message", [
+        ((3, None, False), "m\tt\ttarget\r\n\n \nm\tu\r\n",
+         "expected 3 tab-separated fields at line 4"),
+        ((3, None, False), "m\tt\ttarget\nm\tu\tnon\0target\n", "NUL character at line 2"),
+        ((4, 2, False), "m\tt\t1.5\ttarget\nm\tu\t1.5x\ttarget\n", "bad float at line 2"),
+        ((4, 2, False), "m\tt\t1.5\ttarget\nm\tu\t1 2\ttarget\n", "dimension mismatch at line 2"),
+        ((4, 2, False), "m\tt\t\ttarget\n", "dimension mismatch at line 1"),
+        ((4, 3, True), "#x\n#dim=2\na\tc\t-\t1 2\n#\n#dim=2\n", "misplaced header at line 5"),
+        ((4, 3, True), "#x\na\tc\t-\t1 2\n", "data before #dim= header at line 2"),
+        ((4, 3, True), "#x\n\n", "missing #dim= header"),
+        # the first faulty line wins, whatever fault a later line has
+        ((4, 3, True), "#dim=2\na\tc\t-\t1 2\na\tc\t-\t1\nb\0\tc\n",
+         "dimension mismatch at line 3"),
+        ((4, 3, True), "#dim=2\na\tc\t-\t1 x\na\tc\t-\t1\n#dim=2\n", "bad float at line 2"),
+    ])
+    @pytest.mark.parametrize("chunk", [5, 4096])
+    def test_faults(self, tmp_path, args, text, message, chunk):
+        path = write(tmp_path, text)
+        with patch.object(data_module, "_READ", chunk):
+            got = read_outcome(data_module._read_table, path, *args)
+        assert got == read_outcome(oracles.read_table, path, *args)
+        assert message in got
+
+    def test_not_utf8_after_the_first_chunk(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"m\tt\ttarget\n" * 2000 + b"m\t\xff\ttarget\n")
+        with patch.object(data_module, "_READ", 100), \
+                pytest.raises(DataError, match="is not UTF-8 text"):
+            load_trials(path)
