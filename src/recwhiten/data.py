@@ -15,11 +15,12 @@ formatted by one % call each, so no file's whole text is held in memory. One
 reader, _rows, takes all five apart a chunk of _READ characters at a time, so
 a table's text is never held whole either: _chunks splits a chunk into lines
 and _split the lines into fields with one split each, _split checks them at
-once, and only float fields are parsed row by row. Blank lines are skipped; lines starting with ``#`` are
-comments in the tables only, and a vector table's ``#dim=<d>`` header comes
-before its rows. An id or tag may be empty and hold any character but tab, LF,
-CR and NUL; a table row may not start with ``#``. What would not read back, a
-save refuses with DataError before it creates the file.
+once, and only float fields are parsed row by row. Blank lines are skipped;
+lines starting with ``#`` are comments in the tables only, and a vector
+table's ``#dim=<d>`` header comes before its rows. An id or tag may be empty
+and hold any character but tab, LF, CR and NUL; a table row may not start
+with ``#``. What would not read back, a save refuses with DataError before it
+creates the file.
 """
 
 from __future__ import annotations
@@ -215,17 +216,17 @@ def freeze(obj, **fields) -> None:
 
 def _factor(column) -> tuple[np.ndarray, np.ndarray]:
     """The distinct strings of a column (a sequence or an array) as np.unique
-    sorts them, in code-point order, and each row's position among them.
-    Values are taken as a numpy string array holds them: str of a non-str,
-    trailing NULs dropped."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    distinct = set(values)
-    if (2 * len(distinct) > len(values) or not {str}.issuperset(map(type, distinct))
-            or "\0" in "".join(distinct)):  # np.unique sorts mostly distinct ids faster
-        return np.unique(np.array(values, dtype=str), return_inverse=True)
-    distinct = sorted(distinct)
+    sorts them, in code-point order, and each row's position among them, from
+    one dict pass. Values are taken as a numpy string array holds them: str of
+    a non-str, trailing NULs dropped."""
+    if not (isinstance(column, np.ndarray) and column.dtype.kind == "U"):
+        column = list(column)
+        if not {str}.issuperset(map(type, column)) or "\0" in "".join(column):
+            column = np.array(column, dtype=str)
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    distinct = sorted(dict.fromkeys(values))
     code = dict(zip(distinct, range(len(distinct))))
-    return (np.array(distinct, dtype=str),
+    return (np.array(distinct, dtype=getattr(column, "dtype", str)),
             np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
 
 
@@ -246,16 +247,20 @@ _READ = 1 << 16  # characters read per chunk, so a file's text is held a chunk a
 
 def _chunks(path):
     """The line numbers and the lines, LF stripped, of the non-blank lines of a
-    UTF-8 file, read _READ characters at a time: the line a chunk cuts goes
-    whole into the next. DataError naming the file if it is not UTF-8."""
+    UTF-8 file, read _READ characters at a time: the pieces of a line that
+    chunks cut are joined once its LF is read, so it goes whole into the chunk
+    that ends it. DataError naming the file if it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            start, head, text = 1, "", None
+            start, head, text = 1, [], None
             while text != "":
                 text = fh.read(_READ)
                 lines = text.split("\n")
-                lines[0] = head + lines[0]
-                head = lines.pop() if text else ""
+                head.append(lines[0])
+                if len(lines) == 1 and text:  # no LF yet: the line goes on
+                    continue
+                lines[0] = "".join(head)
+                head = [lines.pop()] if text else []
                 numbers, start = range(start, start + len(lines)), start + len(lines)
                 if not all(map(str.strip, lines)):
                     keep = [i for i, line in enumerate(lines) if line.strip()]

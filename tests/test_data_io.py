@@ -819,6 +819,17 @@ class TestReaderChunks:
         assert got == read_outcome(oracles.read_table, path, *args)
         assert message in got
 
+    @pytest.mark.parametrize("end", ["\n", ""])
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_a_line_many_chunks_long(self, tmp_path, chunk, end):
+        long_id = "é" * 3000 + "x" * 20000
+        path = tmp_path / "table.txt"
+        path.write_bytes(f"#dim=2\nb\tc\t-\t3 4\n{long_id}\tc\t-\t1 2{end}".encode())
+        with patch.object(data_module, "_READ", chunk):
+            got = read_outcome(data_module._read_table, path, 4, 3, True)
+        assert got == read_outcome(oracles.read_table, path, 4, 3, True)
+        assert got[0][0] == ["b", long_id]
+
     def test_not_utf8_after_the_first_chunk(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_bytes(b"m\tt\ttarget\n" * 2000 + b"m\t\xff\ttarget\n")
