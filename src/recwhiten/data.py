@@ -138,15 +138,21 @@ def concat(sets: list[VectorSet]) -> VectorSet:
                      np.vstack([s.matrix() for s in sets]))
 
 
+class Factored(NamedTuple):
+    """An id column as its distinct ids, in any order, and each row's position among them."""
+    distinct: np.ndarray
+    codes: np.ndarray
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class TrialList:
     """Trial columns: enrollment model id, test id and label of each trial.
 
     Each id column is kept factored: `models` and `tests` hold its distinct
     ids in code-point order and `model_codes` and `test_codes` each trial's
-    position in them, so no array a caller passed in is kept. `labels` is a
-    1-D array of strings. Every array is read-only; (model id, test id) pairs
-    are unique and every label is one of LABELS.
+    position in them, so no array a caller passed in is kept (an id column may
+    come as a Factored). `labels` is a 1-D array of strings. Every array is
+    read-only; (model id, test id) pairs are unique and every label is in LABELS.
     """
 
     models: np.ndarray
@@ -218,7 +224,17 @@ def _factor(column) -> tuple[np.ndarray, np.ndarray]:
     """The distinct strings of a column (a sequence or an array) as np.unique
     sorts them, in code-point order, and each row's position among them, from
     one dict pass. Values are taken as a numpy string array holds them: str of
-    a non-str, trailing NULs dropped."""
+    a non-str, trailing NULs dropped. A Factored's ids are sorted, those no code
+    names dropped; DataError for a repeated id or a code out of range."""
+    if isinstance(column, Factored):
+        distinct, rank = np.unique(np.array(column.distinct, dtype=str), return_inverse=True)
+        if len(distinct) < len(rank):
+            raise DataError(f"repeated distinct id {str(distinct[np.bincount(rank) > 1][0])!r}")
+        codes = np.asarray(column.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu" or not np.isin(codes, rank).all():
+            raise DataError(f"trial codes must be integers in [0, {len(rank)})")
+        used = np.isin(np.arange(len(distinct)), codes := rank[codes])
+        return distinct[used], (np.cumsum(used) - 1)[codes]
     if not (isinstance(column, np.ndarray) and column.dtype.kind == "U"):
         column = list(column)
         if not {str}.issuperset(map(type, column)) or "\0" in "".join(column):

@@ -8,7 +8,9 @@ Gaussian, so the PLDA backend is exactly matched to the generator.
 Reproducibility: all randomness comes from numpy's Philox counter-based
 generator, with normal deviates produced by the Box-Muller transform on
 Philox uniforms (never the generator's own ziggurat sampler), so streams are
-bit-stable across platforms and numpy versions.
+bit-stable across platforms and numpy versions. A block of n normals takes
+ceil(n/2) uniforms u1, then ceil(n/2) u2, and the stream is the same however
+calls split it, so one draw of a corpus's speaker blocks is one call per speaker.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MISSING_SPEAKER, ConfigError, TrialList, VectorSet, concat
+from .data import MISSING_SPEAKER, ConfigError, Factored, TrialList, VectorSet, concat
 from .stats import cholesky_lower
 
 
@@ -26,16 +28,18 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream))
 
 
-def normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Box-Muller standard normals from Philox uniforms."""
+def normals(rng: np.random.Generator, shape, count: int | None = None) -> np.ndarray:
+    """Box-Muller normals of `shape`, or `count` such blocks stacked, from one draw."""
     n = math.prod(shape)  # Python ints, which do not wrap around
     m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1] keeps the log finite
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(shape)
+    u = rng.random((1 if count is None else count) * 2 * m).reshape(-1, 2, m)
+    r, theta = u[:, 0], u[:, 1]  # in place: a product's operands may swap, nothing else
+    np.log1p(np.negative(r, out=r), out=r)  # 1-u1 in (0,1] keeps the log finite
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
+    np.multiply(np.sin(theta, out=theta), r, out=theta)
+    r *= cos  # u now holds r cos, then r sin (the last dropped for odd n), per block
+    return u.reshape(-1, 2 * m)[:, :n].reshape(shape if count is None else (count, *shape))
 
 
 def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -119,14 +123,15 @@ class SynthConfig:
             raise ConfigError("variance knobs must be finite and positive")
         if not 1 <= self.condition < np.inf:
             raise ConfigError("condition number must be finite and >= 1")
-        # rows of the largest (rows, dim) array sampled: the base covariance's
-        # eigenbasis, the joined OOD corpora, the unlabeled set, the eval pool
-        rows = max(self.dim, self.n_unlabeled,
-                   sum(s.n_speakers * s.sessions_per_speaker for s in self.ood_subcorpora),
-                   self.n_enroll_speakers * (self.enroll_sessions + self.test_sessions))
-        if rows * self.dim > np.iinfo(np.intp).max:
-            raise ConfigError(f"[synth] sizes need a {rows} x {self.dim} array, "
-                              "more values than an array can hold")
+        # values of the largest array, whose bytes numpy bounds: joined OOD, or uniforms
+        d = self.dim
+        corpora = [(s.n_speakers, s.sessions_per_speaker) for s in self.ood_subcorpora]
+        draws = corpora + [(1, d), (self.n_unlabeled, 1),
+                           (self.n_enroll_speakers, self.enroll_sessions + self.test_sessions)]
+        values = max(d * sum(n * k for n, k in corpora),
+                     *(n * (k * d + k * d % 2) for n, k in draws))  # see normals
+        if 8 * values > np.iinfo(np.intp).max:
+            raise ConfigError(f"[synth] sizes need {8 * values} bytes in one array, too many")
 
 
 @dataclass
@@ -141,19 +146,17 @@ class SynthWorld:
 
 def _sample_corpus(rng, corpus_id, prefix, domain_mean, chol, n_speakers,
                    sessions, across_var, within_var, labeled=True) -> VectorSet:
-    """n_speakers speakers with one vector per entry of `sessions`, the
-    session suffixes of their ids; one normals draw per speaker."""
-    d = domain_mean.shape[0]
-    k = len(sessions)
-    x = np.empty((n_speakers * k, d))
+    """n_speakers speakers, one vector per session id suffix in `sessions`. The stacked
+    matmul is one gemm per speaker, and scale and shift in place only swap operands."""
+    d, k = len(domain_mean), len(sessions)
     spk_means = domain_mean + np.sqrt(across_var) * (normals(rng, (n_speakers, d)) @ chol.T)
-    for s in range(n_speakers):
-        x[s * k:(s + 1) * k] = spk_means[s] + np.sqrt(within_var) * (
-            normals(rng, (k, d)) @ chol.T)
+    x = np.matmul(normals(rng, (k, d), n_speakers), chol.T)
+    x *= np.sqrt(within_var)
+    x += spk_means[:, None]
     spk_ids = [f"{prefix}spk{s:04d}" for s in range(n_speakers)]
     ids = [f"{spk}_{suffix}" for spk in spk_ids for suffix in sessions]
     speakers = np.repeat(spk_ids, k) if labeled else np.full(len(ids), MISSING_SPEAKER)
-    return VectorSet(ids, np.full(len(ids), corpus_id), speakers, x)
+    return VectorSet(ids, np.full(len(ids), corpus_id), speakers, x.reshape(-1, d))
 
 
 def generate_world(cfg: SynthConfig) -> SynthWorld:
@@ -192,9 +195,10 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     is_enroll = np.arange(len(pool)) % len(sessions) < cfg.enroll_sessions
     enroll, test = pool.take(is_enroll), pool.take(~is_enroll)
 
-    # full cross of enrollment models x test sessions
+    # full cross of enrollment models x test sessions, built from its codes
     models = np.array([f"eval_spk{s:04d}" for s in range(cfg.n_enroll_speakers)])
+    model_codes, test_codes = np.indices((len(models), len(test))).reshape(2, -1)
     same = models[:, None] == test.speaker_ids
-    trials = TrialList(np.repeat(models, len(test)), np.tile(test.ids, len(models)),
+    trials = TrialList(Factored(models, model_codes), Factored(test.ids, test_codes),
                        np.where(same.ravel(), "target", "nontarget"))
     return SynthWorld(cfg, ood, unlabeled, enroll, test, trials)

@@ -1,15 +1,17 @@
 """Single-vector forms of the batched kernels, a row-at-a-time writer and
-table reader and the trial id columns, kept as test oracles, and the helpers
-that several test files share: make_set builds a vector set, parse_coords
-reads project's output.
+table reader, a speaker-at-a-time corpus sampler and the trial id columns,
+kept as test oracles, and the helpers that several test files share:
+make_set builds a vector set, parse_coords reads project's output.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
-it. The writer formats one field and joins one row at a time, and the reader
+it. The sampler draws one block of normals per speaker, so that the tests can
+check the bytes of the one stacked draw of synth against it. The writer formats one field and joins one row at a time, and the reader
 checks and splits one line at a time, so that the tests can check the bytes of
 every save and the result or the error of every table read against them.
 """
 
+import math
 from array import array
 from itertools import chain
 
@@ -85,6 +87,31 @@ def score_pair(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     # cross term written as a commutative sum so swapping the pair is exact
     cross = (e @ q) @ t + (t @ q) @ e
     return float(const - 0.5 * (e @ g @ e + t @ g @ t + cross))
+
+
+def box_muller(rng, shape) -> np.ndarray:
+    """Standard normals of `shape` from ceil(n/2) Philox uniforms u1, then
+    ceil(n/2) u2: r cos(theta) for each pair, then r sin(theta), less the
+    last sine when n is odd."""
+    n = math.prod(shape)
+    m = (n + 1) // 2
+    u1 = rng.random(m)
+    u2 = rng.random(m)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
+
+
+def sample_speakers(rng, domain_mean, chol, n_speakers, k, across_var, within_var):
+    """The (n_speakers * k, d) vectors of synth._sample_corpus, one speaker at
+    a time: the speaker means from one draw, then one (k, d) draw per speaker."""
+    d = len(domain_mean)
+    x = np.empty((n_speakers * k, d))
+    spk_means = domain_mean + np.sqrt(across_var) * (box_muller(rng, (n_speakers, d)) @ chol.T)
+    for s in range(n_speakers):
+        x[s * k:(s + 1) * k] = spk_means[s] + np.sqrt(within_var) * (
+            box_muller(rng, (k, d)) @ chol.T)
+    return x
 
 
 _fmt = "{:.17g}".format  # enough digits for every float64 to read back bit for bit

@@ -532,6 +532,9 @@ MALFORMED_CONFIGS = [
                  id="n-unlabeled-1e18"),
     pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", f"dim = {10**18}")),
                  id="dim-1e18"),
+    # d * d values fit an array index but not its bytes; nothing is allocated
+    pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", f"dim = {2**31}")),
+                 id="dim-2147483648"),
     pytest.param(lambda tmp_path: config_case(DATA_CONFIG)(tmp_path) + ["--seed", "5"],
                  id="seed-with-data-config"),
     pytest.param(lambda tmp_path: ["synth", *config_case(DATA_CONFIG)(tmp_path)[1:]],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from recwhiten import data as data_module
 from recwhiten.config import parse_experiment_config
-from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, NumericalError,
+from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, Factored, NumericalError,
                             ScoreSet, TrialList, VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
@@ -271,6 +271,62 @@ class TestTrialsAndScores:
         assert tl.tests.tolist() == sorted(set(test_ids)) == np.unique(test_ids).tolist()
         assert tl.models[tl.model_codes].tolist() == model_ids
         assert tl.tests[tl.test_codes].tolist() == test_ids
+
+    @staticmethod
+    def assert_same_fields(a, b):
+        for name in ("models", "model_codes", "tests", "test_codes", "labels"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype.kind == y.dtype.kind and x.tolist() == y.tolist(), name
+
+    @pytest.mark.parametrize("speakers", [
+        range(4), range(995, 1005), [10000, 1001, 9999, 3, 10001]])  # 10000 sorts before 1001
+    def test_factored_grid_equals_id_columns(self, speakers):
+        models = np.array([f"eval_spk{s:04d}" for s in speakers])
+        tests = np.array([f"{m}_t{k:02d}" for m in models[::-1] for k in range(2)])
+        model_codes, test_codes = np.indices((len(models), len(tests))).reshape(2, -1)
+        labels = np.where(models[model_codes] == np.char.rpartition(tests, "_")[:, 0][test_codes],
+                          "target", "nontarget")
+        grid = TrialList(Factored(models, model_codes), Factored(tests, test_codes), labels)
+        columns = TrialList(models[model_codes], tests[test_codes], labels)
+        self.assert_same_fields(grid, columns)
+        assert oracles.trial_columns(grid) == oracles.trial_columns(columns)
+        assert grid.models.tolist() == sorted(models.tolist())
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=20),
+           st.permutations(["m", "a", "é", "m2", "", "𝔘"]))
+    def test_factored_equals_id_columns(self, pairs, ids):
+        """Any code order, distinct ids in any order, some named by no code."""
+        distinct = np.array(ids)
+        model_codes = np.array([m for m, _ in pairs], dtype=np.intp)
+        test_codes = np.array([t for _, t in pairs], dtype=np.int32)
+        labels = ["unknown"] * len(pairs)
+        self.assert_same_fields(
+            TrialList(Factored(distinct, model_codes), Factored(ids, test_codes), labels),
+            TrialList(distinct[model_codes], distinct[test_codes], labels))
+
+    @pytest.mark.parametrize("distinct,codes,message", [
+        (["a", "b", "a"], [0, 1], "repeated distinct id 'a'"),
+        (["a", "b"], [0, -1], r"trial codes must be integers in \[0, 2\)"),
+        (["a", "b"], [0, 2], r"trial codes must be integers in \[0, 2\)"),
+        (["a", "b"], [0.0, 1.0], "trial codes must be integers"),
+        (["a", "b"], [True, False], "trial codes must be integers"),
+        (["a", "b"], np.array([0, 2], dtype=np.uint8), "trial codes must be integers"),
+    ])
+    def test_factored_refusals(self, distinct, codes, message):
+        with pytest.raises(DataError, match=message):
+            TrialList(Factored(distinct, codes), ["t1", "t2"], ["target", "target"])
+
+    def test_factored_shares_the_trial_checks(self):
+        with pytest.raises(DataError, match="duplicate trial"):
+            TrialList(Factored(["m"], [0, 0]), Factored(["t"], [0, 0]), ["target"] * 2)
+        with pytest.raises(DataError, match="differ in length"):
+            TrialList(Factored(["m"], [0, 0]), ["t"], ["target"] * 2)
+        with pytest.raises(DataError, match="unknown label"):
+            TrialList(Factored(["m"], [0]), ["t"], ["bogus"])
+
+    def test_tuple_of_ids_is_an_id_column(self):
+        tl = TrialList(("m1", "m2"), ("t1", "t2"), ("target", "nontarget"))
+        assert oracles.trial_columns(tl) == (["m1", "m2"], ["t1", "t2"], ["target", "nontarget"])
 
     def test_nul_in_id_rejected(self, tmp_path):
         p = write(tmp_path, "m1\tt1\ttarget\nm1\tt1\0\tnontarget\n")

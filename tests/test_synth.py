@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from recwhiten.data import ConfigError
 from recwhiten.stats import cholesky_lower
-from recwhiten.synth import (SubCorpusSpec, SynthConfig, generate_world,
+from recwhiten.synth import (SubCorpusSpec, SynthConfig, _sample_corpus, generate_world,
                              make_rng, normals, random_spd)
 
-from oracles import trial_columns
+from oracles import box_muller, sample_speakers, trial_columns
 
 
 def small_config(**kw):
@@ -37,6 +38,44 @@ class TestNormals:
     def test_odd_shapes(self):
         assert normals(make_rng(1), (3, 5)).shape == (3, 5)
         assert normals(make_rng(1), (7,)).shape == (7,)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 5), (4, 4), (1, 201), (50, 50)])
+    def test_one_block_matches_the_box_muller_oracle(self, shape):
+        rng, ref = make_rng(3, stream=1), make_rng(3, stream=1)
+        z = normals(rng, shape)
+        assert z.shape == shape
+        assert z.tobytes() == box_muller(ref, shape).tobytes()
+        assert rng.random() == ref.random()  # the stream is left where the oracle leaves it
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 4), (1, 200)])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_stacked_blocks_equal_consecutive_calls(self, shape, count):
+        rng, ref = make_rng(11, stream=2), make_rng(11, stream=2)
+        z = normals(rng, shape, count)
+        assert z.shape == (count, *shape)
+        for block in z:
+            assert block.tobytes() == normals(ref, shape).tobytes()
+        assert rng.random() == ref.random()
+
+
+class TestSampleCorpus:
+    """One stacked draw and gemm per corpus give the bytes of one draw and one
+    product per speaker: k = 1 (the unlabeled corpus), odd k * d (the last
+    sine dropped), d = 2 and d = 200."""
+
+    @pytest.mark.parametrize("n_speakers,k,d", [
+        (9, 1, 2), (9, 1, 7), (12, 1, 200), (5, 3, 5), (7, 6, 2), (6, 6, 200), (4, 3, 201)])
+    def test_bytes_match_one_draw_per_speaker(self, n_speakers, k, d):
+        chol = cholesky_lower(random_spd(d, 10.0, seed=d))
+        mean = 3.0 * normals(make_rng(2), (d,))
+        rng, ref = make_rng(5, stream=1), make_rng(5, stream=1)
+        sessions = [f"s{i}" for i in range(k)]
+        got = _sample_corpus(rng, "c", "p_", mean, chol, n_speakers, sessions, 1.3, 0.7)
+        want = sample_speakers(ref, mean, chol, n_speakers, k, 1.3, 0.7)
+        assert got.matrix().shape == (n_speakers * k, d)
+        assert got.matrix().tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+        assert got.ids[:k].tolist() == [f"p_spk0000_{s}" for s in sessions]
 
 
 class TestRandomSpd:
@@ -123,6 +162,19 @@ class TestGenerateWorld:
         assert np.abs(ood.mean(axis=0) - ind.mean(axis=0)).max() < 0.3
         assert np.linalg.norm(np.cov(ood.T) - np.cov(ind.T)) / \
             np.linalg.norm(np.cov(ood.T)) < 0.2
+
+    @pytest.mark.parametrize("change", [
+        {"dim": 2 ** 31},  # d * d values fit an index, 8 * d * d bytes do not
+        {"dim": 2, "n_unlabeled": 2 ** 59},  # 2 ** 60 uniforms, 2 ** 63 bytes
+        {"dim": 3, "ood_subcorpora": [SubCorpusSpec("a", 2 ** 58, 1, 0.0)]},  # 4 per speaker
+    ])
+    def test_sizes_beyond_numpy_bytes_rejected(self, change):
+        with pytest.raises(ConfigError, match="bytes in one array"):
+            small_config(**change).validate()
+
+    def test_sizes_at_numpy_bytes_pass(self):
+        # 2 ** 59 - 1 speakers of 2 uniforms: 2 ** 63 - 16 bytes, the largest array
+        small_config(dim=2, n_unlabeled=2 ** 59 - 1, n_enroll_speakers=1).validate()
 
     def test_invalid_config_rejected(self):
         cfg = small_config()
