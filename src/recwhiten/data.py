@@ -9,24 +9,27 @@ trial, next to an array of labels, and scores add one array of scores.
 These three tables and the whitener and PLDA model files are UTF-8 text with
 tab-separated fields and floats at 17 significant digits, which read back bit
 for bit. One writer, write_blocks, assembles the rows of all five: each block
-gets one % row format from the kinds of its columns, floats as %.17g (the
-same C conversion as "{:.17g}".format), and fixed-size chunks of rows are
-formatted by one % call each, so no file's whole text is held in memory. One
-reader, _rows, takes all five apart a chunk of _READ characters at a time, so
-a table's text is never held whole either: _chunks splits a chunk into lines
-and _split the lines into fields with one split each, _split checks them at
-once, and only float fields are parsed row by row. Blank lines are skipped;
-lines starting with ``#`` are comments in the tables only, and a vector
-table's ``#dim=<d>`` header comes before its rows. An id or tag may be empty
-and hold any character but tab, LF, CR and NUL; a table row may not start
-with ``#``. What would not read back, a save refuses with DataError before it
-creates the file.
+gets one % row format from the kinds of its columns, floats as %.17g (the same
+C conversion as "{:.17g}".format), and fixed-size chunks of rows are formatted
+by one % call each, so no file's whole text is held in memory. One reader,
+_rows, takes all five apart a chunk at a time, so a table's text is never held
+whole either: a chunk from _chunks is _READ characters and the rest of their
+last line, _split splits its lines into fields and checks them at once,
+parsing only float fields row by row, and a chunk that _split refuses, that
+holds a comment or that comes before a vector table's header, _rows takes line
+by line, to skip comments, read the header and name a faulty line. Blank lines
+are skipped; lines starting with ``#`` are comments in the tables only, and a
+vector table's ``#dim=<d>`` header comes before its rows. An id or tag may be
+empty and hold any character but tab, LF, CR and NUL; a table row may not
+start with ``#``. What would not read back, a save refuses with DataError
+before it creates the file.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -263,20 +266,14 @@ _READ = 1 << 16  # characters read per chunk, so a file's text is held a chunk a
 
 def _chunks(path):
     """The line numbers and the lines, LF stripped, of the non-blank lines of a
-    UTF-8 file, read _READ characters at a time: the pieces of a line that
-    chunks cut are joined once its LF is read, so it goes whole into the chunk
-    that ends it. DataError naming the file if it is not UTF-8."""
+    UTF-8 file, a chunk at a time: _READ characters and the rest of the line
+    they end in, so a chunk ends on a line break and a longer line is held
+    whole. DataError naming the file if it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            start, head, text = 1, [], None
-            while text != "":
-                text = fh.read(_READ)
-                lines = text.split("\n")
-                head.append(lines[0])
-                if len(lines) == 1 and text:  # no LF yet: the line goes on
-                    continue
-                lines[0] = "".join(head)
-                head = [lines.pop()] if text else []
+            start = 1
+            while text := fh.read(_READ) + fh.readline():
+                lines = text.removesuffix("\n").split("\n")
                 numbers, start = range(start, start + len(lines)), start + len(lines)
                 if not all(map(str.strip, lines)):
                     keep = [i for i, line in enumerate(lines) if line.strip()]
@@ -287,25 +284,35 @@ def _chunks(path):
         raise DataError(f"{path} is not UTF-8 text") from None
 
 
-def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str = ""):
+def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str = "",
+          header: bool | None = None):
     """The text columns (lists) and (rows, dim) float matrix of chunks of
-    (line numbers, lines) that _split takes apart. A chunk _split refuses is
-    checked again line by line, so that the DataError names the first faulty line."""
+    (line numbers, lines), split by _split whole or line by line as the module
+    docstring says: a model block's with header None, where '#' is data, else a
+    table's, whose '#dim=' line gives dim when header is True."""
     text = [i for i in range(n_fields) if i != floats]
     columns, values = [[] for _ in text], array("d")
     for numbers, lines in chunks:
-        if not lines:
-            continue
-        try:
-            fields, dim = _split(lines, n_fields, floats, dim, values)
-        except DataError:
+        fields = []
+        if lines and (header is None or dim and not any(map(str.startswith, lines, repeat("#")))):
+            with suppress(DataError):
+                fields, dim = _split(lines, n_fields, floats, dim, values)
+        if not fields:
             for lineno, line in zip(numbers, lines):
+                if header is not None and line[0] == "#":
+                    dim = header and _dim_header(lineno, line, after=dim is not None) or dim
+                    continue
+                if dim is None and header:
+                    raise DataError(f"data before #dim= header at line {lineno}")
                 try:
-                    dim = _split([line], n_fields, floats, dim, array("d"))[1]
+                    row, dim = _split([line], n_fields, floats, dim, values)
                 except DataError as e:
                     raise DataError(f"{e}{where} at line {lineno}") from None
+                fields += row
         for column, i in zip(columns, text):
             column += fields[i::n_fields]
+    if dim is None and header:
+        raise DataError("missing #dim= header")
     return columns, np.frombuffer(values).reshape(-1, dim or 1)
 
 
@@ -336,7 +343,7 @@ def read_blocks(path) -> list[tuple[int, str, tuple[list[int], list[str]]]]:
     """The header's line number, the header, and the line numbers and the
     lines of the rows of each block of a model file. A header starts with '['
     and holds no tab, so a tab-separated row whose first field starts with '['
-    stays a row."""
+    stays a row; DataError for a header holding a NUL, which save never writes."""
     numbers, lines, heads = [], [], []
     for chunk_numbers, chunk_lines in _chunks(path):
         heads += [len(lines) + i for i, line in enumerate(chunk_lines)
@@ -345,6 +352,9 @@ def read_blocks(path) -> list[tuple[int, str, tuple[list[int], list[str]]]]:
             raise DataError(f"data before first block header at line {chunk_numbers[0]}")
         numbers += chunk_numbers
         lines += chunk_lines
+    for i in heads:
+        if "\0" in lines[i]:
+            raise DataError(f"NUL character in block header at line {numbers[i]}")
     return [(numbers[i], lines[i], (numbers[i + 1:j], lines[i + 1:j]))
             for i, j in zip(heads, heads[1:] + [len(lines)])]
 
@@ -433,36 +443,9 @@ def _write_table(path, header: list[str], columns: list) -> None:
 
 
 def _read_table(path, n_fields: int, floats: int | None = None, header: bool = False):
-    """_rows of a table's lines less its comments, among which a vector
-    table's #dim= header comes before its first row."""
-    chunks, dim, start = _chunks(path), None if header else 1, None
-    for numbers, lines in chunks:
-        n = next((i for i, line in enumerate(lines) if line[0] != "#"), len(lines))
-        for lineno, line in zip(numbers[:n], lines[:n]):
-            dim = header and _dim_header(lineno, line, after=dim is not None) or dim
-        if n < len(lines):
-            start = numbers[n:], lines[n:]
-            break
-    if dim is None:
-        raise DataError(f"data before #dim= header at line {start[0][0]}" if start
-                        else "missing #dim= header")
-    return _rows(_uncommented(chain([start] if start else [], chunks), header),
-                 n_fields, floats, dim)
-
-
-def _uncommented(chunks, header: bool):
-    """Chunks of table lines after the first row, less their comments; with
-    header, a #dim= line there is refused where it stands."""
-    for numbers, lines in chunks:
-        if any(map(str.startswith, lines, repeat("#"))):
-            keep = [i for i, line in enumerate(lines)
-                    if line[0] != "#" or header and line.startswith("#dim=")]
-            numbers, lines = [numbers[i] for i in keep], [lines[i] for i in keep]
-            misplaced = next((i for i, line in enumerate(lines) if line[0] == "#"), None)
-            if misplaced is not None:
-                yield numbers[:misplaced], lines[:misplaced]
-                _dim_header(numbers[misplaced], lines[misplaced], after=True)
-        yield numbers, lines
+    """_rows of a table's lines; with header, a vector table's, whose d the
+    '#dim=' line gives."""
+    return _rows(_chunks(path), n_fields, floats, None if header else 1, header=header)
 
 
 def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:

@@ -55,11 +55,12 @@ def load_corpora(cfg: ExperimentConfig) -> Corpora:
 
 
 def _candidate_set(ood: VectorSet, token: str) -> VectorSet:
-    """A hierarchy token names one corpus id or a '+'-joined union."""
-    wanted = np.isin(ood.corpus_ids, token.split("+"))
-    if not wanted.any():
-        raise ConfigError(f"hierarchy candidate {token!r} matches no vectors")
-    return ood.take(wanted)
+    """A hierarchy token names one corpus id or a '+'-joined union of them."""
+    parts = token.split("+")
+    for part in parts:
+        if part not in ood.corpus_ids:
+            raise ConfigError(f"hierarchy candidate {token!r}: corpus {part!r} matches no vectors")
+    return ood.take(np.isin(ood.corpus_ids, parts))
 
 
 def build_levels(cfg: ExperimentConfig, corpora: Corpora) -> list[CorpusLevel]:

@@ -350,6 +350,9 @@ MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1 0 0"),
                  "dimension mismatch in stage block for level 0 at line 3",
                  id="whitener-ragged-matrix"),
+    pytest.param("whitener", lambda t: t.replace("0 0 0 0", "#0 0 0 0"),
+                 "bad float in stage block for level 0 at line 2",
+                 id="whitener-row-starts-with-hash"),
     pytest.param("whitener", lambda t: t.replace("0 0 0 0", "nan 0 0 0"),
                  "non-finite value in stage block for level 0", id="whitener-nan"),
     pytest.param("whitener", lambda t: identity_whitener(3),
@@ -389,6 +392,8 @@ MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1\t0 0 0"),
                  "expected 1 tab-separated fields in stage block for level 0 at line 3",
                  id="whitener-tab-in-stage-row"),
+    pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage 0 a\0b]"),
+                 "NUL character in block header at line 1", id="whitener-nul-in-header"),
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage 01 c]"),
                  "block out of level order at line 1: '[stage 01 c]'", id="whitener-level-01"),
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage 1 c]") + t,
@@ -545,6 +550,9 @@ MALFORMED_CONFIGS = [
                  id="hierarchy-level-empty"),
     pytest.param(config_case(SMALL_SYNTH.replace("level1 = ood_a ood_b", "level1 = ood_a ood_z")),
                  id="hierarchy-candidate-matches-nothing"),
+    pytest.param(config_case(SMALL_SYNTH.replace("level1 = ood_a ood_b",
+                                                 "level1 = ood_a+ood_typo ood_b")),
+                 id="hierarchy-union-part-matches-nothing"),
     pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na = 0.01 0 1\nb = 0.005 1 1\n"),
                  id="metrics-cost-0"),
     # command lines that argparse rejects

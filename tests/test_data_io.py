@@ -886,6 +886,43 @@ class TestReaderChunks:
         assert got == read_outcome(oracles.read_table, path, 4, 3, True)
         assert got[0][0] == ["b", long_id]
 
+    # a row of each table, and a comment that has a row's fields but for its '#'
+    ROW_SHAPED = {"vectors": ("v{}\tc\t-\t1 2", "#c\tc\t-\t1 2"),
+                  "trials": ("m{}\tt\ttarget", "#\tx\ty"),
+                  "scores": ("m{}\tt\t1.5\ttarget", "#m\tt\t1.5\ttarget")}
+
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_a_row_shaped_comment_inside_a_chunk(self, tmp_path, kind):
+        row, comment = self.ROW_SHAPED[kind]
+        lines = ["#dim=2"] * TABLES[kind][2] + [row.format(i) for i in range(800)]
+        lines.insert(600, comment)
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with patch.object(data_module, "_READ", 4096):
+            got = read_outcome(data_module._read_table, path, *TABLES[kind])
+            chunks = [chunk for _, chunk in data_module._chunks(path)]
+        assert got == read_outcome(oracles.read_table, path, *TABLES[kind])
+        assert len(got[0][0]) == 800
+        # the comment sits between rows, in a chunk after the first
+        (i, at, n), = [(i, c.index(comment), len(c)) for i, c in enumerate(chunks) if comment in c]
+        assert i > 0 and 0 < at < n - 1
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("at", [4094, 4095, 4096])
+    def test_a_read_that_ends_at_a_line_break(self, tmp_path, at, end):
+        """The first line break starts at character `at`, so the first read of
+        4,096 characters ends just after it (4,094), on it (4,095; for CRLF,
+        between the file's CR and LF) or just before it (4,096)."""
+        first = "m\t" + "t" * (at - 9) + "\ttarget"
+        path = tmp_path / "trials.txt"
+        path.write_bytes((first + end + "m\tu\ttarget\n" * 3).encode())
+        with patch.object(data_module, "_READ", 4096):
+            got = read_outcome(data_module._read_table, path, 3)
+            chunks = [list(numbers) for numbers, _ in data_module._chunks(path)]
+        assert got == read_outcome(oracles.read_table, path, 3)
+        assert got[0][1] == ["t" * (at - 9), "u", "u", "u"]
+        # the readline after the read ends the chunk on the next line break
+        assert chunks == ([[1, 2], [3, 4]] if at < 4096 else [[1], [2, 3, 4]])
+
     def test_not_utf8_after_the_first_chunk(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_bytes(b"m\tt\ttarget\n" * 2000 + b"m\t\xff\ttarget\n")
