@@ -2,7 +2,7 @@
 
 Subcommands: synth, fit-whitener, run-experiment, score, evaluate, project.
 Exit codes, decided by the type of the error alone (README "Exit codes"):
-0 success, 2 ConfigError, 3 DataError or OSError, 4 any ArithmeticError.
+0 success, 2 ConfigError, 3 DataError, OSError or MemoryError, 4 any ArithmeticError.
 main() runs each command with numpy raising FloatingPointError (an
 ArithmeticError) on overflow, invalid operations and division by zero.
 """
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as e:
+    except (DataError, OSError, MemoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as e:

@@ -224,13 +224,13 @@ def freeze(obj, **fields) -> None:
 
 
 def _factor(column) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct strings of a column (a sequence or an array) as np.unique
-    sorts them, in code-point order, and each row's position among them, from
-    one dict pass. Values are taken as a numpy string array holds them: str of
-    a non-str, trailing NULs dropped. A Factored's ids are sorted, those no code
-    names dropped; DataError for a repeated id or a code out of range."""
+    """The distinct strings of a column (a sequence or a Factored) in code-point
+    order and each row's position among them, from one dict pass. Values are
+    taken as a numpy string array holds them: str of a non-str, trailing NULs
+    dropped. A Factored's ids take the same pass, those no code names dropped;
+    DataError for a repeated id or a code out of range."""
     if isinstance(column, Factored):
-        distinct, rank = np.unique(np.array(column.distinct, dtype=str), return_inverse=True)
+        distinct, rank = _factor(column.distinct)
         if len(distinct) < len(rank):
             raise DataError(f"repeated distinct id {str(distinct[np.bincount(rank) > 1][0])!r}")
         codes = np.asarray(column.codes)
@@ -238,14 +238,11 @@ def _factor(column) -> tuple[np.ndarray, np.ndarray]:
             raise DataError(f"trial codes must be integers in [0, {len(rank)})")
         used = np.isin(np.arange(len(distinct)), codes := rank[codes])
         return distinct[used], (np.cumsum(used) - 1)[codes]
-    if not (isinstance(column, np.ndarray) and column.dtype.kind == "U"):
-        column = list(column)
-        if not {str}.issuperset(map(type, column)) or "\0" in "".join(column):
-            column = np.array(column, dtype=str)
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    distinct = sorted(dict.fromkeys(values))
-    code = dict(zip(distinct, range(len(distinct))))
-    return (np.array(distinct, dtype=getattr(column, "dtype", str)),
+    values = list(column)
+    if not {str}.issuperset(map(type, values)) or "\0" in "".join(values):
+        values = np.array(values, dtype=str).tolist()
+    code = {v: i for i, v in enumerate(sorted(dict.fromkeys(values)))}
+    return (np.array(list(code), dtype=str),
             np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
 
 
@@ -385,26 +382,24 @@ _CHUNK = 8192  # fields formatted per % call, so a file's text is held a chunk a
 
 
 def _text(strings) -> list[str]:
-    """Strings (a list or array) as a list; DataError for one that would not read back."""
+    """Strings (a list or array) as a list; DataError for one that would not
+    read back, found by one _UNSAFE search of the joined strings."""
     text = strings.tolist() if isinstance(strings, np.ndarray) else list(strings)
-    joined = "".join(text)  # `in` is far faster than the regex, which only surrogates need
-    if any(c in joined for c in "\t\n\r\0") or not joined.isascii() and _UNSAFE.search(joined):
+    if _UNSAFE.search("".join(text)):
         bad = next(v for v in text if _UNSAFE.search(v))
         raise DataError(f"field {bad!r} holds a tab, line break, NUL or surrogate")
     return text
 
 
 def _column(column) -> tuple[str, np.ndarray]:
-    """The % format of a column's fields and its (rows, fields) array of
-    values; DataError for a value that would not read back. Text is a list or
-    array of strings, or a (distinct strings, codes) pair whose strings are
-    checked once each; a float array is one field, a matrix one per column."""
+    """The % format of a column's fields and its (rows, fields) array of values.
+    Text is a list or array of strings, or a (distinct strings, codes) pair
+    whose strings are checked once each (DataError if one would not read back);
+    a float array, finite in every object saved, is one field, a matrix one per column."""
     if isinstance(column, tuple):
         distinct, codes = column
         return "%s", np.array(_text(distinct), dtype=object)[codes, None]
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        if not np.isfinite(column).all():
-            raise DataError("non-finite value")
         if column.ndim == 1:
             return _FLOAT, column[:, None]
         return _float_row(column.shape[1]), column

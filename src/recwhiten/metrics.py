@@ -55,6 +55,8 @@ DEFAULT_OPERATING_POINTS = (
 
 @dataclass
 class EvalReport:
+    """A mutable output record: evaluate fills the metrics; the caller sets `header`."""
+
     eer: float
     min_dcf: dict[str, float]
     act_dcf: dict[str, float]
@@ -128,16 +130,14 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
     s' = 0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t) with mean and
     population std taken over each side's cohort scores.
     """
-    for k, v in list(enroll_cohort.items()) + list(test_cohort.items()):
-        if len(v) < 2:
-            raise DataError(f"cohort for {k!r} needs at least 2 scores")
-
     def per_trial(cohort, distinct, codes, side):
         """Mean and std of the cohort scores of each trial's id on one side,
         from one reduction over that side's stacked cohort arrays."""
         if len({len(v) for v in cohort.values()}) > 1:
             raise DataError(f"{side} cohort score arrays differ in length")
         stacked = np.stack(list(cohort.values())) if cohort else np.empty((0, 2))
+        if stacked.shape[1] < 2:
+            raise DataError(f"cohort for {next(iter(cohort))!r} needs at least 2 scores")
         rows = index_of(cohort, distinct, codes, f"missing {side} cohort for")
         return stacked.mean(axis=1)[rows], stacked.std(axis=1)[rows]
 

@@ -22,9 +22,9 @@ from .whitening import ZERO_NORM_EPS
 
 @dataclass(frozen=True)
 class PldaModel:
-    """A model that scores: AC and WC finite, symmetric and d x d, rank None or in
-    [1, d] (DataError), and _scoring_terms run once, here (NumericalError if not
-    SPD, FloatingPointError).
+    """A model that scores: mean finite, AC and WC finite, symmetric and d x d,
+    rank None or in [1, d] (DataError), and _scoring_terms run once, here
+    (NumericalError if not SPD, FloatingPointError).
     Fields and arrays are read-only, so the terms always match AC and WC."""
 
     mean: np.ndarray
@@ -36,6 +36,8 @@ class PldaModel:
     def __post_init__(self):
         freeze(self, mean=np.array(self.mean, dtype=float), ac=np.array(self.ac, dtype=float),
                wc=np.array(self.wc, dtype=float))
+        if not np.isfinite(self.mean).all():
+            raise DataError("non-finite value in mean")
         for name, m in (("ac", self.ac), ("wc", self.wc)):
             check_symmetric(name, m, self.dim)
         if self.rank is not None and not 1 <= self.rank <= self.dim:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ConfigError, DataError, NumericalError, VectorSet, format_floats, same_dim
+from .data import ConfigError, DataError, NumericalError, VectorSet, concat, format_floats
 from .stats import scatter, top_eigen
 from .whitening import RecursiveWhitener, transform_set
 
@@ -41,18 +41,16 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     rendered coordinate table."""
     if whitener is not None:
         sets = [transform_set(whitener, s) for s in sets]
-    same_dim(sets)
-    x = np.vstack([s.matrix() for s in sets])
+    joined = concat(sets)
+    x, corpora = joined.matrix(), joined.corpus_ids
     mean, axes = fit_pca(x, n_components)
     # a stack of (1, d) @ (d, k) products is one gemv per row, as `row @ axes.T`
     # of one row is; a single (n, d) @ (d, k) product would round differently
     coords = np.matmul((x - mean)[:, None, :], axes.T)[:, 0, :]
 
-    ids = np.concatenate([s.ids for s in sets])
-    corpora = np.concatenate([s.corpus_ids for s in sets])
     lines = [f"#components={n_components}"]
     lines += [f"{vid}\t{cid}\t" + format_floats(c)
-              for vid, cid, c in zip(ids.tolist(), corpora.tolist(), coords)]
+              for vid, cid, c in zip(joined.ids.tolist(), corpora.tolist(), coords)]
     for corpus_id in sorted(set(corpora.tolist())):
         pts = coords[corpora == corpus_id]
         mu, s = scatter(pts)

@@ -196,7 +196,7 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     enroll, test = pool.take(is_enroll), pool.take(~is_enroll)
 
     # full cross of enrollment models x test sessions, built from its codes
-    models = np.array([f"eval_spk{s:04d}" for s in range(cfg.n_enroll_speakers)])
+    models = pool.speaker_ids[::len(sessions)]
     model_codes, test_codes = np.indices((len(models), len(test))).reshape(2, -1)
     same = models[:, None] == test.speaker_ids
     trials = TrialList(Factored(models, model_codes), Factored(test.ids, test_codes),

@@ -28,8 +28,8 @@ _LAST_TRANSFORM = weakref.WeakKeyDictionary()  # VectorSet -> (stages applied, o
 
 @dataclass(frozen=True)
 class WhiteningStage:
-    """One stage; DataError unless w is finite, d x d and of rank d (matrix_rank).
-    Fields and arrays are read-only."""
+    """One stage; DataError unless mean and w are finite and w is d x d and of
+    rank d (matrix_rank). Fields and arrays are read-only."""
 
     level: int
     corpus_id: str
@@ -40,6 +40,8 @@ class WhiteningStage:
         freeze(self, mean=np.array(self.mean, dtype=float), w=np.array(self.w, dtype=float))
         if self.w.shape != (self.dim, self.dim):
             raise DataError(f"stage {self.level} matrix is not {self.dim} x {self.dim}")
+        if not np.isfinite(self.mean).all():
+            raise DataError(f"non-finite value in stage {self.level} mean")
         if not np.isfinite(self.w).all():
             raise DataError(f"non-finite value in stage {self.level} matrix")
         if np.linalg.matrix_rank(self.w) < self.dim:
@@ -60,7 +62,7 @@ class CorpusLevel:
 
 @dataclass(frozen=True)
 class LevelSelection:
-    """Log-likelihood table and winner for one recursion level; read-only."""
+    """Finite log-likelihood table and winner of one recursion level; read-only."""
 
     level: int
     logliks: tuple[tuple[str, float], ...]  # candidate corpus_id -> aggregate loglik
@@ -70,6 +72,8 @@ class LevelSelection:
         freeze(self, logliks=tuple(map(tuple, self.logliks)))
         if self.chosen not in range(len(self.logliks)):
             raise DataError(f"selection {self.level} chosen row {self.chosen} out of range")
+        if not np.isfinite([ll for _, ll in self.logliks]).all():
+            raise DataError(f"non-finite log-likelihood in selection {self.level}")
 
 
 @dataclass

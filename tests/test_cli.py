@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,16 @@ class TestProjectCommand:
         assert sum(1 for ln in text.splitlines() if ln.startswith("#corpus-mean")) == 2
         assert sum(1 for ln in text.splitlines() if ln.startswith("#corpus-cov")) == 4
 
+    def test_one_table_twice(self, tmp_path, capsys):
+        """The sets are joined into one checked set, so an id given twice is refused."""
+        p = tmp_path / "a.txt"
+        save_vector_table(VectorSet(["a0", "a1", "a2"], ["c"] * 3, [MISSING_SPEAKER] * 3,
+                                    np.eye(3)), p)
+        out = tmp_path / "proj.txt"
+        assert run(["project", "--vectors", p, "--vectors", p, "--out", out]) == 3
+        assert capsys.readouterr().err == "data error: duplicate id 'a0'\n"
+        assert not out.exists()
+
 
 def identity_rows(d):
     return "".join(" ".join("1" if i == j else "0" for j in range(d)) + "\n"
@@ -444,6 +455,11 @@ MALFORMED_MODELS = [
                  "extra row in [mean] block at line 3", id="plda-second-mean-row"),
     pytest.param("plda", lambda t: t.replace("[rank]\n-\n", "[rank]\n-\n-\n"),
                  "extra row in [rank] block at line 15", id="plda-second-rank-line"),
+    pytest.param("plda", lambda t: identity_plda(4).replace("[ac]\n1 0", "[ac]\n1 0.5"),
+                 "bad PLDA model: ac not symmetric", id="plda-ac-not-symmetric"),
+    pytest.param("plda", lambda t: "[mean]\n0 0\n[ac]\n" + identity_rows(3)
+                 + "[wc]\n" + identity_rows(2) + "[rank]\n-\n",
+                 "bad PLDA model: ac shape (3, 3) does not match dim 2", id="plda-ac-3-by-3"),
     pytest.param("plda", lambda t: identity_plda(3),
                  "PLDA model has dimension 3, vectors 4/4", id="plda-dim-mismatch"),
     pytest.param("plda", lambda t: identity_plda(4).replace(
@@ -517,6 +533,14 @@ MALFORMED_CONFIGS = [
     pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", "dim = 1")), id="dim-1"),
     pytest.param(config_case(SMALL_SYNTH.replace("ood_b:30:4:4.0", "a:x:2:0")),
                  id="subcorpus-count-x"),
+    pytest.param(config_case(SMALL_SYNTH.replace("ood_a:30:4:0.0 ood_b:30:4:4.0", "")),
+                 id="subcorpora-empty"),
+    pytest.param(config_case(SMALL_SYNTH.replace("ood_a:30:4:0.0", "ood_a:0:3:0.0")),
+                 id="subcorpus-0-speakers"),
+    *(pytest.param(config_case(SMALL_SYNTH.replace("ood_b:30:4:4.0", f"ood_b:30:4:{shift}")),
+                   id=f"subcorpus-shift-{shift}") for shift in ("-1", "inf", "nan")),
+    pytest.param(config_case(SMALL_SYNTH.replace("n_unlabeled = 25", "n_unlabeled = 0")),
+                 id="n-unlabeled-0"),
     pytest.param(config_case(SMALL_SYNTH + "shrinkage = 1.5\n"), id="shrinkage-1.5"),
     pytest.param(config_case(SMALL_SYNTH + "plda_rank = 0\n"), id="plda-rank-0"),
     pytest.param(config_case(SMALL_SYNTH + "plda_rank = 500\n"), id="plda-rank-above-dim"),
@@ -758,6 +782,24 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and err.count("\n") == 1
             assert "Is a directory" in err
+
+    def test_out_of_memory(self, tmp_path):
+        """synth at dim 20,000 asks for one 2.98 GiB array first. The child may
+        map 1.5 GB in all (RLIMIT_AS, set in the child only), so that array is
+        refused before any of it is touched, and nothing else is allocated."""
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(SMALL_SYNTH.replace("dim = 10", "dim = 20000"))
+        path = [str(Path(recwhiten.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+        done = subprocess.run([sys.executable, "-m", "recwhiten.cli", "synth", "--config",
+                               str(cfg), "--out", str(tmp_path / "world")], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr.startswith("data error: Unable to allocate 2.98 GiB")
+        assert done.stderr.count("\n") == 1
 
     def test_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -255,6 +255,11 @@ class TestTrialsAndScores:
         with pytest.raises(DataError, match="duplicate trial"):
             load_trials(p)
 
+    def test_fewer_scores_than_trials(self):
+        tl = TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"])
+        with pytest.raises(DataError, match=r"^\(1,\) scores for 2 trials$"):
+            ScoreSet(tl, [1.0])
+
     def test_duplicate_trial_names_first_repeat(self):
         # the earliest trial that repeats an earlier pair, whatever the id order
         tl = (["b", "a", "b", "a", "c", "a", "c"], ["y", "x", "y", "x", "z", "x", "w"])
@@ -439,52 +444,52 @@ class TestSaveRefusals:
         with pytest.raises(DataError, match="'#a' would start a comment line"):
             save_trials(tl, tmp_path / "trials.txt")
 
-    @pytest.mark.parametrize("save, x", [
+    @pytest.mark.parametrize("save, x, error", [
         pytest.param(save_vector_table, VectorSet(["#x", "y"], ["c"] * 2, ["-"] * 2, [[1.0], [2.0]]),
-                     id="vector-id-starting-with-hash"),
-        pytest.param(save_vector_table, VectorSet(["x"], ["a\tb"], ["-"], [[1.0]]),
+                     DataError, id="vector-id-starting-with-hash"),
+        pytest.param(save_vector_table, VectorSet(["x"], ["a\tb"], ["-"], [[1.0]]), DataError,
                      id="tab-in-corpus-id"),
-        pytest.param(save_trials, TrialList(["#m"], ["t"], ["target"]),
+        pytest.param(save_trials, TrialList(["#m"], ["t"], ["target"]), DataError,
                      id="model-id-starting-with-hash"),
         pytest.param(save_scores, ScoreSet(TrialList(["m"], ["t\nu"], ["target"]), [1.0]),
-                     id="line-break-in-test-id"),
+                     DataError, id="line-break-in-test-id"),
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c\r", [0.0], [[1.0]])]),
-                     id="cr-in-whitener-corpus-id"),
-        pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [np.nan], [[1.0]])]),
+                     DataError, id="cr-in-whitener-corpus-id"),
+        pytest.param(save_whitener, lambda: WhiteningStage(0, "c", [np.nan], [[1.0]]), DataError,
                      id="nan-in-whitener"),
         pytest.param(save_whitener, lambda: RecursiveWhitener(
-            [WhiteningStage(0, "c", [0.0, 0.0], [[1.0, 2.0], [2.0, 4.0]])]),
+            [WhiteningStage(0, "c", [0.0, 0.0], [[1.0, 2.0], [2.0, 4.0]])]), DataError,
                      id="singular-whitener-stage"),
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(1, "c", [0.0], [[1.0]])]),
-                     id="whitener-first-stage-at-level-1"),
+                     DataError, id="whitener-first-stage-at-level-1"),
         pytest.param(save_whitener, RecursiveWhitener(
             [WhiteningStage(k, "c", [0.0], [[1.0]]) for k in range(2)],
-            [LevelSelection(2, [("c", 0.0)], 0)]), id="whitener-selection-at-level-2"),
+            [LevelSelection(2, [("c", 0.0)], 0)]), DataError, id="whitener-selection-at-level-2"),
         pytest.param(save_whitener, RecursiveWhitener([WhiteningStage(0, "c", [0.0], [[1.0]])],
                                                       [LevelSelection(1, [("c", 0.0)], 0)]),
-                     id="whitener-selection-without-its-stage"),
-        pytest.param(save_whitener, RecursiveWhitener([]), id="whitener-no-stages"),
+                     DataError, id="whitener-selection-without-its-stage"),
+        pytest.param(save_whitener, RecursiveWhitener([]), DataError, id="whitener-no-stages"),
         pytest.param(save_whitener, lambda: LevelSelection(1, [("c", 0.0), ("d", 1.0)], 5),
-                     id="whitener-chosen-out-of-range"),
-        pytest.param(save_whitener, lambda: LevelSelection(1, [], 0),
+                     DataError, id="whitener-chosen-out-of-range"),
+        pytest.param(save_whitener, lambda: LevelSelection(1, [], 0), DataError,
                      id="whitener-empty-selection"),
+        pytest.param(save_whitener, lambda: LevelSelection(1, [("c", np.nan)], 0), DataError,
+                     id="whitener-nan-loglik"),
         pytest.param(save_whitener, RecursiveWhitener(
             [WhiteningStage(k, "c", [0.0], [[1.0]]) for k in range(2)],
-            [LevelSelection(1, [("c", 0.0), ("d", 1.0)], 1)]),
+            [LevelSelection(1, [("c", 0.0), ("d", 1.0)], 1)]), DataError,
                      id="whitener-selection-marks-another-corpus"),
-        pytest.param(save_plda, PldaModel([np.inf], [[1.0]], [[1.0]]), id="inf-in-plda"),
-        pytest.param(save_plda, lambda: PldaModel([0.0], [[1.0]], [[-3.0]]), id="plda-not-spd"),
+        pytest.param(save_plda, lambda: PldaModel([np.inf], [[1.0]], [[1.0]]), DataError,
+                     id="inf-in-plda"),
+        pytest.param(save_plda, lambda: PldaModel([0.0], [[1.0]], [[-3.0]]), NumericalError,
+                     id="plda-not-spd"),
     ])
-    def test_refused_before_the_file_exists(self, tmp_path, save, x):
+    def test_refused_before_the_file_exists(self, tmp_path, save, x, error):
         """save refuses x; or, where x is a constructor call, the constructor
         refuses what no file may hold, so there is nothing to save."""
         path = tmp_path / "saved.txt"
-        if callable(x):
-            with pytest.raises(NumericalError if save is save_plda else DataError):
-                x()
-        else:
-            with pytest.raises(DataError):
-                save(x, path)
+        with pytest.raises(error):
+            x() if callable(x) else save(x, path)
         assert not path.exists()
 
 

@@ -279,6 +279,14 @@ class TestSnorm:
         with pytest.raises(DataError, match="^test cohort score arrays differ in length$"):
             snorm(sset, {"m": np.array([0.0, 2.0])}, {**t, "u": np.array([0.0, 1.0, 2.0])})
 
+    def test_one_score_per_cohort(self):
+        sset = score_set([("m", "t", 4.0, "target")])
+        one, two = {"m": np.array([1.0])}, {"t": np.array([1.0, 2.0])}
+        with pytest.raises(DataError, match="^cohort for 'm' needs at least 2 scores$"):
+            snorm(sset, one, two)
+        with pytest.raises(DataError, match="^cohort for 't' needs at least 2 scores$"):
+            snorm(sset, {"m": np.array([1.0, 2.0])}, {"t": np.array([1.0])})
+
     def test_missing_cohort(self):
         sset = score_set([("m", "t", 4.0, "target")])
         with pytest.raises(DataError, match="missing enroll cohort"):

@@ -276,6 +276,11 @@ class TestModelRules:
         with pytest.raises(DataError, match=rf"^rank must be in \[1, 2\], got {rank}$"):
             PldaModel(np.zeros(2), np.eye(2), np.eye(2), rank)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_refused_when_built(self, value):
+        with pytest.raises(DataError, match="^non-finite value in mean$"):
+            PldaModel([0.0, value], np.eye(2), np.eye(2))
+
     def test_overflow_refused_when_built(self):
         with pytest.raises(FloatingPointError, match="overflow"):
             PldaModel([0.0], [[1e308]], [[1e308]])

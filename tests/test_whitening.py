@@ -365,6 +365,13 @@ class TestModelRules:
         with pytest.raises(DataError, match=f"^{message}$"):
             WhiteningStage(3, "c", np.zeros(2), w)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_or_loglik_refused(self, value):
+        with pytest.raises(DataError, match="^non-finite value in stage 3 mean$"):
+            WhiteningStage(3, "c", [0.0, value], np.eye(2))
+        with pytest.raises(DataError, match="^non-finite log-likelihood in selection 1$"):
+            LevelSelection(1, [("c", 0.0), ("d", value)], 0)
+
     @pytest.mark.parametrize("logliks, chosen", [
         pytest.param([("c", 0.0), ("d", 1.0)], 5, id="5-of-2"),
         pytest.param([("c", 0.0), ("d", 1.0)], 2, id="2-of-2"),
