@@ -15,9 +15,11 @@ by one % call each, so no file's whole text is held in memory. One reader,
 _rows, takes all five apart a chunk at a time, so a table's text is never held
 whole either: a chunk from _chunks is _READ characters and the rest of their
 last line, _split splits its lines into fields and checks them at once,
-parsing only float fields row by row, and a chunk that _split refuses, that
-holds a comment or that comes before a vector table's header, _rows takes line
-by line, to skip comments, read the header and name a faulty line. Blank lines
+parsing all their float fields with one np.loadtxt (numpy's C text reader),
+and a chunk that _split refuses, that holds a comment or that comes before a
+vector table's header, _rows takes line by line, to skip comments, read the
+header and name a faulty line. A float field is ASCII float literals between
+whitespace (no '_' or non-ASCII digit, which float() would take). Blank lines
 are skipped; lines starting with ``#`` are comments in the tables only, and a
 vector table's ``#dim=<d>`` header comes before its rows. An id or tag may be
 empty and hold any character but tab, LF, CR and NUL; a table row may not
@@ -31,7 +33,7 @@ import re
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -316,8 +318,10 @@ def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str
 def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: array):
     """The fields of lines of n_fields tab-separated fields, all split at once,
     and the dim of their float rows: field `floats` of each line holds dim
-    floats (None: as many as the first line's), appended to values. DataError
-    naming the first check that fails: field count, NUL, float, dimension."""
+    floats (None: as many as the first line's), parsed by one np.loadtxt and
+    appended to values once all checks pass. DataError naming the first that
+    fails: field count, NUL, float, dimension (a blank float field counts as
+    a dimension, rows of unequal length as a float fault)."""
     joined = "\t".join(lines)
     if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) != len(lines):
         raise DataError(f"expected {n_fields} tab-separated fields")
@@ -325,14 +329,16 @@ def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: ar
         raise DataError("NUL character")
     fields = joined.split("\t")
     if floats is not None:
-        rows = list(map(str.split, fields[floats::n_fields]))
-        dim = len(rows[0]) if dim is None else dim
+        rows = fields[floats::n_fields]
+        if not all(map(str.strip, rows)):  # loadtxt would skip the row and warn
+            raise DataError("dimension mismatch")
         try:
-            values.extend(map(float, chain.from_iterable(rows)))
+            matrix = np.loadtxt(rows, comments=None, ndmin=2)
         except ValueError:
             raise DataError("bad float") from None
-        if list(map(len, rows)).count(dim) != len(rows):
+        if (dim := dim or matrix.shape[1]) != matrix.shape[1]:
             raise DataError("dimension mismatch")
+        values.frombytes(matrix.tobytes())
     return fields, dim
 
 
@@ -376,17 +382,17 @@ def format_floats(values: np.ndarray) -> str:
 
 
 # what splits or ends a line, is lost in a numpy string array or is not UTF-8
-_UNSAFE = re.compile("[\t\n\r\0\ud800-\udfff]")
+UNSAFE = re.compile("[\t\n\r\0\ud800-\udfff]")
 
 _CHUNK = 8192  # fields formatted per % call, so a file's text is held a chunk at a time
 
 
 def _text(strings) -> list[str]:
     """Strings (a list or array) as a list; DataError for one that would not
-    read back, found by one _UNSAFE search of the joined strings."""
+    read back, found by one UNSAFE search of the joined strings."""
     text = strings.tolist() if isinstance(strings, np.ndarray) else list(strings)
-    if _UNSAFE.search("".join(text)):
-        bad = next(v for v in text if _UNSAFE.search(v))
+    if UNSAFE.search("".join(text)):
+        bad = next(v for v in text if UNSAFE.search(v))
         raise DataError(f"field {bad!r} holds a tab, line break, NUL or surrogate")
     return text
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, DataError, ScoreSet, index_of
+from .data import UNSAFE, ConfigError, DataError, ScoreSet, index_of
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,9 @@ class OperatingPoint:
     name: str = ""
 
     def __post_init__(self):
+        if UNSAFE.search(self.name):  # the report writes it as it is
+            raise ConfigError(f"operating point name {self.name!r} holds a tab, line break, "
+                              "NUL or surrogate")
         if not 0.0 < self.p_target < 1.0:
             raise ConfigError(f"p_target must be in (0,1), got {self.p_target}")
         if not (0.0 < self.c_miss < np.inf and 0.0 < self.c_fa < np.inf):

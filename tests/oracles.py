@@ -192,7 +192,8 @@ def numbered_lines(path):
 def rows(lines, n_fields: int, floats, dim, where: str = ""):
     """The text columns and (rows, dim) float matrix of numbered lines of
     n_fields tab-separated fields, field `floats` holding dim floats (None:
-    as many as the first row's); each DataError names the line."""
+    as many as the first row's), each an ASCII token without '_' that
+    float() reads; each DataError names the line."""
     text, values = [], array("d")
     for lineno, line in lines:
         parts = line.split("\t")
@@ -201,8 +202,11 @@ def rows(lines, n_fields: int, floats, dim, where: str = ""):
         if "\0" in line:
             raise DataError(f"NUL character{where} at line {lineno}")
         if floats is not None:
+            tokens = parts.pop(floats).split()
             try:
-                values.extend(map(float, parts.pop(floats).split()))
+                if not all(t.isascii() and "_" not in t for t in tokens):
+                    raise ValueError("not an ASCII float literal")
+                values.extend(map(float, tokens))
             except ValueError:
                 raise DataError(f"bad float{where} at line {lineno}") from None
             dim = dim or len(values)

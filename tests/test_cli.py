@@ -552,6 +552,10 @@ MALFORMED_CONFIGS = [
     pytest.param(op_case("x:0.01:1:1", "x:0.005:1:1"), id="evaluate-op-same-name"),
     pytest.param(op_case("a-b:0.01:1:1", "a_b:0.005:1:1"),
                  id="evaluate-op-names-differ-by-dash"),
+    pytest.param(op_case("a\nb:0.01:1:1", "c:0.005:1:1"), id="evaluate-op-name-lf"),
+    pytest.param(op_case("a\tb:0.01:1:1", "c:0.005:1:1"), id="evaluate-op-name-tab"),
+    # what a non-UTF-8 byte in argv decodes to
+    pytest.param(op_case("a\udcff:0.01:1:1", "c:0.005:1:1"), id="evaluate-op-name-surrogate"),
     pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na-b = 0.01 1 1\na_b = 0.005 1 1\n"),
                  id="metrics-names-collide"),
     pytest.param(components_case(0), id="project-components-0"),
@@ -674,6 +678,15 @@ def enroll_id_is_a_speaker_case(tmp_path):
             "--test", paths["test"], "--trials", paths["trials"], "--out", tmp_path / "s.txt"]
 
 
+def float_token_case(token):
+    """project over a vector table whose second row holds token as a float."""
+    def argv(tmp_path):
+        table = tmp_path / "v.txt"
+        table.write_text(f"#dim=2\na\tc\t-\t1 2\nb\tc\t-\t{token} 2\nc\tc\t-\t3 1\n")
+        return ["project", "--vectors", table, "--out", tmp_path / "p.txt"]
+    return argv
+
+
 # (command line, exit code, text the one-line error must hold)
 BAD_INPUTS = [
     pytest.param(world_case("run-experiment", unlabeled=first(1)), 3,
@@ -702,6 +715,9 @@ BAD_INPUTS = [
                  id="unlabeled-near-1e300"),
     pytest.param(world_case("project", ood=times_1e300), 4, "overflow", id="project-near-1e300"),
     pytest.param(huge_enroll_case, 4, "overflow", id="score-enroll-near-1e300"),
+    # float() reads both, a vector table's float field does not
+    pytest.param(float_token_case("1_0"), 3, "bad float at line 3", id="float-1_0"),
+    pytest.param(float_token_case("\uff11"), 3, "bad float at line 3", id="float-fullwidth-digit"),
 ]
 
 

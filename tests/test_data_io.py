@@ -1,5 +1,6 @@
 import os
 import re
+import sys
 import tempfile
 from dataclasses import FrozenInstanceError, fields
 from unittest.mock import patch
@@ -763,6 +764,11 @@ READ_TEXT = st.one_of(st.sampled_from(["", " ", "a b", "é", "日本", " ", "\
 BLANKS = ["", " ", "\t", " \t ", "\x0c", "　"]
 COMMENTS = ["#", "# note", "#\tx\ty", "#dim"]
 SPACES = [" ", "  ", "\x0c", " 　", "\x85"]
+# tokens that are no float; float() reads the last three: a digit separator,
+# an Arabic-Indic and a fullwidth digit
+BAD_FLOATS = ["1.0x", "--1", "0x1", "one", "1_0", "\u0661", "\uff11"]
+# every character str.split splits on but the tab, LF and CR that end a field or a line
+SPLITTING = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\t\n\r"]
 
 
 def read_outcome(read, path, *args):
@@ -820,7 +826,7 @@ class TestReaderChunks:
                     tokens = fields[floats].split()
                     if fault == "float":
                         tokens.insert(data.draw(st.integers(0, len(tokens))),
-                                      data.draw(st.sampled_from(["1.0x", "--1", "0x1", "one"])))
+                                      data.draw(st.sampled_from(BAD_FLOATS)))
                     elif tokens and data.draw(st.booleans()):
                         tokens.pop()
                     else:
@@ -871,6 +877,15 @@ class TestReaderChunks:
         ((4, 3, True), "#dim=2\na\tc\t-\t1 2\na\tc\t-\t1\nb\0\tc\n",
          "dimension mismatch at line 3"),
         ((4, 3, True), "#dim=2\na\tc\t-\t1 x\na\tc\t-\t1\n#dim=2\n", "bad float at line 2"),
+        # float() reads the first three tokens; in a float field '#' starts no comment
+        *(((4, 3, True), f"#dim=2\na\tc\t-\t1 2\nb\tc\t-\t{token} 2\n", "bad float at line 3")
+          for token in ("1_0", "\u0661", "\uff11", "1.5 #2")),
+        *(((4, 2, False), f"m\tt\t1.5\ttarget\nm\tu\t{token}\ttarget\n", "bad float at line 2")
+          for token in ("1_0", "\u0661", "\uff11", "1.5 #2")),
+        # a blank float field, which np.loadtxt would skip with a warning (an error here)
+        *(((4, 2, False), f"m\tt\t1.5\ttarget\nm\tu\t{blank}\ttarget\n",
+           "dimension mismatch at line 2") for blank in (" ", "\x0c", "\u3000 ")),
+        ((4, 3, True), "#dim=2\na\tc\t-\t1 2\nb\tc\t-\t \n", "dimension mismatch at line 3"),
     ])
     @pytest.mark.parametrize("chunk", [5, 4096])
     def test_faults(self, tmp_path, args, text, message, chunk):
@@ -879,6 +894,15 @@ class TestReaderChunks:
             got = read_outcome(data_module._read_table, path, *args)
         assert got == read_outcome(oracles.read_table, path, *args)
         assert message in got
+
+    @pytest.mark.parametrize("space", SPLITTING, ids=lambda c: f"U+{ord(c):04X}")
+    @pytest.mark.parametrize("chunk", [5, 4096])
+    def test_any_whitespace_separates_and_pads(self, tmp_path, space, chunk):
+        path = write(tmp_path, f"#dim=2\nv\tc\t-\t{space}1.5{space * 2}-2{space}\nw\tc\t-\t3 4\n")
+        with patch.object(data_module, "_READ", chunk):
+            got = read_outcome(data_module._read_table, path, 4, 3, True)
+        assert got == read_outcome(oracles.read_table, path, 4, 3, True)
+        assert got[1:] == ((2, 2), np.array([[1.5, -2.0], [3.0, 4.0]]).tobytes())
 
     @pytest.mark.parametrize("end", ["\n", ""])
     @pytest.mark.parametrize("chunk", [7, 4096])
