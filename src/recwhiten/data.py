@@ -3,8 +3,8 @@
 Every kind is held as columns: a vector set is one array each of ids, corpus
 ids and speaker ids next to one ``(n, dim)`` matrix, and ``-``
 (MISSING_SPEAKER) marks an unlabeled vector both in memory and on disk;
-trials keep each id column factored into its distinct ids and one code per
-trial, next to an array of labels, and scores add one array of scores.
+trials keep model ids, test ids and labels each as a Factored, distinct values
+and one code per trial, and scores add one array of scores.
 
 These three tables and the whitener and PLDA model files are UTF-8 text with
 tab-separated fields and floats at 17 significant digits, which read back bit
@@ -39,7 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 LABELS = ("target", "nontarget", "unknown")
-_SORTED_LABELS = np.array(sorted(LABELS))  # save_* write labels as codes into these
 
 MISSING_SPEAKER = "-"
 
@@ -144,7 +143,8 @@ def concat(sets: list[VectorSet]) -> VectorSet:
 
 
 class Factored(NamedTuple):
-    """An id column as its distinct ids, in any order, and each row's position among them."""
+    """The one form of a factored text column: its distinct values and each row's
+    position among them. TrialList takes, keeps and saves its columns so."""
     distinct: np.ndarray
     codes: np.ndarray
 
@@ -153,42 +153,37 @@ class Factored(NamedTuple):
 class TrialList:
     """Trial columns: enrollment model id, test id and label of each trial.
 
-    Each id column is kept factored: `models` and `tests` hold its distinct
-    ids in code-point order and `model_codes` and `test_codes` each trial's
-    position in them, so no array a caller passed in is kept (an id column may
-    come as a Factored). `labels` is a 1-D array of strings. Every array is
+    Each column, a sequence or a Factored (distinct values in any order, some
+    maybe named by no code), is kept as a Factored of the values some trial has,
+    in code-point order, so no array a caller passed in is kept. Every array is
     read-only; (model id, test id) pairs are unique and every label is in LABELS.
     """
 
-    models: np.ndarray
-    model_codes: np.ndarray
-    tests: np.ndarray
-    test_codes: np.ndarray
-    labels: np.ndarray
+    model: Factored
+    test: Factored
+    label: Factored
 
     def __init__(self, model_ids, test_ids, labels):
-        (models, model_codes), (tests, test_codes) = _factor(model_ids), _factor(test_ids)
-        labels = np.array(labels, dtype=str)
-        if not model_codes.shape == test_codes.shape == labels.shape:
+        model, test, label = map(_factor, (model_ids, test_ids, labels))
+        if not model.codes.shape == test.codes.shape == label.codes.shape:
             raise DataError("trial columns differ in length")
-        bad = ~np.isin(labels, LABELS)
+        bad = np.array([v not in LABELS for v in label.distinct.tolist()], dtype=bool)[label.codes]
         if bad.any():
-            raise DataError(f"unknown label {str(labels[np.argmax(bad)])!r}")
-        freeze(self, models=models, model_codes=model_codes, tests=tests, test_codes=test_codes,
-               labels=labels)
+            raise DataError(f"unknown label {str(label.distinct[label.codes[np.argmax(bad)]])!r}")
+        freeze(self, model=model, test=test, label=label)
         # the codes sort as the ids do, so this stable sort orders the trials
         # as a lexsort of the id columns would
-        pair = model_codes * len(tests) + test_codes
+        pair = model.codes * len(test.distinct) + test.codes
         order = np.argsort(pair, kind="stable")
         repeat = pair[order][1:] == pair[order][:-1]
         if repeat.any():
             raise DataError(f"duplicate trial {self.key(order[1:][repeat].min())}")
 
     def __len__(self):
-        return len(self.labels)
+        return len(self.label.codes)
 
     def key(self, i: int) -> tuple[str, str]:
-        return str(self.models[self.model_codes[i]]), str(self.tests[self.test_codes[i]])
+        return tuple(str(column.distinct[column.codes[i]]) for column in (self.model, self.test))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +216,12 @@ def freeze(obj, **fields) -> None:
         return value
 
     for name, value in fields.items():
-        value = tuple(map(read_only, value)) if isinstance(value, tuple) else read_only(value)
-        object.__setattr__(obj, name, value)
+        if isinstance(value, tuple):  # a NamedTuple keeps its type
+            value = getattr(value, "_make", tuple)(map(read_only, value))
+        object.__setattr__(obj, name, read_only(value))
 
 
-def _factor(column) -> tuple[np.ndarray, np.ndarray]:
+def _factor(column) -> Factored:
     """The distinct strings of a column (a sequence or a Factored) in code-point
     order and each row's position among them, from one dict pass. Values are
     taken as a numpy string array holds them: str of a non-str, trailing NULs
@@ -239,25 +235,25 @@ def _factor(column) -> tuple[np.ndarray, np.ndarray]:
         if codes.ndim != 1 or codes.dtype.kind not in "iu" or not np.isin(codes, rank).all():
             raise DataError(f"trial codes must be integers in [0, {len(rank)})")
         used = np.isin(np.arange(len(distinct)), codes := rank[codes])
-        return distinct[used], (np.cumsum(used) - 1)[codes]
+        return Factored(distinct[used], (np.cumsum(used) - 1)[codes])
     values = list(column)
     if not {str}.issuperset(map(type, values)) or "\0" in "".join(values):
         values = np.array(values, dtype=str).tolist()
     code = {v: i for i, v in enumerate(sorted(dict.fromkeys(values)))}
-    return (np.array(list(code), dtype=str),
-            np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
+    return Factored(np.array(list(code), dtype=str),
+                    np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values)))
 
 
-def index_of(keys, distinct: np.ndarray, codes: np.ndarray, missing: str) -> np.ndarray:
-    """Position in keys of each value of a factored column, given as its
-    sorted distinct values and each row's code into them; a value keys lack
-    raises DataError with the message prefix `missing`."""
+def index_of(keys, column: Factored, missing: str) -> np.ndarray:
+    """Position in keys of each row's value of a factored column, from one
+    lookup per distinct value; a value keys lack raises DataError with the
+    message prefix `missing`."""
     where = {k: i for i, k in enumerate(keys)}
     try:
-        found = np.array([where[k] for k in distinct.tolist()], dtype=np.intp)
+        found = np.array([where[k] for k in column.distinct.tolist()], dtype=np.intp)
     except KeyError as e:
         raise DataError(f"{missing} {e.args[0]!r}") from None
-    return found[codes]
+    return found[column.codes]
 
 
 _READ = 1 << 16  # characters read per chunk, so a file's text is held a chunk at a time
@@ -399,12 +395,11 @@ def _text(strings) -> list[str]:
 
 def _column(column) -> tuple[str, np.ndarray]:
     """The % format of a column's fields and its (rows, fields) array of values.
-    Text is a list or array of strings, or a (distinct strings, codes) pair
-    whose strings are checked once each (DataError if one would not read back);
-    a float array, finite in every object saved, is one field, a matrix one per column."""
-    if isinstance(column, tuple):
-        distinct, codes = column
-        return "%s", np.array(_text(distinct), dtype=object)[codes, None]
+    Text is a list or array of strings, or a Factored whose distinct strings
+    are checked once each (DataError if one would not read back); a float
+    array, finite in every object saved, is one field, a matrix one per column."""
+    if isinstance(column, Factored):
+        return "%s", np.array(_text(column.distinct), dtype=object)[column.codes, None]
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         if column.ndim == 1:
             return _FLOAT, column[:, None]
@@ -436,7 +431,7 @@ def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
 
 def _write_table(path, header: list[str], columns: list) -> None:
     """write_blocks for one table, whose rows may not start with '#'."""
-    first = columns[0][0] if isinstance(columns[0], tuple) else columns[0]
+    first = columns[0].distinct if isinstance(columns[0], Factored) else columns[0]
     comment = np.char.startswith(first, "#")
     if comment.any():
         raise DataError(f"{str(first[comment][0])!r} would start a comment line")
@@ -475,9 +470,8 @@ def load_trials(path) -> TrialList:
     return TrialList(model, test, label)
 
 
-def save_trials(tlist: TrialList, path) -> None:
-    _write_table(path, [], [(tlist.models, tlist.model_codes), (tlist.tests, tlist.test_codes),
-                            (_SORTED_LABELS, np.searchsorted(_SORTED_LABELS, tlist.labels))])
+def save_trials(tl: TrialList, path) -> None:
+    _write_table(path, [], [tl.model, tl.test, tl.label])
 
 
 def load_scores(path) -> ScoreSet:
@@ -487,5 +481,4 @@ def load_scores(path) -> ScoreSet:
 
 def save_scores(sset: ScoreSet, path) -> None:
     tl = sset.trials
-    _write_table(path, [], [(tl.models, tl.model_codes), (tl.tests, tl.test_codes), sset.scores,
-                            (_SORTED_LABELS, np.searchsorted(_SORTED_LABELS, tl.labels))])
+    _write_table(path, [], [tl.model, tl.test, sset.scores, tl.label])

@@ -69,6 +69,9 @@ class EvalReport:
     header: list[str] = field(default_factory=list)
 
     def render(self) -> str:
+        for h in self.header:  # a tab may stay in a '#' line, not what ends it or is not UTF-8
+            if UNSAFE.search(h.replace("\t", " ")):
+                raise ConfigError(f"report header {h!r} holds a line break, NUL or surrogate")
         lines = [f"#{h}" for h in self.header]
         lines.append(f"eer\t{self.eer:.6f}")
         for kind, dcf in (("min", self.min_dcf), ("act", self.act_dcf)):
@@ -105,8 +108,8 @@ def _dcf(p_miss, p_fa, op: OperatingPoint) -> float:
 
 def evaluate(sset: ScoreSet, ops=DEFAULT_OPERATING_POINTS) -> EvalReport:
     """EER, min/act DCF by operating-point key and c_primary, the mean min DCF."""
-    tar = np.sort(sset.scores[sset.trials.labels == "target"])
-    non = np.sort(sset.scores[sset.trials.labels == "nontarget"])
+    distinct, codes = sset.trials.label
+    tar, non = (np.sort(sset.scores[(distinct == k)[codes]]) for k in ("target", "nontarget"))
     if tar.size == 0 or non.size == 0:
         raise DataError("need at least one target and one nontarget trial")
     scores = np.sort(np.concatenate([tar, non]))
@@ -133,7 +136,7 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
     s' = 0.5 * ((s - mu_e) / sigma_e + (s - mu_t) / sigma_t) with mean and
     population std taken over each side's cohort scores.
     """
-    def per_trial(cohort, distinct, codes, side):
+    def per_trial(cohort, column, side):
         """Mean and std of the cohort scores of each trial's id on one side,
         from one reduction over that side's stacked cohort arrays."""
         if len({len(v) for v in cohort.values()}) > 1:
@@ -141,12 +144,12 @@ def snorm(raw: ScoreSet, enroll_cohort: dict[str, np.ndarray],
         stacked = np.stack(list(cohort.values())) if cohort else np.empty((0, 2))
         if stacked.shape[1] < 2:
             raise DataError(f"cohort for {next(iter(cohort))!r} needs at least 2 scores")
-        rows = index_of(cohort, distinct, codes, f"missing {side} cohort for")
+        rows = index_of(cohort, column, f"missing {side} cohort for")
         return stacked.mean(axis=1)[rows], stacked.std(axis=1)[rows]
 
     trials = raw.trials
-    mu_e, sd_e = per_trial(enroll_cohort, trials.models, trials.model_codes, "enroll")
-    mu_t, sd_t = per_trial(test_cohort, trials.tests, trials.test_codes, "test")
+    mu_e, sd_e = per_trial(enroll_cohort, trials.model, "enroll")
+    mu_t, sd_t = per_trial(test_cohort, trials.test, "test")
     zero = (sd_e == 0.0) | (sd_t == 0.0)
     if zero.any():
         raise DataError(f"zero cohort deviation for trial {trials.key(np.argmax(zero))}")

@@ -163,8 +163,8 @@ def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
     if enroll.dim != model.dim or test.dim != model.dim:
         raise DataError(f"PLDA model has dimension {model.dim}, vectors {enroll.dim}/{test.dim}")
     model_ids, model_vecs = enroll_models(enroll)
-    rows = index_of(model_ids, trials.models, trials.model_codes, "unresolved enrollment model")
-    cols = index_of(test.ids.tolist(), trials.tests, trials.test_codes, "unresolved test id")
+    rows = index_of(model_ids, trials.model, "unresolved enrollment model")
+    cols = index_of(test.ids.tolist(), trials.test, "unresolved test id")
     llr = score_matrix(model, model_vecs, test.matrix())
     return ScoreSet(trials, llr[rows, cols])
 

@@ -200,5 +200,5 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
     model_codes, test_codes = np.indices((len(models), len(test))).reshape(2, -1)
     same = models[:, None] == test.speaker_ids
     trials = TrialList(Factored(models, model_codes), Factored(test.ids, test_codes),
-                       np.where(same.ravel(), "target", "nontarget"))
+                       Factored(["nontarget", "target"], same.ravel().astype(np.intp)))
     return SynthWorld(cfg, ood, unlabeled, enroll, test, trials)

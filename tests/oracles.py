@@ -1,7 +1,8 @@
 """Single-vector forms of the batched kernels, a row-at-a-time writer and
-table reader, a speaker-at-a-time corpus sampler and the trial id columns,
-kept as test oracles, and the helpers that several test files share:
-make_set builds a vector set, parse_coords reads project's output.
+table reader, a speaker-at-a-time corpus sampler, the trial id columns and a
+whole run of the experiment's levels built from those kernels, kept as test
+oracles, and the helpers that several test files share: make_set builds a
+vector set, parse_coords reads project's output.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
@@ -18,9 +19,10 @@ from itertools import chain
 import numpy as np
 
 from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet, _dim_header
-from recwhiten.plda import PldaModel
-from recwhiten.stats import Moments, cholesky_lower
-from recwhiten.whitening import ZERO_NORM_EPS, RecursiveWhitener, WhiteningStage
+from recwhiten.plda import PldaModel, train_plda
+from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening_matrix
+from recwhiten.whitening import (ZERO_NORM_EPS, LevelSelection, RecursiveWhitener,
+                                 WhiteningStage)
 
 
 def make_set(vectors, corpus_id="c", prefix="v"):
@@ -141,10 +143,62 @@ def write_rows(blocks) -> str:
 
 
 def trial_columns(tlist) -> tuple[list[str], list[str], list[str]]:
-    """The model id, test id and label of each trial, the ids gathered from
-    the TrialList's factored codes."""
-    return (tlist.models[tlist.model_codes].tolist(), tlist.tests[tlist.test_codes].tolist(),
-            tlist.labels.tolist())
+    """The model id, test id and label of each trial, gathered from the
+    TrialList's factored columns."""
+    return tuple(c.distinct[c.codes].tolist() for c in (tlist.model, tlist.test, tlist.label))
+
+
+def run_levels(cfg, corpora) -> tuple[list[LevelSelection], dict[int, np.ndarray]]:
+    """The selection log of the deepest whitener of an experiment config and
+    the scores of each of its levels in trial order, one vector, one trial and
+    one cohort score at a time: each level's candidates whitened per vector
+    and chosen by the summed gaussian_loglik of the selection targets, PLDA
+    trained on the per-vector transform of the out-of-domain set, score_pair
+    per trial, and S-norm per trial from dicts of cohort scores. Moments,
+    whitening matrices and PLDA training are the package's own."""
+    def stage(level, vectors, corpus_id):
+        m = estimate_moments(np.array(vectors), corpus_id, cfg.shrinkage)
+        return m, WhiteningStage(level, corpus_id, m.mean, whitening_matrix(m))
+
+    ood, unlabeled = corpora.ood, corpora.unlabeled
+    whitener = RecursiveWhitener([stage(0, unlabeled.matrix(), str(unlabeled.corpus_ids[0]))[1]])
+    targets = list(unlabeled.matrix() if cfg.selection_targets == "unlabeled" else
+                   chain(corpora.enroll.matrix(), corpora.test.matrix()))
+    ood_rows = list(zip(ood.corpus_ids.tolist(), ood.matrix()))
+    for level, tokens in enumerate(cfg.hierarchy[:max(cfg.levels)], start=1):
+        fits = [stage(level, [transform(whitener, v) for cid, v in ood_rows
+                              if cid in token.split("+")], token) for token in tokens]
+        t = [transform(whitener, v) for v in targets]
+        logliks = [sum(gaussian_loglik(m, v) for v in t) for m, _ in fits]
+        chosen = logliks.index(max(logliks))
+        whitener.stages.append(fits[chosen][1])
+        whitener.selection_log.append(LevelSelection(level, list(zip(tokens, logliks)), chosen))
+
+    scores = {}
+    model_ids, test_ids, _ = trial_columns(corpora.trials)
+    for level in cfg.levels:
+        w = RecursiveWhitener(whitener.stages[:level + 1])
+        model = train_plda(VectorSet(ood.ids, ood.corpus_ids, ood.speaker_ids,
+                                     [transform(w, v) for v in ood.matrix()]), cfg.plda_rank)
+        sessions = {}  # a model's sessions: a speaker's, or an unlabeled vector under its id
+        for vid, spk, v in zip(corpora.enroll.ids.tolist(), corpora.enroll.speaker_ids.tolist(),
+                               corpora.enroll.matrix()):
+            sessions.setdefault(vid if spk == MISSING_SPEAKER else spk, []).append(transform(w, v))
+        models = {m: length_normalize(np.mean(vs, axis=0)) for m, vs in sessions.items()}
+        tests = {vid: transform(w, v) for vid, v in zip(corpora.test.ids.tolist(),
+                                                         corpora.test.matrix())}
+        level_scores = [score_pair(model, models[m], tests[t]) for m, t in zip(model_ids, test_ids)]
+        if cfg.snorm:
+            cohort = [transform(w, v) for v in unlabeled.matrix()]
+            enroll_cohort = {m: np.array([score_pair(model, v, c) for c in cohort])
+                             for m, v in models.items()}
+            test_cohort = {t: np.array([score_pair(model, v, c) for c in cohort])
+                           for t, v in tests.items()}
+            level_scores = [0.5 * ((s - enroll_cohort[m].mean()) / enroll_cohort[m].std()
+                                   + (s - test_cohort[t].mean()) / test_cohort[t].std())
+                            for s, m, t in zip(level_scores, model_ids, test_ids)]
+        scores[level] = np.array(level_scores)
+    return whitener.selection_log, scores
 
 
 def vector_table_text(vset) -> str:

@@ -302,6 +302,28 @@ class TestScoreEvaluateCommands:
             assert run(["evaluate", "--scores", sp, "--out", rp]) == 0
             assert expect in rp.read_text()
 
+    @staticmethod
+    def scores_at(path):
+        save_scores(ScoreSet(TrialList(["m", "m"], ["t1", "t2"], ["target", "nontarget"]),
+                             [1.0, 0.0]), path)
+        return path
+
+    @pytest.mark.parametrize("name", [os.fsdecode(b"s\xff.txt"), "s\nx.txt", "s\rx.txt"],
+                             ids=["surrogate", "lf", "cr"])
+    def test_score_path_that_would_break_the_report_exits_2(self, tmp_path, capsys, name):
+        """The path goes into the report's '#scores=' line: a line break would
+        end the comment, a surrogate (a non-UTF-8 byte) would not encode."""
+        scores, report = self.scores_at(tmp_path / name), tmp_path / "r.txt"
+        assert run(["evaluate", "--scores", scores, "--out", report]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: report header 'scores=") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_tab_in_score_path_stays_in_the_comment(self, tmp_path):
+        scores, report = self.scores_at(tmp_path / "s\tx.txt"), tmp_path / "r.txt"
+        assert run(["evaluate", "--scores", scores, "--out", report]) == 0
+        assert report.read_text().startswith(f"#scores={scores}\n#op=dcf16-1:")
+
 
 class TestProjectCommand:
     def test_command_output(self, tmp_path):

@@ -273,16 +273,17 @@ class TestTrialsAndScores:
     def test_id_codes(self, pairs):
         model_ids, test_ids = [p[0] for p in pairs], [p[1] for p in pairs]
         tl = TrialList(model_ids, test_ids, ["unknown"] * len(pairs))
-        assert tl.models.tolist() == sorted(set(model_ids)) == np.unique(model_ids).tolist()
-        assert tl.tests.tolist() == sorted(set(test_ids)) == np.unique(test_ids).tolist()
-        assert tl.models[tl.model_codes].tolist() == model_ids
-        assert tl.tests[tl.test_codes].tolist() == test_ids
+        assert tl.model.distinct.tolist() == sorted(set(model_ids)) == np.unique(model_ids).tolist()
+        assert tl.test.distinct.tolist() == sorted(set(test_ids)) == np.unique(test_ids).tolist()
+        assert tl.model.distinct[tl.model.codes].tolist() == model_ids
+        assert tl.test.distinct[tl.test.codes].tolist() == test_ids
 
     @staticmethod
     def assert_same_fields(a, b):
-        for name in ("models", "model_codes", "tests", "test_codes", "labels"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype.kind == y.dtype.kind and x.tolist() == y.tolist(), name
+        for name in ("model", "test", "label"):
+            assert type(getattr(a, name)) is type(getattr(b, name)) is Factored, name
+            for x, y in zip(getattr(a, name), getattr(b, name)):
+                assert x.dtype.kind == y.dtype.kind and x.tolist() == y.tolist(), name
 
     @pytest.mark.parametrize("speakers", [
         range(4), range(995, 1005), [10000, 1001, 9999, 3, 10001]])  # 10000 sorts before 1001
@@ -290,25 +291,29 @@ class TestTrialsAndScores:
         models = np.array([f"eval_spk{s:04d}" for s in speakers])
         tests = np.array([f"{m}_t{k:02d}" for m in models[::-1] for k in range(2)])
         model_codes, test_codes = np.indices((len(models), len(tests))).reshape(2, -1)
-        labels = np.where(models[model_codes] == np.char.rpartition(tests, "_")[:, 0][test_codes],
-                          "target", "nontarget")
-        grid = TrialList(Factored(models, model_codes), Factored(tests, test_codes), labels)
+        same = models[model_codes] == np.char.rpartition(tests, "_")[:, 0][test_codes]
+        labels = np.where(same, "target", "nontarget")
         columns = TrialList(models[model_codes], tests[test_codes], labels)
-        self.assert_same_fields(grid, columns)
-        assert oracles.trial_columns(grid) == oracles.trial_columns(columns)
-        assert grid.models.tolist() == sorted(models.tolist())
+        for label in (labels, Factored(["nontarget", "target"], same.astype(np.intp))):
+            grid = TrialList(Factored(models, model_codes), Factored(tests, test_codes), label)
+            self.assert_same_fields(grid, columns)
+            assert oracles.trial_columns(grid) == oracles.trial_columns(columns)
+            assert grid.model.distinct.tolist() == sorted(models.tolist())
 
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=20),
-           st.permutations(["m", "a", "é", "m2", "", "𝔘"]))
-    def test_factored_equals_id_columns(self, pairs, ids):
-        """Any code order, distinct ids in any order, some named by no code."""
-        distinct = np.array(ids)
-        model_codes = np.array([m for m, _ in pairs], dtype=np.intp)
-        test_codes = np.array([t for _, t in pairs], dtype=np.int32)
-        labels = ["unknown"] * len(pairs)
-        self.assert_same_fields(
-            TrialList(Factored(distinct, model_codes), Factored(ids, test_codes), labels),
-            TrialList(distinct[model_codes], distinct[test_codes], labels))
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)),
+                    unique_by=lambda trial: trial[:2], max_size=20),
+           st.permutations(["m", "a", "é", "m2", "", "𝔘"]), st.permutations(LABELS))
+    def test_factored_equals_id_columns(self, trials, ids, label_order):
+        """Any code order, distinct ids and labels in any order, some named by no code."""
+        distinct, labels = np.array(ids), np.array(label_order)
+        model_codes = np.array([m for m, _, _ in trials], dtype=np.intp)
+        test_codes = np.array([t for _, t, _ in trials], dtype=np.int32)
+        label_codes = np.array([lab for _, _, lab in trials], dtype=np.int16)
+        columns = TrialList(distinct[model_codes], distinct[test_codes], labels[label_codes])
+        for label in (labels[label_codes], Factored(label_order, label_codes)):
+            self.assert_same_fields(
+                TrialList(Factored(distinct, model_codes), Factored(ids, test_codes), label),
+                columns)
 
     @pytest.mark.parametrize("distinct,codes,message", [
         (["a", "b", "a"], [0, 1], "repeated distinct id 'a'"),
@@ -329,6 +334,21 @@ class TestTrialsAndScores:
             TrialList(Factored(["m"], [0, 0]), ["t"], ["target"] * 2)
         with pytest.raises(DataError, match="unknown label"):
             TrialList(Factored(["m"], [0]), ["t"], ["bogus"])
+
+    @pytest.mark.parametrize("labels", [
+        ["target", "zz", "aa", "zz"],
+        Factored(["aa", "target", "zz"], [1, 2, 0, 2]),
+        Factored(["target", "zz", "aa", "bogus"], np.array([0, 1, 2, 1], dtype=np.uint8)),
+    ])
+    def test_unknown_label_names_the_first_bad_row(self, labels):
+        """Not the first bad label in code-point order, whatever form the column takes."""
+        with pytest.raises(DataError, match="^unknown label 'zz'$"):
+            TrialList(["m1", "m2", "m3", "m4"], ["t"] * 4, labels)
+
+    def test_label_no_trial_has_is_dropped(self):
+        tl = TrialList(["m1", "m2"], ["t"] * 2, Factored(["bogus", "target", "unknown"], [1, 1]))
+        assert tl.label.distinct.tolist() == ["target"]
+        assert oracles.trial_columns(tl)[2] == ["target", "target"]
 
     def test_tuple_of_ids_is_an_id_column(self):
         tl = TrialList(("m1", "m2"), ("t1", "t2"), ("target", "nontarget"))
@@ -415,6 +435,20 @@ class TestReadOnly:
                 if isinstance(part, np.ndarray):
                     with pytest.raises(ValueError, match="read-only"):
                         part[...] = part
+
+    @pytest.mark.parametrize("trials", [frozen_objects()[0], frozen_objects()[1].trials])
+    def test_trial_columns_are_read_only_factored(self, trials):
+        for name in ("model", "test", "label"):
+            column = getattr(trials, name)
+            assert type(column) is Factored, name
+            with pytest.raises(FrozenInstanceError):
+                setattr(trials, name, column)
+            for part in column._fields:
+                array = getattr(column, part)
+                with pytest.raises(AttributeError):
+                    setattr(column, part, array)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = array
 
     def test_arrays_passed_in_are_not_kept(self, tmp_path):
         """Writing into the arrays an object was built from leaves it as built."""

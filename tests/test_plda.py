@@ -170,7 +170,7 @@ class TestScoreTrials:
         e = enroll.matrix()[0]
         assert ss.scores[0] == pytest.approx(
             score_pair(m, e / np.linalg.norm(e), test.matrix()[0]), rel=1e-12)
-        assert ss.trials.labels[0] == "target"
+        assert trial_columns(ss.trials)[2][0] == "target"
 
     def test_duplicate_sessions_idempotent(self):
         rng = np.random.default_rng(27)
