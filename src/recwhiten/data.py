@@ -1,8 +1,8 @@
 """Data model and text I/O for embedding tables, trial lists and score files.
 
 Every kind is held as columns: a vector set is one array each of ids, corpus
-ids and speaker ids next to one ``(n, dim)`` matrix, and ``-``
-(MISSING_SPEAKER) marks an unlabeled vector both in memory and on disk;
+ids and speaker ids next to one ``(n, dim)`` matrix (entries lists the ids),
+and ``-`` (MISSING_SPEAKER) marks an unlabeled vector in memory and on disk;
 trials keep model ids, test ids and labels each as a Factored, distinct values
 and one code per trial, and scores add one array of scores.
 
@@ -24,7 +24,7 @@ are skipped; lines starting with ``#`` are comments in the tables only, and a
 vector table's ``#dim=<d>`` header comes before its rows. An id or tag may be
 empty and hold any character but tab, LF, CR and NUL; a table row may not
 start with ``#``. What would not read back, a save refuses with DataError
-before it creates the file.
+before it creates the file; a load's DataError starts with the file's path.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import re
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import wraps
 from itertools import repeat
 from typing import NamedTuple
 
@@ -60,12 +61,9 @@ class NumericalError(ArithmeticError):
 
 
 class VectorEntry(NamedTuple):
-    """One vector of a VectorSet, as listed by VectorSet.entries."""
+    """The id of one vector of a VectorSet, as listed by VectorSet.entries."""
 
     id: str
-    corpus_id: str
-    speaker_id: str  # MISSING_SPEAKER when unlabeled
-    values: np.ndarray  # row view of the set's matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +120,8 @@ class VectorSet:
 
     @property
     def entries(self) -> list[VectorEntry]:
-        """Row view: one VectorEntry per vector, in order."""
-        return [VectorEntry(*row) for row in zip(
-            self.ids.tolist(), self.corpus_ids.tolist(), self.speaker_ids.tolist(),
-            self.matrix())]
+        """One VectorEntry per vector, in order: the ids, no row of the matrix."""
+        return list(map(VectorEntry, self.ids.tolist()))
 
 
 def same_dim(sets: list[VectorSet]) -> None:
@@ -263,7 +259,7 @@ def _chunks(path):
     """The line numbers and the lines, LF stripped, of the non-blank lines of a
     UTF-8 file, a chunk at a time: _READ characters and the rest of the line
     they end in, so a chunk ends on a line break and a longer line is held
-    whole. DataError naming the file if it is not UTF-8."""
+    whole. DataError if it is not UTF-8; the loader names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             start = 1
@@ -276,7 +272,7 @@ def _chunks(path):
                 if lines:
                     yield numbers, lines
     except UnicodeDecodeError:
-        raise DataError(f"{path} is not UTF-8 text") from None
+        raise DataError("not UTF-8 text") from None
 
 
 def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str = "",
@@ -454,6 +450,18 @@ def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:
     return int(line[5:])
 
 
+def names_its_file(load):
+    """A loader load(path) whose every DataError starts with the path, once."""
+    @wraps(load)
+    def named(path):
+        try:
+            return load(path)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+    return named
+
+
+@names_its_file
 def load_vector_table(path) -> VectorSet:
     """Parse a vector table file; see the module docstring for the format."""
     (ids, corpora, speakers), values = _read_table(path, 4, floats=3, header=True)
@@ -465,6 +473,7 @@ def save_vector_table(vset: VectorSet, path) -> None:
                  [vset.ids, vset.corpus_ids, vset.speaker_ids, vset.matrix()])
 
 
+@names_its_file
 def load_trials(path) -> TrialList:
     (model, test, label), _ = _read_table(path, 3)
     return TrialList(model, test, label)
@@ -474,6 +483,7 @@ def save_trials(tl: TrialList, path) -> None:
     _write_table(path, [], [tl.model, tl.test, tl.label])
 
 
+@names_its_file
 def load_scores(path) -> ScoreSet:
     (model, test, label), scores = _read_table(path, 4, floats=2)
     return ScoreSet(TrialList(model, test, label), scores[:, 0])

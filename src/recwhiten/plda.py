@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .data import (MISSING_SPEAKER, ConfigError, DataError, ScoreSet, TrialList, VectorSet,
-                   block_rows, freeze, index_of, read_blocks, write_blocks)
+                   block_rows, freeze, index_of, names_its_file, read_blocks, write_blocks)
 from .stats import COV_FLOOR, check_symmetric, scatter, spd_inverse, top_eigen
 from .whitening import ZERO_NORM_EPS
 
@@ -177,6 +177,7 @@ def save_plda(model: PldaModel, path) -> None:
                         (["[wc]"], [model.wc]), (["[rank]"], [[rank]])])
 
 
+@names_its_file
 def load_plda(path) -> PldaModel:
     """A PLDA file as save_plda writes it: [mean] (one row), [ac], [wc] and
     [rank] (one line, '-' or str(int)), in that order."""

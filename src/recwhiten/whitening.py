@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (DataError, NumericalError, VectorSet, block_rows, freeze, read_blocks,
-                   write_blocks)
+from .data import (DataError, NumericalError, VectorSet, block_rows, freeze, names_its_file,
+                   read_blocks, write_blocks)
 from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
@@ -206,6 +206,7 @@ def save_whitener(whitener: RecursiveWhitener, path) -> None:
     write_blocks(path, blocks)
 
 
+@names_its_file
 def load_whitener(path) -> RecursiveWhitener:
     """A whitener file as save_whitener writes it: '[stage <level> <corpus id>]'
     blocks, the corpus id maybe empty or with spaces, then '[selection <level>]'

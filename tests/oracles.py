@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet, _dim_header
+from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
 from recwhiten.plda import PldaModel, train_plda
 from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening_matrix
 from recwhiten.whitening import (ZERO_NORM_EPS, LevelSelection, RecursiveWhitener,
@@ -233,14 +233,14 @@ def plda_text(model: PldaModel) -> str:
 
 def numbered_lines(path):
     """The number and the text, LF stripped, of each non-blank line of a
-    UTF-8 file; DataError naming the file if it is not UTF-8."""
+    UTF-8 file; DataError if it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if raw.strip():
                     yield lineno, raw.rstrip("\n")
     except UnicodeDecodeError:
-        raise DataError(f"{path} is not UTF-8 text") from None
+        raise DataError("not UTF-8 text") from None
 
 
 def rows(lines, n_fields: int, floats, dim, where: str = ""):
@@ -271,6 +271,23 @@ def rows(lines, n_fields: int, floats, dim, where: str = ""):
     return columns, np.frombuffer(values).reshape(-1, dim or 1)
 
 
+MAX_DIM = np.iinfo(np.intp).max  # the longest axis a numpy array can have
+
+
+def dim_header(lineno, line, after=False):
+    """d of a '#dim=<d>' comment, None for another comment. The header comes
+    once, before the first row (after: a header or a row came before it), and
+    d is spelled as str(d) writes it, 1 <= d <= MAX_DIM."""
+    if not line.startswith("#dim="):
+        return None
+    spelled = line[len("#dim="):]
+    digits = spelled.isascii() and spelled.isdigit() and len(spelled) <= len(str(MAX_DIM))
+    d = int(spelled) if digits else None
+    if after or d is None or str(d) != spelled or not 1 <= d <= MAX_DIM:
+        raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
+    return d
+
+
 def read_table(path, n_fields: int, floats=None, header: bool = False):
     """rows of a table's lines less its comments, among which a vector
     table's #dim= header comes before its first row."""
@@ -279,9 +296,9 @@ def read_table(path, n_fields: int, floats=None, header: bool = False):
         if line[0] != "#":
             first = [(lineno, line)]
             break
-        dim = header and _dim_header(lineno, line, after=dim is not None) or dim
+        dim = header and dim_header(lineno, line, after=dim is not None) or dim
     if dim is None:
         raise DataError(f"data before #dim= header at line {first[0][0]}" if first
                         else "missing #dim= header")
-    rest = (row for row in lines if row[1][0] != "#" or header and _dim_header(*row, after=True))
+    rest = (row for row in lines if row[1][0] != "#" or header and dim_header(*row, after=True))
     return rows(chain(first, rest), n_fields, floats, dim)

@@ -804,12 +804,51 @@ class TestExitCodes:
         scores = tmp_path / "scores.txt"
         scores.write_bytes(b"m\xff\tt\t1.0\ttarget\n")
         assert run(["evaluate", "--scores", scores, "--out", tmp_path / "r.txt"]) == 3
-        assert capsys.readouterr().err == f"data error: {scores} is not UTF-8 text\n"
+        assert capsys.readouterr().err == f"data error: {scores}: not UTF-8 text\n"
         paths["plda"].write_bytes(paths["plda"].read_bytes().replace(b"[rank]", b"[r\xffnk]"))
         assert run(["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
                     "--test", paths["test"], "--trials", paths["trials"],
                     "--out", tmp_path / "s.txt"]) == 3
-        assert capsys.readouterr().err == f"data error: {paths['plda']} is not UTF-8 text\n"
+        assert capsys.readouterr().err == f"data error: {paths['plda']}: not UTF-8 text\n"
+
+    # (file of build_world, its corruption, the one-line error after the file's path)
+    LOAD_FAULTS = [
+        pytest.param("test", lambda t: t.replace("t2\tc\t-\t", "t2\tc\t-\t1.5x "),
+                     "bad float at line 3", id="vector-table"),
+        pytest.param("trials", lambda t: t.replace("spkB\tt2\ttarget", "spkB\tt2\tx"),
+                     "unknown label 'x'", id="trials"),
+        pytest.param("scores", lambda t: re.sub(r"\t\S+\ttarget\n", "\t1.5x\ttarget\n", t, 1),
+                     "bad float at line 1", id="scores"),
+        pytest.param("whitener", lambda t: t.replace("0 0 0 0", "0 0 zero 0"),
+                     "bad float in stage block for level 0 at line 2", id="whitener"),
+        pytest.param("plda", lambda t: t.replace("[wc]\n", "[wc]\n1.0x "),
+                     "bad float in [wc] block at line 9", id="plda"),
+    ]
+
+    @pytest.mark.parametrize("kind,corrupt,message", LOAD_FAULTS)
+    def test_a_load_error_names_its_file(self, tmp_path, capsys, kind, corrupt, message):
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        paths["whitener"] = tmp_path / "whitener.txt"
+        paths["whitener"].write_text(IDENTITY_WHITENER)
+        paths["scores"] = tmp_path / "scores.txt"
+        score = ["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+                 "--test", paths["test"], "--trials", paths["trials"],
+                 "--whitener", paths["whitener"], "--out", paths["scores"]]
+        assert run(score) == 0
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text("[data]\n" + "".join(f"{key} = {paths[name]}\n" for key, name in (
+            ("ood", "enroll"), ("unlabeled", "enroll"), ("enroll", "enroll"),
+            ("test", "test"), ("trials", "trials"))))
+        text = paths[kind].read_text()
+        paths[kind].write_text(corrupt(text))
+        assert paths[kind].read_text() != text
+        experiment = ["run-experiment", "--config", cfg, "--out", tmp_path / "o"]
+        commands = {"scores": [["evaluate", "--scores", paths["scores"], "--out", tmp_path / "r"]],
+                    "test": [score, experiment], "trials": [score, experiment]}
+        for argv in commands.get(kind, [score]):
+            capsys.readouterr()
+            assert run(argv) == 3
+            assert capsys.readouterr().err == f"data error: {paths[kind]}: {message}\n"
 
     def test_directory_in_place_of_a_file(self, tmp_path, capsys):
         paths = TestScoreEvaluateCommands().build_world(tmp_path)

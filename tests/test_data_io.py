@@ -83,9 +83,9 @@ class TestVectorTable:
         vs = load_vector_table(p)
         assert vs.dim == 2
         assert len(vs) == 1
-        e = vs.entries[0]
-        assert e.id == "u1" and e.corpus_id == "sre" and e.speaker_id == "spkA"
-        np.testing.assert_array_equal(e.values, [1.0, 2.0])
+        assert (vs.ids.tolist(), vs.corpus_ids.tolist(), vs.speaker_ids.tolist()) == (
+            ["u1"], ["sre"], ["spkA"])
+        np.testing.assert_array_equal(vs.matrix(), [[1.0, 2.0]])
 
     def test_missing_speaker_sentinel(self, tmp_path):
         p = write(tmp_path, "#dim=2\nu1\tsre\t-\t1.0 2.0\n")
@@ -843,8 +843,11 @@ class TestReaderChunks:
             lines += data.draw(st.lists(st.sampled_from(COMMENTS + BLANKS), max_size=2))
             lines.append(row())
         rows = [i for i, line in enumerate(lines) if line.strip() and line[0] != "#"]
+        # d as str(d) does not spell it, 0, and d beyond any array's length
+        respelled = [f"#dim=0{dim}", f"#dim=+{dim}", f"#dim= {dim}", f"#dim={dim} ",
+                     f"#dim={chr(0x660 + dim)}", "#dim=0", f"#dim={2 ** 63 + dim}"]
         faults = ["utf8"] if data.draw(st.sampled_from([0] * 9 + [1])) else data.draw(st.lists(
-            st.sampled_from(["fields", "nul"] + ["header"] * header
+            st.sampled_from(["fields", "nul"] + ["header", "respelled"] * header
                             + ["float", "dimension"] * (floats is not None)), max_size=3))
         for fault in faults:
             at = data.draw(st.sampled_from(rows)) if rows else None
@@ -871,7 +874,9 @@ class TestReaderChunks:
                 if data.draw(st.booleans()) and f"#dim={dim}" in lines:
                     lines.remove(f"#dim={dim}")
                 lines.insert(data.draw(st.integers(0, len(lines))),
-                             data.draw(st.sampled_from([f"#dim={dim}", f"#dim=0{dim}", "#dim=+1"])))
+                             data.draw(st.sampled_from([f"#dim={dim}", *respelled])))
+            elif fault == "respelled" and f"#dim={dim}" in lines:  # in its place
+                lines[lines.index(f"#dim={dim}")] = data.draw(st.sampled_from(respelled))
         ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
         if ends and data.draw(st.booleans()):
             ends[-1] = ""  # no line break after the last line
@@ -990,5 +995,5 @@ class TestReaderChunks:
         path = tmp_path / "trials.txt"
         path.write_bytes(b"m\tt\ttarget\n" * 2000 + b"m\t\xff\ttarget\n")
         with patch.object(data_module, "_READ", 100), \
-                pytest.raises(DataError, match="is not UTF-8 text"):
+                pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
             load_trials(path)

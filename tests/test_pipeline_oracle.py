@@ -31,7 +31,8 @@ PIPELINE = settings(max_examples=30, deadline=None, database=None)
 def configs(draw) -> ExperimentConfig:
     """Dimension 2 to 40, two to four out-of-domain sub-corpora and one to three
     hierarchy levels of one to three candidates, some of them unions, all
-    requested; S-norm on or off, either selection target. Each sub-corpus has
+    requested; S-norm on or off, either selection target, automatic or fixed
+    shrinkage, and PLDA at full rank or at rank 1 to d. Each sub-corpus has
     4 sessions a speaker and at least d / (2 * sub-corpora) speakers, so that
     the out-of-domain set has d / 2 speakers and 1.5 d within-speaker degrees
     of freedom: PLDA is then well conditioned enough for the tolerance."""
@@ -49,7 +50,9 @@ def configs(draw) -> ExperimentConfig:
     hierarchy = draw(st.lists(st.lists(token, min_size=1, max_size=3), min_size=1, max_size=3))
     cfg = ExperimentConfig(synth=synth, hierarchy=hierarchy,
                            levels=list(range(len(hierarchy) + 1)), snorm=draw(st.booleans()),
-                           selection_targets=draw(st.sampled_from(["enroll_test", "unlabeled"])))
+                           selection_targets=draw(st.sampled_from(["enroll_test", "unlabeled"])),
+                           shrinkage=draw(st.sampled_from([None, 0.05, 0.3])),
+                           plda_rank=draw(st.none() | st.integers(1, d)))
     cfg.validate()
     return cfg
 

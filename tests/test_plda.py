@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -297,7 +298,7 @@ class TestModelRules:
     def test_load_refuses_a_model_whose_terms_overflow(self, tmp_path):
         p = tmp_path / "plda.txt"
         p.write_text("[mean]\n0\n[ac]\n1e308\n[wc]\n1e308\n[rank]\n-\n")
-        with pytest.raises(DataError, match="^bad PLDA model: overflow"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: bad PLDA model: overflow"):
             load_plda(p)
 
     def test_scoring_does_not_factor_again(self, monkeypatch):

@@ -130,10 +130,10 @@ class TestGenerateWorld:
 
     def test_labels_match_generating_speakers(self):
         w = generate_world(small_config(seed=6))
-        test_by_id = {e.id: e for e in w.test.entries}
+        speaker_of = dict(zip(w.test.ids.tolist(), w.test.speaker_ids.tolist()))
         t = w.trials
         for model_id, test_id, label in zip(*trial_columns(t)):
-            same = test_by_id[test_id].speaker_id == model_id
+            same = speaker_of[test_id] == model_id
             assert label == ("target" if same else "nontarget")
 
     def test_subcorpus_covariance_matches_generator(self):

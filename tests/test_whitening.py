@@ -146,9 +146,8 @@ class TestTransform:
         vs = make_set(rng.normal(size=(9, 4)), corpus_id="x")
         out = transform_set(w, vs)
         assert out.ids.tolist() == vs.ids.tolist()
-        for e_in, e_out in zip(vs.entries, out.entries):
-            np.testing.assert_allclose(e_out.values, transform(w, e_in.values),
-                                       atol=1e-12)
+        for x_in, x_out in zip(vs.matrix(), out.matrix()):
+            np.testing.assert_allclose(x_out, transform(w, x_in), atol=1e-12)
 
     def test_transform_empty_set(self):
         stage = WhiteningStage(0, "c", np.zeros(3), np.eye(3))
