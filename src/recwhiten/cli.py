@@ -126,6 +126,13 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
+def _path(text: str) -> str:
+    """An argparse type refusing the empty path, which a command takes for none."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subparsers, whose errors are
     ConfigErrors, so that a bad command line prints one line and exits 2."""
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enroll", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--whitener", default=None)
+    p.add_argument("--whitener", type=_path, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="export PCA projection coordinates")
     p.add_argument("--vectors", action="append", required=True)
-    p.add_argument("--whitener", default=None)
+    p.add_argument("--whitener", type=_path, default=None)
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project)

@@ -172,72 +172,62 @@ def fit_recursive(in_domain: VectorSet, levels: list[CorpusLevel],
 
 # --- serialization ---------------------------------------------------------
 
-def _check_order(whitener: RecursiveWhitener, heads: list[str], linenos=None) -> None:
-    """DataError for a whitener save_whitener may not write, naming the line of
-    the block at fault if linenos are given: no stages; headers out of order
-    (stages at levels 0, 1, ..., then at most one selection per stage after the
-    first, at levels 1, 2, ..., levels written as str(int)); or a selection
-    whose chosen row is not its stage's corpus."""
-    where = [f" at line {lineno}" for lineno in linenos] if linenos else [""] * len(heads)
-    n = len(whitener.stages)
-    if not n:
-        raise DataError("whitener file contains no stages")
-    order = [f"[stage {k} " for k in range(n)] + [f"[selection {k}]" for k in range(1, n)]
-    for i, head in enumerate(heads):
-        if i >= len(order) or not head.startswith(order[i]):
-            raise DataError(f"block out of level order{where[i]}: {head!r}")
-    for sel, at in zip(whitener.selection_log, where[n:]):
-        cid, fitted = sel.logliks[sel.chosen][0], whitener.stages[sel.level].corpus_id
-        if cid != fitted:
-            raise DataError(f"selection block for level {sel.level}{at} marks {cid!r} "
-                            f"chosen, but stage {sel.level} is fitted on {fitted!r}")
+def _check_chosen(sel: LevelSelection, stage: WhiteningStage, where: str = "") -> None:
+    """DataError unless the chosen row of sel names the corpus stage is fitted on."""
+    cid = sel.logliks[sel.chosen][0]
+    if cid != stage.corpus_id:
+        raise DataError(f"selection block for level {sel.level}{where} marks {cid!r} "
+                        f"chosen, but stage {sel.level} is fitted on {stage.corpus_id!r}")
 
 
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
-    """Text serialization: one block per stage, then the selection log."""
-    blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])])
-              for s in whitener.stages]
-    for sel in whitener.selection_log:
+    """Text serialization: one block per stage, then the selection log. DataError,
+    before the file is created, unless the stage levels are 0..n-1 with n >= 1 and
+    the selection levels 1..m with m < n, each choosing its stage's corpus."""
+    stages, log = whitener.stages, whitener.selection_log
+    levels = [s.level for s in stages], [sel.level for sel in log]
+    if len(log) >= len(stages) or levels != (list(range(len(stages))),
+                                             list(range(1, len(log) + 1))):
+        raise DataError(f"whitener stage levels {levels[0]} and selection levels {levels[1]} "
+                        "break the file order")
+    blocks = [([f"[stage {s.level} {s.corpus_id}]"], [np.vstack([s.mean, s.w])]) for s in stages]
+    for sel in log:
+        _check_chosen(sel, stages[sel.level])
         cids = [cid for cid, _ in sel.logliks]
         marks = ["chosen" if i == sel.chosen else "-" for i in range(len(cids))]
         blocks.append(([f"[selection {sel.level}]"],
                        [cids, np.array([ll for _, ll in sel.logliks], dtype=float), marks]))
-    _check_order(whitener, [head for (head,), _ in blocks])
     write_blocks(path, blocks)
 
 
 @names_its_file
 def load_whitener(path) -> RecursiveWhitener:
-    """A whitener file as save_whitener writes it: '[stage <level> <corpus id>]'
-    blocks, the corpus id maybe empty or with spaces, then '[selection <level>]'
-    blocks, each marking one row 'chosen' and the others '-' (_check_order)."""
-    stages, selections, blocks = [], [], read_blocks(path)
-    for block in blocks:
+    """A whitener file as save_whitener writes it, each block checked as it is
+    read against the one header save writes next: after s stages and k
+    selections, '[stage <s> <corpus id>]' while k = 0 (the corpus id maybe empty
+    or with spaces) or '[selection <k+1>]' while k + 1 < s. A selection block
+    marks one row 'chosen', naming the corpus of its stage, and the others '-'."""
+    stages, selections = [], []
+    for block in read_blocks(path):
         lineno, head, _ = block
-        kind, _, rest = head[1:-1].partition(" ")
-        level, space, corpus_id = rest.partition(" ")
-        if not head.endswith("]") or kind not in ("stage", "selection"):
-            raise DataError(f"unknown block at line {lineno}: {head!r}")
-        try:
-            level = int(level)
-        except ValueError:
-            raise DataError(f"block header without a level at line {lineno}: {head!r}") from None
-        if (kind == "stage") != bool(space):
-            raise DataError(f"malformed block header at line {lineno}: {head!r}")
-        if kind == "stage":
-            _, m = block_rows(block, f"stage block for level {level}")
+        s, k = len(stages), len(selections)
+        if not k and head.startswith(f"[stage {s} ") and head.endswith("]"):
+            _, m = block_rows(block, f"stage block for level {s}")
             if m.shape[0] != m.shape[1] + 1:  # the mean row over the square matrix
-                raise DataError(f"stage {level} matrix is not square (block at line {lineno})")
+                raise DataError(f"stage {s} matrix is not square (block at line {lineno})")
             if stages and m.shape[1] != stages[0].dim:
                 raise DataError(f"whitener stages differ in dimension at line {lineno}")
-            stages.append(WhiteningStage(level, corpus_id, m[0], m[1:]))
-            continue
-        where = f"selection block for level {level}"
-        (cids, marks), ll = block_rows(block, where, n_fields=3, floats=1, dim=1)
-        chosen = [i for i, mark in enumerate(marks) if mark != "-"]
-        if [marks[i] for i in chosen] != ["chosen"]:
-            raise DataError(f"{where} at line {lineno} must mark one 'chosen' row, others '-'")
-        selections.append(LevelSelection(level, list(zip(cids, ll[:, 0].tolist())), chosen[0]))
-    whitener = RecursiveWhitener(stages, selections)
-    _check_order(whitener, [head for _, head, _ in blocks], [lineno for lineno, _, _ in blocks])
-    return whitener
+            stages.append(WhiteningStage(s, head[len(f"[stage {s} "):-1], m[0], m[1:]))
+        elif k + 1 < s and head == f"[selection {k + 1}]":
+            where = f"selection block for level {k + 1}"
+            (cids, marks), ll = block_rows(block, where, n_fields=3, floats=1, dim=1)
+            chosen = [i for i, mark in enumerate(marks) if mark != "-"]
+            if [marks[i] for i in chosen] != ["chosen"]:
+                raise DataError(f"{where} at line {lineno} must mark one 'chosen' row, others '-'")
+            selections.append(LevelSelection(k + 1, list(zip(cids, ll[:, 0].tolist())), chosen[0]))
+            _check_chosen(selections[-1], stages[k + 1], f" at line {lineno}")
+        else:
+            raise DataError(f"block out of level order at line {lineno}: {head!r}")
+    if not stages:
+        raise DataError("whitener file contains no stages")
+    return RecursiveWhitener(stages, selections)

@@ -370,14 +370,16 @@ def identity_plda(d):
 
 
 IDENTITY_WHITENER = identity_whitener(4)
+STAGE_1 = identity_whitener(4, level=1)
 SELECTION = "[selection 1]\n"
 
 # (file to corrupt, corruption, text the one-line error must hold)
 MALFORMED_MODELS = [
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage]"),
-                 "without a level", id="whitener-header-without-level"),
+                 "block out of level order at line 1: '[stage]'",
+                 id="whitener-header-without-level"),
     pytest.param("whitener", lambda t: t.replace("[stage 0 c]", "[stage x c]"),
-                 "without a level", id="whitener-bad-level"),
+                 "block out of level order at line 1: '[stage x c]'", id="whitener-bad-level"),
     pytest.param("whitener", lambda t: t.replace("0 0 0 0", "0 0 zero 0"),
                  "bad float in stage block for level 0", id="whitener-bad-float"),
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1 0 0"),
@@ -400,28 +402,33 @@ MALFORMED_MODELS = [
                  "data before first block header at line 1", id="whitener-data-before-header"),
     pytest.param("whitener", lambda t: t.replace("0 0 0 1\n", ""),
                  "stage 0 matrix is not square (block at line 1)", id="whitener-not-square"),
-    pytest.param("whitener", lambda t: SELECTION + "c\t-1.5\tchosen\n",
+    pytest.param("whitener", lambda t: "\n\n",
                  "whitener file contains no stages", id="whitener-no-stages"),
-    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\n",
-                 "expected 3 tab-separated fields in selection block for level 1 at line 8",
+    pytest.param("whitener", lambda t: SELECTION + "c\t-1.5\tchosen\n",
+                 "block out of level order at line 1: '[selection 1]'",
+                 id="whitener-selection-first"),
+    pytest.param("whitener", lambda t: t + STAGE_1 + SELECTION + "c\t-1.5\n",
+                 "expected 3 tab-separated fields in selection block for level 1 at line 14",
                  id="whitener-selection-two-fields"),
-    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\t-\n",
-                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+    pytest.param("whitener", lambda t: t + STAGE_1 + SELECTION + "c\t-1.5\t-\n",
+                 "selection block for level 1 at line 13 must mark one 'chosen' row",
                  id="whitener-marks-no-winner"),
-    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\tchosen\nd\t-2\tchosen\n",
-                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+    pytest.param("whitener", lambda t: t + STAGE_1 + SELECTION
+                 + "c\t-1.5\tchosen\nd\t-2\tchosen\n",
+                 "selection block for level 1 at line 13 must mark one 'chosen' row",
                  id="whitener-two-winners"),
-    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5\tchosen\nd\t-2\tmaybe\n",
-                 "selection block for level 1 at line 7 must mark one 'chosen' row",
+    pytest.param("whitener", lambda t: t + STAGE_1 + SELECTION
+                 + "c\t-1.5\tchosen\nd\t-2\tmaybe\n",
+                 "selection block for level 1 at line 13 must mark one 'chosen' row",
                  id="whitener-mark-maybe"),
-    pytest.param("whitener", lambda t: t + SELECTION + "c\t-1.5 2\tchosen\n",
-                 "dimension mismatch in selection block for level 1 at line 8",
+    pytest.param("whitener", lambda t: t + STAGE_1 + SELECTION + "c\t-1.5 2\tchosen\n",
+                 "dimension mismatch in selection block for level 1 at line 14",
                  id="whitener-two-logliks"),
     pytest.param("whitener", lambda t: t + "[selection 1 x]\nc\t-1.5\tchosen\n",
-                 "malformed block header at line 7: '[selection 1 x]'",
+                 "block out of level order at line 7: '[selection 1 x]'",
                  id="whitener-selection-with-corpus-id"),
     pytest.param("whitener", lambda t: t + "[bogus]\n",
-                 "unknown block at line 7: '[bogus]'", id="whitener-unknown-block"),
+                 "block out of level order at line 7: '[bogus]'", id="whitener-unknown-block"),
     pytest.param("whitener", lambda t: t.replace("1 0 0 0", "1\t0 0 0"),
                  "expected 1 tab-separated fields in stage block for level 0 at line 3",
                  id="whitener-tab-in-stage-row"),
@@ -772,6 +779,18 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["score", "project"])
+    def test_empty_whitener_path(self, tmp_path, capsys, command):
+        """An empty --whitener is refused, not read as no whitener."""
+        paths = TestScoreEvaluateCommands().build_world(tmp_path)
+        out = tmp_path / "out.txt"
+        argv = (["score", "--plda", paths["plda"], "--enroll", paths["enroll"],
+                 "--trials", paths["trials"], "--test", paths["test"]] if command == "score"
+                else ["project", "--vectors", paths["enroll"], "--vectors", paths["test"]])
+        assert run(argv + ["--whitener", "", "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: argument --whitener: empty path\n"
+        assert not out.exists()
 
     def test_project_whitener_dim_mismatch(self, tmp_path, capsys):
         paths = TestScoreEvaluateCommands().build_world(tmp_path)

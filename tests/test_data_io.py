@@ -621,7 +621,7 @@ class TestModelFileProperties:
     @given(st.data())
     def test_edited_file_property(self, data):
         """Blank lines anywhere leave a saved model as it was; a block or row
-        that save never writes makes the load raise DataError."""
+        that save never writes, or a block moved, makes the load raise DataError."""
         if data.draw(st.booleans()):
             save, load = save_whitener, load_whitener
             model = draw_whitener(data, FIELD_TEXT, full_rank=True)
@@ -633,9 +633,9 @@ class TestModelFileProperties:
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
             lines = text.split("\n")[:-1]
-            heads = [i for i, line in enumerate(lines) if line.startswith("[")]
+            heads = [i for i, line in enumerate(lines) if line.startswith("[") and "\t" not in line]
             chosen = [i for i, line in enumerate(lines) if line.endswith("\tchosen")]
-            edits = ["blank", "unknown block"] + (
+            edits = ["blank", "unknown block"] + ["move a block"] * (len(heads) > 1) + (
                 ["second chosen"] * bool(chosen) + ["respell a level"] if load is load_whitener
                 else ["duplicate block", "extra [mean] row", "extra [rank] line",
                       "respell the rank"])
@@ -651,6 +651,13 @@ class TestModelFileProperties:
                 k = data.draw(st.integers(0, len(heads) - 1))
                 end = heads[k + 1] if k + 1 < len(heads) else len(lines)
                 lines[end:end] = lines[heads[k]:end]
+            elif edit == "move a block":  # with its rows, to another place in the block order
+                blocks = [lines[i:j] for i, j in zip(heads, heads[1:] + [len(lines)])]
+                k = data.draw(st.integers(0, len(blocks) - 1))
+                block = blocks.pop(k)
+                j = data.draw(st.integers(0, len(blocks) - 1))
+                blocks.insert(j + (j >= k), block)
+                lines = [line for b in blocks for line in b]
             elif edit == "second chosen":
                 lines.insert(chosen[-1], lines[chosen[-1]])
             elif edit == "respell a level":  # another level, or the same one spelled otherwise
