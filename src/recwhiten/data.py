@@ -8,23 +8,25 @@ and one code per trial, and scores add one array of scores.
 
 These three tables and the whitener and PLDA model files are UTF-8 text with
 tab-separated fields and floats at 17 significant digits, which read back bit
-for bit. One writer, write_blocks, assembles the rows of all five: each block
-gets one % row format from the kinds of its columns, floats as %.17g (the same
-C conversion as "{:.17g}".format), and fixed-size chunks of rows are formatted
-by one % call each, so no file's whole text is held in memory. One reader,
-_rows, takes all five apart a chunk at a time, so a table's text is never held
-whole either: a chunk from _chunks is _READ characters and the rest of their
-last line, _split splits its lines into fields and checks them at once,
-parsing all their float fields with one np.loadtxt (numpy's C text reader),
-and a chunk that _split refuses, that holds a comment or that comes before a
-vector table's header, _rows takes line by line, to skip comments, read the
-header and name a faulty line. A float field is ASCII float literals between
-whitespace (no '_' or non-ASCII digit, which float() would take). Blank lines
-are skipped; lines starting with ``#`` are comments in the tables only, and a
-vector table's ``#dim=<d>`` header comes before its rows. An id or tag may be
-empty and hold any character but tab, LF, CR and NUL; a table row may not
-start with ``#``. What would not read back, a save refuses with DataError
-before it creates the file; a load's DataError starts with the file's path.
+for bit. One writer, format_blocks, assembles the rows of all five and of
+project's coordinate table and synth's world manifest, and write_blocks saves
+them: each block gets one % row format from the kinds of its columns, floats as
+%.17g (the same C conversion as "{:.17g}".format), and fixed-size chunks of
+rows are formatted by one % call each, so a save holds one chunk of a file's
+text at a time. One reader, _rows, takes all five apart a chunk at a time, so a
+table's text is never held whole either: a chunk from _chunks is _READ
+characters and the rest of their last line, _split splits its lines into fields
+and checks them at once, parsing all their float fields with one np.loadtxt
+(numpy's C text reader), and a chunk that _split refuses, that holds a comment
+or that comes before a vector table's header, _rows takes line by line, to skip
+comments, read the header and name a faulty line. A float field is ASCII float
+literals between whitespace (no '_' or non-ASCII digit, which float() would
+take). Blank lines are skipped; lines starting with ``#`` are comments in the
+tables only, and a vector table's ``#dim=<d>`` header comes before its rows. An
+id or tag may be empty and hold any character but tab, LF, CR and NUL; a table
+row may not start with ``#``. What would not read back, a save refuses with
+DataError before it creates the file; a load's DataError starts with the file's
+path.
 """
 
 from __future__ import annotations
@@ -363,16 +365,6 @@ def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | 
     return columns, matrix
 
 
-def _float_row(n: int) -> str:
-    """The % format of a row of n floats, space-separated."""
-    return " ".join([_FLOAT] * n)
-
-
-def format_floats(values: np.ndarray) -> str:
-    """A float row as write_blocks writes a matrix row."""
-    return _float_row(len(values)) % tuple(values.tolist())
-
-
 # what splits or ends a line, is lost in a numpy string array or is not UTF-8
 UNSAFE = re.compile("[\t\n\r\0\ud800-\udfff]")
 
@@ -399,13 +391,14 @@ def _column(column) -> tuple[str, np.ndarray]:
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         if column.ndim == 1:
             return _FLOAT, column[:, None]
-        return _float_row(column.shape[1]), column
+        return " ".join([_FLOAT] * column.shape[1]), column
     return "%s", np.array(_text(column), dtype=object)[:, None]
 
 
-def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
-    """Write each block's header lines, then one line per row of its columns
-    (see _column) with the fields joined by tabs, once every field is checked.
+def format_blocks(blocks: list[tuple[list[str], list]]):
+    """Each block's header lines, then one line per row of its columns (see
+    _column) with the fields joined by tabs, yielded a chunk of text at a time
+    once every field is checked.
 
     The rows of a block share one % format: %s for each text field, %.17g for
     each float, and a matrix row's %.17g joined by spaces. Chunks of rows that
@@ -416,13 +409,21 @@ def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
     for header, columns in blocks:
         formats, values = zip(*map(_column, columns))
         checked.append((_text(header), "\t".join(formats) + "\n", values))
+    for header, row, values in checked:
+        yield "".join(line + "\n" for line in header)
+        step = max(1, _CHUNK // sum(v.shape[1] for v in values))
+        for i in range(0, len(values[0]), step):
+            chunk = np.hstack([v[i:i + step] for v in values])  # object if any text
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
+    """Write format_blocks(blocks), creating the file only once every field is checked."""
+    text = format_blocks(blocks)
+    first = next(text, "")
     with open(path, "w", encoding="utf-8") as fh:
-        for header, row, values in checked:
-            fh.writelines(line + "\n" for line in header)
-            step = max(1, _CHUNK // sum(v.shape[1] for v in values))
-            for i in range(0, len(values[0]), step):
-                chunk = np.hstack([v[i:i + step] for v in values])  # object if any text
-                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        fh.write(first)
+        fh.writelines(text)
 
 
 def _write_table(path, header: list[str], columns: list) -> None:

@@ -22,7 +22,7 @@ from . import metrics, plda, whitening
 from .config import ConfigError, ExperimentConfig
 from .data import (ScoreSet, TrialList, VectorSet, concat, load_trials,
                    load_vector_table, same_dim, save_scores, save_trials,
-                   save_vector_table)
+                   save_vector_table, write_blocks)
 from .metrics import EvalReport
 from .synth import SynthWorld, generate_world
 from .whitening import CorpusLevel, RecursiveWhitener, fit_recursive
@@ -161,12 +161,10 @@ def write_world(world: SynthWorld, out_dir, config_hash: str = "") -> list[str]:
     for name, writer in files.items():
         writer(os.path.join(out_dir, name))
     cfg = world.config
-    lines = [f"#config_hash={config_hash}"] if config_hash else []
-    lines += [f"file\t{name}" for name in files]
-    lines += [f"config.{key}\t{value}" for key, value in cfg.scalars().items()]
-    for s in cfg.ood_subcorpora:
-        lines.append(f"config.subcorpus\t{s.corpus_id}:{s.n_speakers}:"
-                     f"{s.sessions_per_speaker}:{s.mean_shift}")
-    with open(os.path.join(out_dir, "world-manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [("file", name) for name in files]
+    rows += [(f"config.{key}", f"{value}") for key, value in cfg.scalars().items()]
+    rows += [("config.subcorpus", f"{s.corpus_id}:{s.n_speakers}:"
+              f"{s.sessions_per_speaker}:{s.mean_shift}") for s in cfg.ood_subcorpora]
+    header = [f"#config_hash={config_hash}"] if config_hash else []
+    write_blocks(os.path.join(out_dir, "world-manifest.txt"), [(header, list(zip(*rows)))])
     return list(files) + ["world-manifest.txt"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ConfigError, DataError, NumericalError, VectorSet, concat, format_floats
+from .data import ConfigError, DataError, NumericalError, VectorSet, concat, format_blocks
 from .stats import scatter, top_eigen
 from .whitening import RecursiveWhitener, transform_set
 
@@ -48,14 +48,10 @@ def project_sets(sets: list[VectorSet], whitener: RecursiveWhitener | None = Non
     # of one row is; a single (n, d) @ (d, k) product would round differently
     coords = np.matmul((x - mean)[:, None, :], axes.T)[:, 0, :]
 
-    lines = [f"#components={n_components}"]
-    lines += [f"{vid}\t{cid}\t" + format_floats(c)
-              for vid, cid, c in zip(joined.ids.tolist(), corpora.tolist(), coords)]
-    for corpus_id in sorted(set(corpora.tolist())):
-        pts = coords[corpora == corpus_id]
-        mu, s = scatter(pts)
+    blocks = [([f"#components={n_components}"], [joined.ids, corpora, coords])]
+    for cid in sorted(set(corpora.tolist())):
+        mu, s = scatter(pts := coords[corpora == cid])
         cov = s / max(len(pts) - 1, 1)  # one point: its scatter is zero
-        lines.append(f"#corpus-mean\t{corpus_id}\t" + format_floats(mu))
-        for row in cov:
-            lines.append(f"#corpus-cov\t{corpus_id}\t" + format_floats(row))
-    return "\n".join(lines) + "\n"
+        blocks += [([], [["#corpus-mean"], [cid], mu[None]]),
+                   ([], [["#corpus-cov"] * n_components, [cid] * n_components, cov])]
+    return "".join(format_blocks(blocks))

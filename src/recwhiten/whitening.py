@@ -182,9 +182,12 @@ def _check_chosen(sel: LevelSelection, stage: WhiteningStage, where: str = "") -
 
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log. DataError,
-    before the file is created, unless the stage levels are 0..n-1 with n >= 1 and
-    the selection levels 1..m with m < n, each choosing its stage's corpus."""
+    before the file is created, unless the stages share one dimension, the stage
+    levels are 0..n-1 with n >= 1 and the selection levels 1..m with m < n, each
+    choosing its stage's corpus."""
     stages, log = whitener.stages, whitener.selection_log
+    if len({s.dim for s in stages}) > 1:
+        raise DataError(f"whitener stages differ in dimension: {[s.dim for s in stages]}")
     levels = [s.level for s in stages], [sel.level for sel in log]
     if len(log) >= len(stages) or levels != (list(range(len(stages))),
                                              list(range(1, len(log) + 1))):

@@ -1,8 +1,9 @@
-"""Single-vector forms of the batched kernels, a row-at-a-time writer and
-table reader, a speaker-at-a-time corpus sampler, the trial id columns and a
-whole run of the experiment's levels built from those kernels, kept as test
-oracles, and the helpers that several test files share: make_set builds a
-vector set, parse_coords reads project's output.
+"""Single-vector forms of the batched kernels, a row-at-a-time writer (of
+every save and of project's coordinate table) and table reader, a
+speaker-at-a-time corpus sampler, the trial id columns and a whole run of the
+experiment's levels built from those kernels, kept as test oracles, and the
+helpers that several test files share: make_set builds a vector set,
+parse_coords reads project's output.
 
 Each kernel writes one operation out for one vector, the way the paper states
 it, so that the tests can check the batched kernels of the package against
@@ -20,7 +21,8 @@ import numpy as np
 
 from recwhiten.data import MISSING_SPEAKER, DataError, NumericalError, VectorSet
 from recwhiten.plda import PldaModel, train_plda
-from recwhiten.stats import Moments, cholesky_lower, estimate_moments, whitening_matrix
+from recwhiten.projection import fit_pca
+from recwhiten.stats import Moments, cholesky_lower, estimate_moments, scatter, whitening_matrix
 from recwhiten.whitening import (ZERO_NORM_EPS, LevelSelection, RecursiveWhitener,
                                  WhiteningStage)
 
@@ -302,3 +304,22 @@ def read_table(path, n_fields: int, floats=None, header: bool = False):
                         else "missing #dim= header")
     rest = (row for row in lines if row[1][0] != "#" or header and dim_header(*row, after=True))
     return rows(chain(first, rest), n_fields, floats, dim)
+
+
+def projection_text(sets, n_components: int) -> str:
+    """project's coordinate table for sets, one line at a time: each row's
+    coordinates as one (1, d) @ (d, k) product, each corpus's mean and
+    covariance of its coordinates from stats.scatter, floats by format_floats."""
+    x = np.vstack([s.matrix() for s in sets])
+    ids = [i for s in sets for i in s.ids.tolist()]
+    corpora = [c for s in sets for c in s.corpus_ids.tolist()]
+    mean, axes = fit_pca(x, n_components)
+    coords = np.array([(row - mean) @ axes.T for row in x])
+    lines = [f"#components={n_components}"]
+    lines += [f"{i}\t{c}\t{format_floats(row)}" for i, c, row in zip(ids, corpora, coords)]
+    for cid in sorted(set(corpora)):
+        pts = coords[[c == cid for c in corpora]]
+        mu, s = scatter(pts)
+        lines.append(f"#corpus-mean\t{cid}\t{format_floats(mu)}")
+        lines += [f"#corpus-cov\t{cid}\t{format_floats(row)}" for row in s / max(len(pts) - 1, 1)]
+    return "".join(line + "\n" for line in lines)

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,9 +17,11 @@ from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, Factored, Numeri
                             ScoreSet, TrialList, VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
-from recwhiten.experiment import build_levels, load_corpora
+from recwhiten.experiment import build_levels, load_corpora, write_world
 from recwhiten.plda import PldaModel, load_plda, save_plda, score_matrix
+from recwhiten.projection import project_sets
 from recwhiten.stats import Moments
+from recwhiten.synth import SubCorpusSpec, SynthConfig, generate_world
 from recwhiten.whitening import (LevelSelection, RecursiveWhitener,
                                  WhiteningStage, load_whitener, save_whitener)
 
@@ -514,6 +516,10 @@ class TestSaveRefusals:
             [WhiteningStage(k, "c", [0.0], [[1.0]]) for k in range(2)],
             [LevelSelection(1, [("c", 0.0), ("d", 1.0)], 1)]), DataError,
                      id="whitener-selection-marks-another-corpus"),
+        pytest.param(save_whitener, RecursiveWhitener(
+            [WhiteningStage(0, "c", [0.0], [[1.0]]),
+             WhiteningStage(1, "c", [0.0, 0.0], np.eye(2))]),
+                     DataError, id="whitener-stages-differ-in-dimension"),
         pytest.param(save_plda, lambda: PldaModel([np.inf], [[1.0]], [[1.0]]), DataError,
                      id="inf-in-plda"),
         pytest.param(save_plda, lambda: PldaModel([0.0], [[1.0]], [[-3.0]]), NumericalError,
@@ -777,10 +783,46 @@ class TestWriterBytes:
 
     @PROPERTY
     @given(st.data())
-    def test_format_floats(self, data):
-        """The float rows of project's coordinate table share the writer's format."""
-        values = draw_floats(data, data.draw(st.integers(0, 4)), floats=WRITTEN_FLOATS)
-        assert data_module.format_floats(values) == oracles.format_floats(values)
+    def test_projection(self, data):
+        """project's coordinate table is the oracle's line-at-a-time rendering,
+        for drawn sets, corpus ids and k, in chunks of a few rows."""
+        dim = data.draw(st.integers(1, 4))
+        k, step = data.draw(st.integers(1, dim)), data.draw(st.integers(1, 4))
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                          .filter(lambda sizes: sum(sizes) > dim))
+        ids = iter(data.draw(st.lists(TEXT, min_size=sum(sizes), max_size=sum(sizes), unique=True)))
+        pool = data.draw(st.lists(TEXT, min_size=1, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        sets = [VectorSet([next(ids) for _ in range(n)],
+                          data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                          [MISSING_SPEAKER] * n, scale * rng.normal(size=(n, dim)) + rng.normal())
+                for n in sizes]
+        try:
+            expect = oracles.projection_text(sets, k)
+        except NumericalError:  # a draw too close to rank-deficient for the PCA
+            reject()
+        with patch.object(data_module, "_CHUNK", step * (2 + k)):
+            assert project_sets(sets, n_components=k) == expect
+
+    @pytest.mark.parametrize("config_hash", ["", "0123456789abcdef"])
+    def test_world_manifest(self, tmp_path, config_hash):
+        """The manifest's bytes, with and without its #config_hash= header."""
+        cfg = SynthConfig(dim=2, seed=5, n_enroll_speakers=2, enroll_sessions=1, test_sessions=1,
+                          n_unlabeled=4, ood_subcorpora=[SubCorpusSpec("a", 2, 2, 0.0),
+                                                         SubCorpusSpec("b c", 2, 1, 1.5)])
+        write_world(generate_world(cfg), tmp_path, config_hash)
+        expect = [f"#config_hash={config_hash}"] if config_hash else []
+        expect += ["file\tvectors_ood.txt", "file\tvectors_unlabeled.txt",
+                   "file\tvectors_enroll.txt", "file\tvectors_test.txt", "file\ttrials.txt",
+                   "config.dim\t2", "config.seed\t5", "config.n_enroll_speakers\t2",
+                   "config.enroll_sessions\t1", "config.test_sessions\t1",
+                   "config.n_unlabeled\t4", "config.language_shift\t12.0",
+                   "config.cov_scale\t1.5", "config.condition\t10.0", "config.across_var\t1.0",
+                   "config.within_var\t2.0", "config.subcorpus\ta:2:2:0.0",
+                   "config.subcorpus\tb c:2:1:1.5"]
+        assert (tmp_path / "world-manifest.txt").read_bytes() == \
+            "".join(line + "\n" for line in expect).encode()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("save, text, width", [(save_trials, oracles.trials_text, 3),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from recwhiten.data import MISSING_SPEAKER, DataError, VectorSet
 from recwhiten.projection import fit_pca, project_sets
 from recwhiten.stats import NumericalError
 
@@ -55,3 +56,12 @@ def test_corpus_contours_emitted():
     cov_lines = [l for l in text.splitlines() if l.startswith("#corpus-cov")]
     assert len(mean_lines) == 1 and len(cov_lines) == 2
     assert mean_lines[0].split("\t")[1] == "only"
+
+
+@pytest.mark.parametrize("ids, corpora", [(["a\tb", "c", "d"], ["x"] * 3),
+                                          (["a", "c", "d"], ["x", "y\nz", "x"])])
+def test_unsafe_id_refused(ids, corpora):
+    """An id or corpus id that would break its row is refused, as every save refuses it."""
+    x = np.random.default_rng(74).normal(size=(3, 2))
+    with pytest.raises(DataError, match="holds a tab, line break, NUL or surrogate"):
+        project_sets([VectorSet(ids, corpora, [MISSING_SPEAKER] * 3, x)], n_components=2)
