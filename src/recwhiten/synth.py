@@ -11,6 +11,10 @@ Philox uniforms (never the generator's own ziggurat sampler), so streams are
 bit-stable across platforms and numpy versions. A block of n normals takes
 ceil(n/2) uniforms u1, then ceil(n/2) u2, and the stream is the same however
 calls split it, so one draw of a corpus's speaker blocks is one call per speaker.
+The Box-Muller ufuncs of a large draw run on two halves of the uniform pairs,
+and the per-speaker gemms of a large corpus on two halves of the speakers, the
+second on the helper thread of stats.in_halves; each value comes from its own
+inputs alone, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import MISSING_SPEAKER, ConfigError, Factored, TrialList, VectorSet, concat
-from .stats import cholesky_lower
+from .stats import cholesky_lower, in_halves
+
+BOX_MULLER_WORK = 256  # the time of one normal, in multiply-adds of a gemm (stats.SPLIT_WORK)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -33,12 +39,16 @@ def normals(rng: np.random.Generator, shape, count: int | None = None) -> np.nda
     n = math.prod(shape)  # Python ints, which do not wrap around
     m = (n + 1) // 2
     u = rng.random((1 if count is None else count) * 2 * m).reshape(-1, 2, m)
-    r, theta = u[:, 0], u[:, 1]  # in place: a product's operands may swap, nothing else
-    np.log1p(np.negative(r, out=r), out=r)  # 1-u1 in (0,1] keeps the log finite
-    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
-    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
-    np.multiply(np.sin(theta, out=theta), r, out=theta)
-    r *= cos  # u now holds r cos, then r sin (the last dropped for odd n), per block
+    cos = np.empty((len(u), m))
+
+    def box_muller(cols):  # in place: a product's operands may swap, nothing else
+        r, theta = u[:, 0, cols], u[:, 1, cols]
+        np.log1p(np.negative(r, out=r), out=r)  # 1-u1 in (0,1] keeps the log finite
+        np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+        np.cos(np.multiply(theta, 2.0 * np.pi, out=theta), out=cos[:, cols])
+        np.multiply(np.sin(theta, out=theta), r, out=theta)
+        r *= cos[:, cols]  # u now holds r cos, then r sin (the last dropped for odd n), per block
+    in_halves(box_muller, m, u.size * BOX_MULLER_WORK)
     return u.reshape(-1, 2 * m)[:, :n].reshape(shape if count is None else (count, *shape))
 
 
@@ -150,9 +160,14 @@ def _sample_corpus(rng, corpus_id, prefix, domain_mean, chol, n_speakers,
     matmul is one gemm per speaker, and scale and shift in place only swap operands."""
     d, k = len(domain_mean), len(sessions)
     spk_means = domain_mean + np.sqrt(across_var) * (normals(rng, (n_speakers, d)) @ chol.T)
-    x = np.matmul(normals(rng, (k, d), n_speakers), chol.T)
-    x *= np.sqrt(within_var)
-    x += spk_means[:, None]
+    z = normals(rng, (k, d), n_speakers)
+    x = np.empty_like(z)
+
+    def speaker_rows(rows):
+        block = np.matmul(z[rows], chol.T, out=x[rows])
+        block *= np.sqrt(within_var)
+        block += spk_means[rows, None]
+    in_halves(speaker_rows, n_speakers, z.size * d)
     spk_ids = [f"{prefix}spk{s:04d}" for s in range(n_speakers)]
     ids = [f"{spk}_{suffix}" for spk in spk_ids for suffix in sessions]
     speakers = np.repeat(spk_ids, k) if labeled else np.full(len(ids), MISSING_SPEAKER)

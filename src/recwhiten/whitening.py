@@ -9,20 +9,27 @@ stages.
 transform_set extends the last prefix it applied to a live VectorSet: if a
 whitener's stages start with those stage objects, only the rest are applied,
 to the remembered output, bit-identically. One output is held per live set.
+
+transform_matrix cuts the rows of a stage into blocks at multiples of
+BLOCK_ROWS and hands the second half of the blocks of a large stage to the
+helper thread of stats.in_halves; the cuts leave every row's bytes as one gemm
+over all the rows gives them.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import (DataError, NumericalError, VectorSet, block_rows, freeze, names_its_file,
                    read_blocks, write_blocks)
-from .stats import Moments, estimate_moments, gaussian_loglik_many, whitening_matrix
+from .stats import Moments, estimate_moments, gaussian_loglik_many, in_halves, whitening_matrix
 
 ZERO_NORM_EPS = 1e-12
+BLOCK_ROWS = 384  # a multiple of a gemm's row groups (see transform_matrix)
 _LAST_TRANSFORM = weakref.WeakKeyDictionary()  # VectorSet -> (stages applied, output)
 
 
@@ -110,15 +117,47 @@ def select_subcorpus(candidates: list[Moments], targets: np.ndarray):
 
 
 def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
-    """Batch transform of the rows of an (n, d) array."""
-    out = np.asarray(x, dtype=float)
+    """Batch transform of the rows of an (n, d) array, stage by stage into an
+    output and a scratch block per half allocated here (x is never written).
+
+    A gemm computes its rows in groups (of 12 in OpenBLAS on AVX-512), and
+    the rows of a call's last group, or of a call of one row or a few, can
+    round otherwise than the same rows in a longer call. So each stage runs
+    over blocks that start at multiples of BLOCK_ROWS from row 0, the last
+    block taking the remainder (up to 2 * BLOCK_ROWS - 1 rows): every row
+    falls in the same group as in one gemm over all n rows, and the last
+    rows in the same last group, so the blocks change no byte. A large stage
+    hands the second half of its blocks to the helper thread of
+    stats.in_halves. The zero-norm check reads the whole norms array after
+    each stage, so it names the row of smallest norm, as one pass would."""
+    x = np.asarray(x, dtype=float)
+    if not whitener.stages:
+        return x.copy()
+    n, d = x.shape
+    blocks = max(1, n // BLOCK_ROWS)
+    out, norms = np.empty((n, d)), np.empty(n)
+    scratch = np.empty((2, min(n, 2 * BLOCK_ROWS - 1), d))
+
+    def stage_blocks(stage, src, which):
+        centered = scratch[0 if which.start == 0 else 1]
+        for b in range(which.start, which.stop):
+            rows = slice(b * BLOCK_ROWS, n if b == blocks - 1 else (b + 1) * BLOCK_ROWS)
+            c, o, norm = centered[:rows.stop - rows.start], out[rows], norms[rows]
+            if src is out:  # the previous stage's rows, length-normalized here
+                np.divide(o, norm[:, None], out=o)
+            np.subtract(src[rows], stage.mean, out=c)
+            np.matmul(c, stage.w.T, out=o)
+            np.multiply(o, o, out=c)
+            np.sqrt(np.add.reduce(c, axis=1, out=norm), out=norm)  # np.linalg.norm's sum
+
+    src = x
     for stage in whitener.stages:
-        out = (out - stage.mean) @ stage.w.T  # a fresh array: x is never written
-        norms = np.sqrt(np.add.reduce(out * out, axis=1))  # np.linalg.norm's sum, no conj copy
+        in_halves(partial(stage_blocks, stage, src), blocks, n * d * d)
         if np.any(norms <= ZERO_NORM_EPS):
             bad = int(np.argmin(norms))
             raise NumericalError(f"zero-norm vector at row {bad} during whitening")
-        out /= norms[:, None]
+        src = out
+    out /= norms[:, None]
     return out
 
 

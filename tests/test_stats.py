@@ -1,10 +1,16 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from recwhiten import stats
 from recwhiten.data import DataError
 from recwhiten.plda import PldaModel
-from recwhiten.stats import (COV_FLOOR, Moments, NumericalError, cholesky_lower,
-                             estimate_moments, gaussian_loglik_many, whitening_matrix)
+from recwhiten.stats import (COV_FLOOR, SPLIT_WORK, Moments, NumericalError, cholesky_lower,
+                             estimate_moments, gaussian_loglik_many, in_halves,
+                             whitening_matrix)
 
 from oracles import gaussian_loglik
 
@@ -143,3 +149,74 @@ class TestCheckSymmetric:
         # test would fail this before the DataError
         with pytest.raises(DataError, match="non-finite value in"):
             make(np.array([[value]]))
+
+
+class TestInHalves:
+    """The helper thread takes the second half once the work reaches SPLIT_WORK."""
+
+    def calls(self, n, work):
+        seen = []
+        in_halves(lambda rows: seen.append((rows, threading.get_ident())), n, work)
+        return seen
+
+    def test_below_the_split_one_call_on_the_caller(self):
+        assert self.calls(9, SPLIT_WORK - 1) == [(slice(0, 9), threading.get_ident())]
+
+    def test_at_the_split_the_helper_takes_the_second_half(self):
+        seen = sorted(self.calls(9, SPLIT_WORK), key=lambda call: call[0].start)
+        assert [rows for rows, _ in seen] == [slice(0, 4), slice(4, 9)]
+        assert seen[0][1] == threading.get_ident() != seen[1][1]
+
+    def test_an_error_is_raised_after_both_halves_end(self):
+        ended = []
+
+        def fn(rows):
+            if rows.start == 0:
+                raise ValueError("first half")
+            time.sleep(0.05)
+            ended.append(rows)
+        with pytest.raises(ValueError, match="first half"):
+            in_halves(fn, 10, SPLIT_WORK)
+        assert ended == [slice(5, 10)]
+
+    @pytest.mark.parametrize("failing,message", [((5,), "half 5"), ((0, 5), "half 0")])
+    def test_the_first_failing_half_is_raised(self, failing, message):
+        def fn(rows):
+            if rows.start in failing:
+                raise ValueError(f"half {rows.start}")
+        with pytest.raises(ValueError, match=message):
+            in_halves(fn, 10, SPLIT_WORK)
+
+    def test_callers_on_four_threads_start_one_helper(self):
+        """Four threads split at once, switching often, with no helper yet
+        (as in a forked child): each gets its own halves, and one helper starts."""
+        before = set(threading.enumerate())
+        stats._forget_helper()
+        got, start = {k: [] for k in range(4)}, threading.Barrier(4)
+
+        def caller(k):
+            start.wait(60)
+            for _ in range(50):
+                seen = []
+                in_halves(seen.append, 2 * k + 2, SPLIT_WORK)
+                got[k].append(sorted(seen, key=lambda rows: rows.start))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for k, calls in got.items():
+            assert calls == [[slice(0, k + 1), slice(k + 1, 2 * k + 2)]] * 50
+        started = [t.name for t in set(threading.enumerate()) - before]
+        assert started == ["recwhiten-half"]
+
+    def test_the_helper_keeps_the_callers_error_state(self):
+        big = np.array([1.0, 1e300])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            in_halves(lambda rows: np.multiply(big[rows], big[rows]), 2, SPLIT_WORK)

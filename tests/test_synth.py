@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from recwhiten.data import ConfigError
-from recwhiten.stats import cholesky_lower
-from recwhiten.synth import (SubCorpusSpec, SynthConfig, _sample_corpus, generate_world,
-                             make_rng, normals, random_spd)
+from recwhiten.stats import SPLIT_WORK, cholesky_lower
+from recwhiten.synth import (BOX_MULLER_WORK, SubCorpusSpec, SynthConfig, _sample_corpus,
+                             generate_world, make_rng, normals, random_spd)
 
 from oracles import box_muller, sample_speakers, trial_columns
 
@@ -39,17 +41,22 @@ class TestNormals:
         assert normals(make_rng(1), (3, 5)).shape == (3, 5)
         assert normals(make_rng(1), (7,)).shape == (7,)
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 5), (4, 4), (1, 201), (50, 50)])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 5), (4, 4), (1, 201), (50, 50),
+                                       (700, 201)])  # in halves, the last sine dropped
     def test_one_block_matches_the_box_muller_oracle(self, shape):
+        uniforms = 2 * ((math.prod(shape) + 1) // 2)
+        assert (uniforms * BOX_MULLER_WORK >= SPLIT_WORK) == (shape == (700, 201))
         rng, ref = make_rng(3, stream=1), make_rng(3, stream=1)
         z = normals(rng, shape)
         assert z.shape == shape
         assert z.tobytes() == box_muller(ref, shape).tobytes()
         assert rng.random() == ref.random()  # the stream is left where the oracle leaves it
 
-    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 4), (1, 200)])
-    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 4), (1, 200), (10, 200)])
+    @pytest.mark.parametrize("count", [1, 2, 5, 200])
     def test_stacked_blocks_equal_consecutive_calls(self, shape, count):
+        uniforms = count * 2 * ((math.prod(shape) + 1) // 2)
+        assert (uniforms * BOX_MULLER_WORK >= SPLIT_WORK) == (shape == (10, 200) and count == 200)
         rng, ref = make_rng(11, stream=2), make_rng(11, stream=2)
         z = normals(rng, shape, count)
         assert z.shape == (count, *shape)
@@ -61,11 +68,15 @@ class TestNormals:
 class TestSampleCorpus:
     """One stacked draw and gemm per corpus give the bytes of one draw and one
     product per speaker: k = 1 (the unlabeled corpus), odd k * d (the last
-    sine dropped), d = 2 and d = 200."""
+    sine dropped), d = 2 and d = 200, and a corpus large enough to run in halves."""
 
     @pytest.mark.parametrize("n_speakers,k,d", [
-        (9, 1, 2), (9, 1, 7), (12, 1, 200), (5, 3, 5), (7, 6, 2), (6, 6, 200), (4, 3, 201)])
+        (9, 1, 2), (9, 1, 7), (12, 1, 200), (5, 3, 5), (7, 6, 2), (6, 6, 200), (4, 3, 201),
+        (200, 10, 201)])  # the last in halves
     def test_bytes_match_one_draw_per_speaker(self, n_speakers, k, d):
+        normals_drawn = n_speakers * k * d
+        split = min(normals_drawn * BOX_MULLER_WORK, normals_drawn * d) >= SPLIT_WORK
+        assert split == (n_speakers == 200)
         chol = cholesky_lower(random_spd(d, 10.0, seed=d))
         mean = 3.0 * normals(make_rng(2), (d,))
         rng, ref = make_rng(5, stream=1), make_rng(5, stream=1)

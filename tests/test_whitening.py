@@ -1,12 +1,18 @@
 import gc
+import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recwhiten import whitening
 from recwhiten.data import DataError, NumericalError
-from recwhiten.stats import COV_FLOOR, Moments, estimate_moments
-from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
+from recwhiten.stats import COV_FLOOR, SPLIT_WORK, Moments, estimate_moments
+from recwhiten.whitening import (BLOCK_ROWS, CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhiteningStage, fit_recursive, fit_stage,
                                  load_whitener, save_whitener, select_subcorpus,
                                  transform_matrix, transform_set)
@@ -149,6 +155,11 @@ class TestTransform:
         for x_in, x_out in zip(vs.matrix(), out.matrix()):
             np.testing.assert_allclose(x_out, transform(w, x_in), atol=1e-12)
 
+    def test_no_stages_copy_the_rows(self):
+        x = np.arange(6.0).reshape(3, 2)
+        out = transform_matrix(RecursiveWhitener([]), x)
+        assert out.tobytes() == x.tobytes() and not np.shares_memory(out, x)
+
     def test_transform_empty_set(self):
         stage = WhiteningStage(0, "c", np.zeros(3), np.eye(3))
         out = transform_set(RecursiveWhitener([stage]), make_set(np.empty((0, 3))))
@@ -173,6 +184,34 @@ def random_stages(rng, dim, n):
             for k in range(n)]
 
 
+def norm_loop(whitener, x):
+    """One gemm over all rows a stage, then np.linalg.norm."""
+    for stage in whitener.stages:
+        x = (x - stage.mean) @ stage.w.T
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+    return x
+
+
+def kernel_is_norm_loop(n, dim):
+    rng = np.random.default_rng(dim)
+    whitener = RecursiveWhitener(random_stages(rng, dim, 3))
+    x = rng.normal(size=(n, dim))
+    assert transform_matrix(whitener, x).tobytes() == norm_loop(whitener, x).tobytes()
+
+
+def run_pinned(script):
+    """Run a script in a fresh interpreter with BLAS on 1 thread and tests/ on
+    its path; return what it prints."""
+    path = [str(Path(__file__).parent), str(Path(whitening.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestTransformMemo:
     """transform_set extends the prefix it last applied to a live set; at dim
     200 the products run through the BLAS kernels the pipeline uses."""
@@ -189,11 +228,25 @@ class TestTransformMemo:
 
     def test_kernel_matches_the_norm_loop(self):
         """The stage loop of transform_matrix, byte for byte."""
-        out = self.vs.matrix()
-        for stage in self.full.stages:
-            out = (out - stage.mean) @ stage.w.T
-            out = out / np.linalg.norm(out, axis=1)[:, None]
-        assert transform_matrix(self.full, self.vs.matrix()).tobytes() == out.tobytes()
+        want = norm_loop(self.full, self.vs.matrix())
+        assert transform_matrix(self.full, self.vs.matrix()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,dim,blocks,split", [
+        (257, 200, 1, False), (385, 200, 1, False), (790, 50, 2, False), (1026, 200, 2, True),
+        (2000, 200, 5, True), (500, 300, 1, False), (1000, 300, 2, True), (3001, 201, 7, True)])
+    def test_kernel_in_blocks_and_halves_matches_the_norm_loop(self, n, dim, blocks, split):
+        """Rows cut into blocks, and the blocks of a stage of SPLIT_WORK or more
+        multiply-adds into halves, give the bytes of one gemm over all rows.
+        The cases break other cuts: a 1-row gemm (257 rows in blocks of 256,
+        halves of 513, 385 with a short last block), a short one (790 - 768
+        rows at d = 50), and d above 192 and not a multiple of 8 (300, 201),
+        where a gemm's last rows round otherwise than the same rows in a
+        longer call. BLAS runs on 1 thread, as in the CLI: a threaded gemm
+        cuts its rows by thread."""
+        assert max(1, n // BLOCK_ROWS) == blocks
+        assert (n * dim ** 2 >= SPLIT_WORK and blocks > 1) == split
+        run_pinned(f"from test_whitening import kernel_is_norm_loop\n"
+                   f"kernel_is_norm_loop({n}, {dim})\n")
 
     def test_prefixes_in_order_apply_one_stage_each(self, monkeypatch):
         applied, kernel = [], whitening.transform_matrix
@@ -237,6 +290,65 @@ class TestTransformMemo:
         del self.vs
         gc.collect()
         assert len(whitening._LAST_TRANSFORM) == before
+
+
+def send_transform_digest(conn, whitener, x):
+    conn.send_bytes(hashlib.sha256(transform_matrix(whitener, x).tobytes()).digest())
+
+
+class TestSplitTransform:
+    """transform_matrix at SPLIT_WORK or more multiply-adds a stage, where the
+    helper thread takes the second half of the rows."""
+
+    N, DIM = 2000, 200
+
+    def setup_method(self):
+        assert self.N * self.DIM ** 2 >= SPLIT_WORK
+        rng = np.random.default_rng(43)
+        self.x = rng.normal(size=(self.N, self.DIM))
+        self.whitener = RecursiveWhitener(random_stages(rng, self.DIM, 2))
+
+    @pytest.mark.parametrize("rows", [(N - 3,), (5, N - 3)])
+    def test_zero_norm_row_named_in_the_whole_matrix(self, rows):
+        """A stage centered on row N - 3 zeroes it, in the second half; a copy
+        of it in row 5, in the first half, is named instead."""
+        self.x[list(rows)] = self.x[self.N - 3]
+        stage = WhiteningStage(0, "bad", self.x[self.N - 3], np.eye(self.DIM))
+        with pytest.raises(NumericalError, match=f"zero-norm vector at row {rows[0]} "):
+            transform_matrix(RecursiveWhitener([stage]), self.x)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_splits_with_its_own_helper(self):
+        want = hashlib.sha256(transform_matrix(self.whitener, self.x).tobytes()).digest()
+        ctx = multiprocessing.get_context("fork")
+        got, sent = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=send_transform_digest, args=(sent, self.whitener, self.x))
+        child.start()
+        try:
+            assert got.poll(60), "the split transform in the forked child did not end"
+            assert got.recv_bytes() == want
+        finally:
+            child.kill()
+            child.join()
+
+    def test_only_a_split_starts_the_one_helper_thread(self):
+        """In a fresh interpreter: 800 rows (below SPLIT_WORK) start no thread,
+        and two transforms of 2,000 rows start one between them."""
+        script = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from recwhiten.whitening import RecursiveWhitener, WhiteningStage, transform_matrix\n"
+            "w = RecursiveWhitener([WhiteningStage(0, 'c', np.zeros(200), np.eye(200))])\n"
+            "counts = [threading.active_count()]\n"
+            "for n in (800, 2000, 2000):\n"
+            "    transform_matrix(w, np.ones((n, 200)))\n"
+            "    counts.append(threading.active_count())\n"
+            "print(*counts)\n")
+        assert 800 * 200 ** 2 < SPLIT_WORK
+        first, *rest = map(int, run_pinned(script).split())
+        assert rest == [first, first + 1, first + 1]
 
 
 class TestFitRecursive:
