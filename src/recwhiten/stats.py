@@ -7,15 +7,13 @@ whitening matrix W = L^-1, the SPD inverse with its log-determinant
 (`spd_inverse`), the top eigenpairs of a symmetric matrix (`top_eigen`), and
 Gaussian log-density.
 
-`in_halves` runs the second half of a large batched kernel on the program's
-one helper thread.
+`in_halves` runs the second half of a large batched kernel on a thread of
+its own, which it starts and joins.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,37 +22,21 @@ from .data import DataError, NumericalError, freeze
 
 COV_FLOOR = 1e-8
 SPLIT_WORK = 1 << 25  # multiply-adds; a split call saves 1 ms or more on 2 cores
-_START, _HELPER = threading.Lock(), None  # _HELPER: (jobs, their count) of the helper thread
-
-
-def _serve(jobs: deque, ready: threading.Semaphore) -> None:
-    while True:
-        ready.acquire()
-        jobs.popleft()()
-
-
-def _forget_helper() -> None:
-    """In a forked child: the inherited jobs have no live thread behind them."""
-    global _START, _HELPER
-    _START, _HELPER = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def in_halves(fn, n: int, work: float) -> None:
     """fn(slice(0, n)), or, once `work` (in multiply-adds) reaches SPLIT_WORK
-    and n >= 2, fn(slice(n // 2, n)) on the helper thread while the caller runs
-    fn(slice(0, n // 2)). fn writes only its own rows of buffers the caller
-    allocated, so the halves cannot race and the helper's allocator arena stays
-    small. The helper runs under the caller's floating-point error state. An
-    exception is raised once both halves have ended, the first half's first."""
-    global _HELPER
+    and n >= 2, fn(slice(n // 2, n)) on a helper thread that this call starts
+    and joins while the caller runs fn(slice(0, n // 2)); no thread outlives
+    the call. fn writes only its own rows of buffers the caller allocated, so
+    the halves cannot race and the helper's allocator arena stays small. The
+    helper runs under the caller's floating-point error state. An exception
+    is raised once both halves have ended, the first half's first. If no
+    thread can be started, the caller runs fn(slice(0, n)), as below the split."""
     if work < SPLIT_WORK or n < 2:
         fn(slice(0, n))
         return
-    errors, done, failed = np.geterr(), threading.Event(), []
+    errors, failed = np.geterr(), []
 
     def second_half():
         try:
@@ -62,19 +44,16 @@ def in_halves(fn, n: int, work: float) -> None:
                 fn(slice(n // 2, n))
         except BaseException as e:  # raised by the caller below
             failed.append(e)
-        finally:
-            done.set()
-    with _START:  # the first split starts the helper
-        if _HELPER is None:
-            _HELPER = deque(), threading.Semaphore(0)
-            threading.Thread(target=_serve, args=_HELPER, name="recwhiten-half",
-                             daemon=True).start()
-        _HELPER[0].append(second_half)
-        _HELPER[1].release()
+    helper = threading.Thread(target=second_half, name="recwhiten-half")
+    try:
+        helper.start()
+    except RuntimeError:  # no thread to be had: a pids limit, or interpreter shutdown
+        fn(slice(0, n))
+        return
     try:
         fn(slice(0, n // 2))
     finally:
-        done.wait()
+        helper.join()
     if failed:
         raise failed[0]
 

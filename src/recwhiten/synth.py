@@ -13,8 +13,8 @@ ceil(n/2) uniforms u1, then ceil(n/2) u2, and the stream is the same however
 calls split it, so one draw of a corpus's speaker blocks is one call per speaker.
 The Box-Muller ufuncs of a large draw run on two halves of the uniform pairs,
 and the per-speaker gemms of a large corpus on two halves of the speakers, the
-second on the helper thread of stats.in_halves; each value comes from its own
-inputs alone, so the bytes do not depend on the split.
+second on a thread that stats.in_halves starts and joins for that call; each
+value comes from its own inputs alone, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations

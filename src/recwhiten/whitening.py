@@ -11,9 +11,9 @@ whitener's stages start with those stage objects, only the rest are applied,
 to the remembered output, bit-identically. One output is held per live set.
 
 transform_matrix cuts the rows of a stage into blocks at multiples of
-BLOCK_ROWS and hands the second half of the blocks of a large stage to the
-helper thread of stats.in_halves; the cuts leave every row's bytes as one gemm
-over all the rows gives them.
+BLOCK_ROWS, and stats.in_halves hands the second half of the blocks of a large
+stage to a thread that lives for that stage; the cuts leave every row's bytes
+as one gemm over all the rows gives them.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
     block taking the remainder (up to 2 * BLOCK_ROWS - 1 rows): every row
     falls in the same group as in one gemm over all n rows, and the last
     rows in the same last group, so the blocks change no byte. A large stage
-    hands the second half of its blocks to the helper thread of
-    stats.in_halves. The zero-norm check reads the whole norms array after
+    hands the second half of its blocks to a thread that stats.in_halves
+    starts and joins. The zero-norm check reads the whole norms array after
     each stage, so it names the row of smallest norm, as one pass would."""
     x = np.asarray(x, dtype=float)
     if not whitener.stages:

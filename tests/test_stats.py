@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from recwhiten import stats
 from recwhiten.data import DataError
 from recwhiten.plda import PldaModel
 from recwhiten.stats import (COV_FLOOR, SPLIT_WORK, Moments, NumericalError, cholesky_lower,
@@ -152,15 +151,24 @@ class TestCheckSymmetric:
 
 
 class TestInHalves:
-    """The helper thread takes the second half once the work reaches SPLIT_WORK."""
+    """A thread of the call takes the second half once the work reaches SPLIT_WORK."""
 
     def calls(self, n, work):
-        seen = []
+        seen, threads = [], threading.active_count()
         in_halves(lambda rows: seen.append((rows, threading.get_ident())), n, work)
+        assert threading.active_count() == threads
         return seen
 
-    def test_below_the_split_one_call_on_the_caller(self):
-        assert self.calls(9, SPLIT_WORK - 1) == [(slice(0, 9), threading.get_ident())]
+    @pytest.mark.parametrize("n,work", [(9, SPLIT_WORK - 1), (1, SPLIT_WORK)],
+                             ids=["little-work", "one-row"])
+    def test_below_the_split_one_call_on_the_caller(self, n, work):
+        assert self.calls(n, work) == [(slice(0, n), threading.get_ident())]
+
+    def test_no_thread_to_start_one_call_on_the_caller(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert self.calls(9, SPLIT_WORK) == [(slice(0, 9), threading.get_ident())]
 
     def test_at_the_split_the_helper_takes_the_second_half(self):
         seen = sorted(self.calls(9, SPLIT_WORK), key=lambda call: call[0].start)
@@ -187,11 +195,10 @@ class TestInHalves:
         with pytest.raises(ValueError, match=message):
             in_halves(fn, 10, SPLIT_WORK)
 
-    def test_callers_on_four_threads_start_one_helper(self):
-        """Four threads split at once, switching often, with no helper yet
-        (as in a forked child): each gets its own halves, and one helper starts."""
+    def test_callers_on_four_threads_get_their_own_halves(self):
+        """Four threads split at once, switching often: each gets its own
+        halves, and no thread outlives the calls."""
         before = set(threading.enumerate())
-        stats._forget_helper()
         got, start = {k: [] for k in range(4)}, threading.Barrier(4)
 
         def caller(k):
@@ -213,8 +220,7 @@ class TestInHalves:
         assert not any(t.is_alive() for t in callers)
         for k, calls in got.items():
             assert calls == [[slice(0, k + 1), slice(k + 1, 2 * k + 2)]] * 50
-        started = [t.name for t in set(threading.enumerate()) - before]
-        assert started == ["recwhiten-half"]
+        assert set(threading.enumerate()) == before
 
     def test_the_helper_keeps_the_callers_error_state(self):
         big = np.array([1.0, 1e300])

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +298,8 @@ def send_transform_digest(conn, whitener, x):
 
 
 class TestSplitTransform:
-    """transform_matrix at SPLIT_WORK or more multiply-adds a stage, where the
-    helper thread takes the second half of the rows."""
+    """transform_matrix at SPLIT_WORK or more multiply-adds a stage, where a
+    thread of in_halves takes the second half of the rows."""
 
     N, DIM = 2000, 200
 
@@ -333,22 +334,22 @@ class TestSplitTransform:
             child.kill()
             child.join()
 
-    def test_only_a_split_starts_the_one_helper_thread(self):
-        """In a fresh interpreter: 800 rows (below SPLIT_WORK) start no thread,
-        and two transforms of 2,000 rows start one between them."""
-        script = (
-            "import threading\n"
-            "import numpy as np\n"
-            "from recwhiten.whitening import RecursiveWhitener, WhiteningStage, transform_matrix\n"
-            "w = RecursiveWhitener([WhiteningStage(0, 'c', np.zeros(200), np.eye(200))])\n"
-            "counts = [threading.active_count()]\n"
-            "for n in (800, 2000, 2000):\n"
-            "    transform_matrix(w, np.ones((n, 200)))\n"
-            "    counts.append(threading.active_count())\n"
-            "print(*counts)\n")
-        assert 800 * 200 ** 2 < SPLIT_WORK
-        first, *rest = map(int, run_pinned(script).split())
-        assert rest == [first, first + 1, first + 1]
+    def test_a_transform_leaves_no_thread(self):
+        """800 rows (below SPLIT_WORK) and 2,000 rows (split) each leave the
+        thread count as they found it."""
+        assert 800 * self.DIM ** 2 < SPLIT_WORK
+        for n in (800, self.N):
+            threads = threading.active_count()
+            transform_matrix(self.whitener, self.x[:n])
+            assert threading.active_count() == threads
+
+    def test_no_thread_to_start_the_caller_runs_every_block(self, monkeypatch):
+        want = transform_matrix(self.whitener, self.x).tobytes()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert transform_matrix(self.whitener, self.x).tobytes() == want
 
 
 class TestFitRecursive:
