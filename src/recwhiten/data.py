@@ -114,9 +114,7 @@ class VectorSet:
 
     def take(self, index) -> VectorSet:
         """The vectors at index (positions or a boolean mask), in order."""
-        rows = np.arange(len(self))[index]
-        if len(rows) and (np.diff(rows) == 1).all():  # consecutive: a view, not a copy
-            rows = slice(rows[0], rows[-1] + 1)
+        rows = row_selection(index, len(self))
         return VectorSet(self.ids[rows], self.corpus_ids[rows], self.speaker_ids[rows],
                          self.storage[rows])
 
@@ -124,6 +122,16 @@ class VectorSet:
     def entries(self) -> list[VectorEntry]:
         """One VectorEntry per vector, in order: the ids, no row of the matrix."""
         return list(map(VectorEntry, self.ids.tolist()))
+
+
+def row_selection(index, n: int) -> slice | np.ndarray:
+    """The positions index (positions or a boolean mask) picks from n rows, in
+    order: a slice when they are consecutive, so that it indexes a view, else
+    an index array."""
+    rows = np.arange(n)[index]
+    if len(rows) and (np.diff(rows) == 1).all():
+        return slice(rows[0], rows[-1] + 1)
+    return rows
 
 
 def same_dim(sets: list[VectorSet]) -> None:

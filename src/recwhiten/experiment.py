@@ -21,11 +21,11 @@ import numpy as np
 from . import metrics, plda, whitening
 from .config import ConfigError, ExperimentConfig
 from .data import (ScoreSet, TrialList, VectorSet, concat, load_trials,
-                   load_vector_table, same_dim, save_scores, save_trials,
-                   save_vector_table, write_blocks)
+                   load_vector_table, row_selection, same_dim, save_scores,
+                   save_trials, save_vector_table, write_blocks)
 from .metrics import EvalReport
 from .synth import SynthWorld, generate_world
-from .whitening import CorpusLevel, RecursiveWhitener, fit_recursive
+from .whitening import CandidateRows, CorpusLevel, RecursiveWhitener, fit_recursive
 
 
 @dataclass
@@ -54,13 +54,14 @@ def load_corpora(cfg: ExperimentConfig) -> Corpora:
     )
 
 
-def _candidate_set(ood: VectorSet, token: str) -> VectorSet:
-    """A hierarchy token names one corpus id or a '+'-joined union of them."""
+def _candidate_set(ood: VectorSet, token: str) -> CandidateRows:
+    """A hierarchy token names one corpus id or a '+'-joined union of them;
+    its candidate is those OOD rows, in OOD order, and copies none of them."""
     parts = token.split("+")
     for part in parts:
         if part not in ood.corpus_ids:
             raise ConfigError(f"hierarchy candidate {token!r}: corpus {part!r} matches no vectors")
-    return ood.take(np.isin(ood.corpus_ids, parts))
+    return CandidateRows(ood.matrix(), row_selection(np.isin(ood.corpus_ids, parts), len(ood)))
 
 
 def build_levels(cfg: ExperimentConfig, corpora: Corpora) -> list[CorpusLevel]:

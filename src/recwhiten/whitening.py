@@ -59,12 +59,32 @@ class WhiteningStage:
         return self.mean.shape[0]
 
 
+@dataclass(frozen=True)
+class CandidateRows:
+    """The rows of a read-only (n, d) matrix that a candidate selects, a slice
+    when they are consecutive, else an index array: no vectors or ids of its own."""
+
+    source: np.ndarray
+    rows: slice | np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.source.shape[1]
+
+    def matrix(self) -> np.ndarray:
+        """The rows, read-only: a view, or a copy gathered on each call."""
+        out = self.source[self.rows]
+        out.flags.writeable = False
+        return out
+
+
 @dataclass
 class CorpusLevel:
-    """Candidate sub-corpora offered to one recursion level."""
+    """Candidate sub-corpora offered to one recursion level. The fit reads a
+    candidate only through .dim and .matrix(), so a VectorSet serves too."""
 
     level: int
-    candidates: list[tuple[str, VectorSet]]
+    candidates: list[tuple[str, CandidateRows | VectorSet]]
 
 
 @dataclass(frozen=True)

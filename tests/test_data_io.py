@@ -2,7 +2,8 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import FrozenInstanceError, fields
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -17,13 +18,14 @@ from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, Factored, Numeri
                             ScoreSet, TrialList, VectorSet, load_scores, load_trials,
                             load_vector_table, save_scores, save_trials,
                             save_vector_table)
-from recwhiten.experiment import build_levels, load_corpora, write_world
+from recwhiten.experiment import build_levels, load_corpora, selection_targets, write_world
 from recwhiten.plda import PldaModel, load_plda, save_plda, score_matrix
 from recwhiten.projection import project_sets
 from recwhiten.stats import Moments
 from recwhiten.synth import SubCorpusSpec, SynthConfig, generate_world
-from recwhiten.whitening import (LevelSelection, RecursiveWhitener,
-                                 WhiteningStage, load_whitener, save_whitener)
+from recwhiten.whitening import (CorpusLevel, LevelSelection, RecursiveWhitener,
+                                 WhiteningStage, fit_recursive, load_whitener,
+                                 save_whitener)
 
 
 def write(tmp_path, text, name="table.txt"):
@@ -206,16 +208,61 @@ class TestVectorSet:
         ood = corpora.ood
         assert ood.matrix() is ood.matrix()
         for token, cand in build_levels(cfg, corpora)[0].candidates:
-            # a single corpus is a run of OOD rows; a+c skips b's, so it is a copy
+            # a single corpus is a run of OOD rows; a+c skips b's, so it is gathered
             assert np.shares_memory(cand.matrix(), ood.matrix()) == (token != "a+c")
             wanted = np.isin(ood.corpus_ids, token.split("+"))
-            assert cand.ids.tolist() == ood.ids[wanted].tolist()
+            assert ood.ids[cand.rows].tolist() == ood.ids[wanted].tolist()
             assert cand.matrix().tobytes() == ood.matrix()[wanted].tobytes()
-            assert cand.matrix() is cand.matrix()
             assert not cand.matrix().flags.writeable
         assert not ood.matrix().flags.writeable
         with pytest.raises(ValueError):
             ood.matrix()[0, 0] = 1.0
+
+    @staticmethod
+    def three_corpus_world(dim, interleaved):
+        """Corpora of three OOD sub-corpora of 400 vectors at dim, their rows
+        in corpus order or shuffled (as a [data] table may hold them), and a
+        config whose unions skip a corpus."""
+        cfg = parse_experiment_config(
+            f"[synth]\nseed = 5\ndim = {dim}\n"
+            "subcorpora = a:40:10:0.0 b:40:10:4.0 c:40:10:8.0\n"
+            "n_enroll_speakers = 4\nn_unlabeled = 30\n\n"
+            "[hierarchy]\nlevel1 = a+c b c\nlevel2 = a+b c a+c\n\n[backend]\nlevels = 0 1 2\n")
+        corpora = load_corpora(cfg)
+        if interleaved:
+            order = np.random.default_rng(0).permutation(len(corpora.ood))
+            corpora = replace(corpora, ood=corpora.ood.take(order))
+        return cfg, corpora
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_candidates_fit_as_the_vector_sets_they_select(self, tmp_path, interleaved):
+        # d = 201 and candidates of 400 and 800 rows: BLOCK_ROWS cuts apply
+        cfg, corpora = self.three_corpus_world(201, interleaved)
+        ood = corpora.ood
+        levels = build_levels(cfg, corpora)
+        as_sets = [CorpusLevel(lv.level, [
+            (token, ood.take(np.isin(ood.corpus_ids, token.split("+"))))
+            for token, _ in lv.candidates]) for lv in levels]
+        texts = []
+        for name, hierarchy in (("rows", levels), ("sets", as_sets)):
+            whitener = fit_recursive(corpora.unlabeled, hierarchy,
+                                     selection_targets(cfg, corpora))
+            save_whitener(whitener, tmp_path / name)
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_build_levels_copies_no_vectors_or_ids(self, interleaved):
+        cfg, corpora = self.three_corpus_world(200, interleaved)
+        assert corpora.ood.matrix().nbytes >= 1 << 20
+        tracemalloc.start()
+        try:
+            levels = build_levels(cfg, corpora)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == 2
+        assert peak < corpora.ood.matrix().nbytes / 10
 
     @pytest.mark.parametrize("index, view", [
         ([1, 2], True), (slice(1, None), True), ([False, True, True, False], True),
