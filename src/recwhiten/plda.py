@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
 from .data import (MISSING_SPEAKER, ConfigError, DataError, ScoreSet, TrialList, VectorSet,
                    block_rows, freeze, index_of, names_its_file, read_blocks, write_blocks)
-from .stats import COV_FLOOR, check_symmetric, scatter, spd_inverse, top_eigen
+from .stats import COV_FLOOR, check_symmetric, in_halves, spd_inverse, top_eigen
 from .whitening import ZERO_NORM_EPS
+
+QUADRATIC_WORK = 16  # SPLIT_WORK units per einsum row·d²: a split of 2^21 of them saves 1 ms
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,21 @@ class PldaModel:
         return self.mean.shape[0]
 
 
-def _groups(keys: np.ndarray) -> dict[str, list[int]]:
-    """Row positions of each distinct key, keys in order of first appearance."""
+def _group_means(x: np.ndarray, keys: np.ndarray):
+    """Rows of x grouped by key in order of first appearance: the keys, x with
+    each group's rows consecutive (one gather if they are not, or x is not
+    C-ordered), and each group's (start, end) rows and mean (.mean's bytes)."""
     groups: dict[str, list[int]] = {}
     for i, key in enumerate(keys.tolist()):
         groups.setdefault(key, []).append(i)
-    return groups
+    order = np.fromiter(chain.from_iterable(groups.values()), np.intp, len(keys))
+    if not x.flags.c_contiguous or (order != np.arange(len(keys))).any():
+        x = x[order]
+    ends = np.cumsum([len(rows) for rows in groups.values()]).tolist()
+    spans, means = list(zip([0] + ends[:-1], ends)), np.empty((len(groups), x.shape[1]))
+    for mu, (start, end) in zip(means, spans):
+        np.divide(np.add.reduce(x[start:end], axis=0, out=mu), end - start, out=mu)
+    return list(groups), x, spans, means
 
 
 def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
@@ -64,27 +75,27 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     WC is the pooled within-speaker scatter over N - S degrees of freedom
     (floored by 1e-8 I); AC the scatter of the S speaker means about the
     global mean over S - 1. With rank R set, AC is truncated to its top-R
-    eigenpairs.
+    eigenpairs. The loop allocates nothing per speaker: it centers into one
+    buffer and runs one syrk (xc.T @ xc) into another, as a gemm rounds
+    otherwise and a stacked matmul, with the same bytes, is slower (ROADMAP).
     """
     unlabeled = data.speaker_ids == MISSING_SPEAKER
     if unlabeled.any():
         raise DataError(f"entry {str(data.ids[np.argmax(unlabeled)])!r} has no speaker label")
-    groups = _groups(data.speaker_ids).values()
-    n_spk = len(groups)
-    n_total = len(data)
+    _, xs, spans, spk_means = _group_means(data.matrix(), data.speaker_ids)
+    n_spk, n_total = len(spans), len(data)
     if n_spk < 2:
         raise DataError(f"need at least 2 speakers, got {n_spk}")
     if n_total - n_spk < 1:
         raise DataError("need at least one extra session beyond one per speaker")
     d = data.dim
 
-    x = data.matrix()
-    mean = x.mean(axis=0)
-    within = np.zeros((d, d))
-    spk_means = np.empty((n_spk, d))
-    for i, rows in enumerate(groups):
-        spk_means[i], s = scatter(x[rows])
-        within += s
+    mean = data.matrix().mean(axis=0)
+    within, s = np.zeros((d, d)), np.empty((d, d))
+    xc = np.empty((max(end - start for start, end in spans), d))
+    for mu, (start, end) in zip(spk_means, spans):
+        c = np.subtract(xs[start:end], mu, out=xc[:end - start])
+        within += np.matmul(c.T, c, out=s)
     wc = within / (n_total - n_spk) + COV_FLOOR * np.eye(d)
     wc = 0.5 * (wc + wc.T)
 
@@ -121,12 +132,20 @@ def _scoring_terms(model: PldaModel):
 
 
 def score_matrix(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
-    """All-pairs LLR matrix between the rows of two vector stacks."""
+    """All-pairs LLR matrix between the rows of two vector stacks. The quadratic
+    terms run in halves of each stack of 6 rows or more (stats.in_halves), as
+    an einsum of 1 or 2 rows rounds otherwise at d = 2."""
     e = np.asarray(enroll, dtype=float) - model.mean
     t = np.asarray(test, dtype=float) - model.mean
     g, q, const = model.terms
-    eg = np.einsum("ij,jk,ik->i", e, g, e)
-    tg = np.einsum("ij,jk,ik->i", t, g, t)
+    eg, tg = np.empty(len(e)), np.empty(len(t))
+
+    def quadratic(halves):  # the first, the second or both halves of each stack
+        for x, out in ((e, eg), (t, tg)):
+            cuts = (0, len(x) // 2 if len(x) >= 6 else 0, len(x))
+            rows = slice(cuts[halves.start], cuts[halves.stop])
+            out[rows] = np.einsum("ij,jk,ik->i", x[rows], g, x[rows])
+    in_halves(quadratic, 2, (e.size + t.size) * len(g) * QUADRATIC_WORK)
     cross = (e @ q) @ t.T + ((t @ q) @ e.T).T
     return const - 0.5 * (eg[:, None] + tg[None, :] + cross)
 
@@ -145,16 +164,12 @@ def enroll_models(enroll: VectorSet) -> tuple[list[str], np.ndarray]:
         raise DataError(f"unlabeled enrollment id {str(enroll.ids[unlabeled][clash][0])!r} "
                         "is also a speaker id")
     keys = np.where(unlabeled, enroll.ids, enroll.speaker_ids)
-    groups = _groups(keys)
-    x = enroll.matrix()
-    vecs = np.empty((len(groups), enroll.dim))
-    for i, rows in enumerate(groups.values()):
-        vecs[i] = x[rows].mean(axis=0)
+    names, _, _, vecs = _group_means(enroll.matrix(), keys)
     norms = np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
     zero = norms <= ZERO_NORM_EPS
     if zero.any():
-        raise DataError(f"zero-norm enrollment model {list(groups)[np.argmax(zero)]!r}")
-    return list(groups), vecs / norms[:, None]
+        raise DataError(f"zero-norm enrollment model {names[np.argmax(zero)]!r}")
+    return names, vecs / norms[:, None]
 
 
 def score_trials(model: PldaModel, enroll: VectorSet, test: VectorSet,
