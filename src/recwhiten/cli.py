@@ -1,11 +1,5 @@
-"""Command-line surface.
-
-Subcommands: synth, fit-whitener, run-experiment, score, evaluate, project.
-Exit codes, decided by the type of the error alone (README "Exit codes"):
-0 success, 2 ConfigError, 3 DataError, OSError or MemoryError, 4 any ArithmeticError.
-main() runs each command with numpy raising FloatingPointError (an
-ArithmeticError) on overflow, invalid operations and division by zero.
-"""
+"""Command-line surface: the recwhiten subcommands, and main, which maps each
+error type to its exit code (README "Exit codes")."""
 
 from __future__ import annotations
 

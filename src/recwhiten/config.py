@@ -1,28 +1,5 @@
-"""Experiment configuration: flat key = value text with one section level.
-
-Example::
-
-    [synth]
-    seed = 7
-    dim = 50
-    subcorpora = ood_a:250:8:1.5 ood_b:250:8:1.5
-
-    [hierarchy]
-    level1 = ood_a ood_b
-
-    [backend]
-    levels = 0 1
-    shrinkage = auto
-    plda_rank = none
-    snorm = off
-    selection_targets = enroll_test
-
-    [metrics]
-    dcf16-1 = 0.01 1 1
-    dcf16-2 = 0.005 1 1
-
-A [data] section with ood/unlabeled/enroll/test/trials paths may replace
-[synth]. Candidate tokens in [hierarchy] may union corpus ids with '+'.
+"""Experiment configuration: flat key = value text with one section level,
+parsed into an ExperimentConfig. README "Config reference" lists every key.
 """
 
 from __future__ import annotations

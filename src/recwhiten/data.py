@@ -1,32 +1,6 @@
-"""Data model and text I/O for embedding tables, trial lists and score files.
-
-Every kind is held as columns: a vector set is one array each of ids, corpus
-ids and speaker ids next to one ``(n, dim)`` matrix (entries lists the ids),
-and ``-`` (MISSING_SPEAKER) marks an unlabeled vector in memory and on disk;
-trials keep model ids, test ids and labels each as a Factored, distinct values
-and one code per trial, and scores add one array of scores.
-
-These three tables and the whitener and PLDA model files are UTF-8 text with
-tab-separated fields and floats at 17 significant digits, which read back bit
-for bit. One writer, format_blocks, assembles the rows of all five and of
-project's coordinate table and synth's world manifest, and write_blocks saves
-them: each block gets one % row format from the kinds of its columns, floats as
-%.17g (the same C conversion as "{:.17g}".format), and fixed-size chunks of
-rows are formatted by one % call each, so a save holds one chunk of a file's
-text at a time. One reader, _rows, takes all five apart a chunk at a time, so a
-table's text is never held whole either: a chunk from _chunks is _READ
-characters and the rest of their last line, _split splits its lines into fields
-and checks them at once, parsing all their float fields with one np.loadtxt
-(numpy's C text reader), and a chunk that _split refuses, that holds a comment
-or that comes before a vector table's header, _rows takes line by line, to skip
-comments, read the header and name a faulty line. A float field is ASCII float
-literals between whitespace (no '_' or non-ASCII digit, which float() would
-take). Blank lines are skipped; lines starting with ``#`` are comments in the
-tables only, and a vector table's ``#dim=<d>`` header comes before its rows. An
-id or tag may be empty and hold any character but tab, LF, CR and NUL; a table
-row may not start with ``#``. What would not read back, a save refuses with
-DataError before it creates the file; a load's DataError starts with the file's
-path.
+"""Data model and text I/O: vector sets, trial lists and score sets held as
+columns, and the one writer (format_blocks) and reader (_rows) of every file
+the package writes. README "Data model" and "File formats" give their rules.
 """
 
 from __future__ import annotations
@@ -46,6 +20,10 @@ LABELS = ("target", "nontarget", "unknown")
 MISSING_SPEAKER = "-"
 
 _MAX_DIM = np.iinfo(np.intp).max  # the largest length of a numpy array axis
+
+# an int as str(int) writes it, of at most 19 digits: checked before int(), which
+# takes '+3', ' 3', '0_3' and non-ASCII digits and refuses more than 4300 digits
+STR_INT = re.compile("0|-?[1-9][0-9]{0,18}")
 
 _FLOAT = "%.17g"  # enough digits for every float64 to read back bit for bit
 
@@ -71,12 +49,7 @@ class VectorEntry(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class VectorSet:
     """Fixed-dimension embeddings as columns: the id, corpus id and speaker
-    id of each vector next to one read-only (n, dim) float64 matrix, storage.
-
-    Ids are unique and every value is finite. Fields and arrays are read-only,
-    the id columns copies. storage is a view of the array the set is built from,
-    which must not be written; take() gives a view of consecutive rows, else a copy.
-    """
+    id of each vector next to one (n, dim) float64 matrix, storage."""
 
     ids: np.ndarray
     corpus_ids: np.ndarray
@@ -157,13 +130,8 @@ class Factored(NamedTuple):
 
 @dataclass(frozen=True, eq=False, init=False)
 class TrialList:
-    """Trial columns: enrollment model id, test id and label of each trial.
-
-    Each column, a sequence or a Factored (distinct values in any order, some
-    maybe named by no code), is kept as a Factored of the values some trial has,
-    in code-point order, so no array a caller passed in is kept. Every array is
-    read-only; (model id, test id) pairs are unique and every label is in LABELS.
-    """
+    """Trial columns: enrollment model id, test id and label of each trial,
+    each given as a sequence or a Factored and kept as _factor makes it."""
 
     model: Factored
     test: Factored
@@ -213,8 +181,7 @@ class ScoreSet:
 
 def freeze(obj, **fields) -> None:
     """Set fields of a dataclass, each array among them or in a tuple among
-    them as a read-only view of the array's memory, no copy. Constructors copy
-    what a caller passes in first, but for VectorSet's storage: see VectorSet."""
+    them as a read-only view of the array's memory, no copy."""
     def read_only(value):
         if isinstance(value, np.ndarray):
             value = value.view()
@@ -267,9 +234,8 @@ _READ = 1 << 16  # characters read per chunk, so a file's text is held a chunk a
 
 def _chunks(path):
     """The line numbers and the lines, LF stripped, of the non-blank lines of a
-    UTF-8 file, a chunk at a time: _READ characters and the rest of the line
-    they end in, so a chunk ends on a line break and a longer line is held
-    whole. DataError if it is not UTF-8; the loader names the file."""
+    UTF-8 file, in chunks of _READ characters and the rest of the line they
+    end in. DataError if it is not UTF-8; the loader names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             start = 1
@@ -288,9 +254,11 @@ def _chunks(path):
 def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str = "",
           header: bool | None = None):
     """The text columns (lists) and (rows, dim) float matrix of chunks of
-    (line numbers, lines), split by _split whole or line by line as the module
-    docstring says: a model block's with header None, where '#' is data, else a
-    table's, whose '#dim=' line gives dim when header is True."""
+    (line numbers, lines): a model block's with header None, where '#' is
+    data, else a table's, whose '#dim=' line gives dim when header is True.
+    _split takes each chunk whole; a chunk it refuses, that holds a '#' line or
+    that comes before a table's header goes line by line, to skip comments,
+    read the header and name a faulty line."""
     text = [i for i in range(n_fields) if i != floats]
     columns, values = [[] for _ in text], array("d")
     for numbers, lines in chunks:
@@ -406,13 +374,9 @@ def _column(column) -> tuple[str, np.ndarray]:
 def format_blocks(blocks: list[tuple[list[str], list]]):
     """Each block's header lines, then one line per row of its columns (see
     _column) with the fields joined by tabs, yielded a chunk of text at a time
-    once every field is checked.
-
-    The rows of a block share one % format: %s for each text field, %.17g for
-    each float, and a matrix row's %.17g joined by spaces. Chunks of rows that
-    hold about _CHUNK fields are formatted by one % each. %.17g writes what
-    "{:.17g}".format writes: both hand the float to the same C conversion,
-    'g' at precision 17, which reads back bit for bit."""
+    once every field is checked: a block's rows share one % format, and each
+    chunk of about _CHUNK fields is one % call. %.17g writes what "{:.17g}".format
+    writes: both hand the float to the same C conversion, 'g' at precision 17."""
     checked = []
     for header, columns in blocks:
         formats, values = zip(*map(_column, columns))
@@ -451,10 +415,10 @@ def _read_table(path, n_fields: int, floats: int | None = None, header: bool = F
 
 def _dim_header(lineno: int, line: str, after: bool = False) -> int | None:
     """d of the one '#dim=<d>' line before the first row, spelled as save
-    writes it (str(d)), None for another comment."""
+    writes it (STR_INT), None for another comment."""
     if not line.startswith("#dim="):
         return None
-    if after or not re.fullmatch("[1-9][0-9]{0,18}", line[5:]) or int(line[5:]) > _MAX_DIM:
+    if after or not STR_INT.fullmatch(line[5:]) or not 0 < int(line[5:]) <= _MAX_DIM:
         raise DataError(f"malformed or misplaced header at line {lineno}: {line!r}")
     return int(line[5:])
 
@@ -472,7 +436,7 @@ def names_its_file(load):
 
 @names_its_file
 def load_vector_table(path) -> VectorSet:
-    """Parse a vector table file; see the module docstring for the format."""
+    """Parse a vector table file (README "File formats")."""
     (ids, corpora, speakers), values = _read_table(path, 4, floats=3, header=True)
     return VectorSet(ids, corpora, speakers, values)
 

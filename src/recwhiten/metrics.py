@@ -3,9 +3,6 @@
 EER by linear interpolation between ROC vertices, normalized minimum and
 actual detection cost at configurable operating points and symmetric score
 normalization.
-
-Threshold convention: a trial is accepted when score >= threshold, so ties
-count as false accepts.
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ pair under the same-speaker versus different-speaker hypotheses.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 
 import numpy as np
 
-from .data import (MISSING_SPEAKER, ConfigError, DataError, ScoreSet, TrialList, VectorSet,
-                   block_rows, freeze, index_of, names_its_file, read_blocks, write_blocks)
+from .data import (MISSING_SPEAKER, STR_INT, ConfigError, DataError, ScoreSet, TrialList,
+                   VectorSet, block_rows, freeze, index_of, names_its_file, read_blocks,
+                   write_blocks)
 from .stats import COV_FLOOR, check_symmetric, in_halves, spd_inverse, top_eigen
 from .whitening import ZERO_NORM_EPS
 
@@ -24,10 +24,8 @@ QUADRATIC_WORK = 16  # SPLIT_WORK units per einsum row·d²: a split of 2^21 of 
 
 @dataclass(frozen=True)
 class PldaModel:
-    """A model that scores: mean finite, AC and WC finite, symmetric and d x d,
-    rank None or in [1, d] (DataError), and _scoring_terms run once, here
-    (NumericalError if not SPD, FloatingPointError).
-    Fields and arrays are read-only, so the terms always match AC and WC."""
+    """Mean, AC, WC and rank of a model that scores: its rules are checked and
+    its scoring terms factored once, when it is built; fields are read-only."""
 
     mean: np.ndarray
     ac: np.ndarray  # across-class covariance, PSD
@@ -76,8 +74,8 @@ def train_plda(data: VectorSet, rank: int | None = None) -> PldaModel:
     (floored by 1e-8 I); AC the scatter of the S speaker means about the
     global mean over S - 1. With rank R set, AC is truncated to its top-R
     eigenpairs. The loop allocates nothing per speaker: it centers into one
-    buffer and runs one syrk (xc.T @ xc) into another, as a gemm rounds
-    otherwise and a stacked matmul, with the same bytes, is slower (ROADMAP).
+    buffer and runs one syrk (xc.T @ xc) into another: a gemm would round
+    otherwise, and a stacked matmul, with the same bytes, is slower.
     """
     unlabeled = data.speaker_ids == MISSING_SPEAKER
     if unlabeled.any():
@@ -207,11 +205,8 @@ def load_plda(path) -> PldaModel:
             raise DataError(f"extra row in {name} block at line {numbers[1]}")
     (_, (mean,)), (_, ac), (_, wc) = (block_rows(b, f"{b[1]} block") for b in blocks[:3])
     ((rank,),), _ = block_rows(blocks[3], "[rank] block", floats=None)
-    # as str(int) writes it, before int() takes '+3', ' 3', '0_3', non-ASCII
-    # digits or more digits than it converts
-    if rank != "-" and not re.fullmatch("0|-?[1-9][0-9]{0,18}", rank):
-        raise DataError(f"bad PLDA model: bad rank {rank!r} in [rank] block "
-                        f"at line {blocks[3][2][0][0]}")
+    if rank != "-" and not STR_INT.fullmatch(rank):  # numbers: the last block's, [rank]'s
+        raise DataError(f"bad PLDA model: bad rank {rank!r} in [rank] block at line {numbers[0]}")
     try:
         return PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
     except (ValueError, ArithmeticError) as e:

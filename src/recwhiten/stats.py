@@ -5,10 +5,7 @@ projection) sits on these operations, each written once, here: the row
 scatter (`scatter`), shrunk moment estimation, Cholesky factorization, the
 whitening matrix W = L^-1, the SPD inverse with its log-determinant
 (`spd_inverse`), the top eigenpairs of a symmetric matrix (`top_eigen`), and
-Gaussian log-density.
-
-`in_halves` runs the second half of a large batched kernel on a thread of
-its own, which it starts and joins.
+Gaussian log-density. `in_halves` runs a large kernel on two cores.
 """
 
 from __future__ import annotations

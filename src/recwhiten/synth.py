@@ -3,18 +3,8 @@
 Emulates the resource-imbalanced, domain-mismatched setting: several large
 labeled out-of-domain sub-corpora plus a tiny unlabeled in-domain set with
 labeled enrollment/test speakers. Domain -> speaker -> session sampling, all
-Gaussian, so the PLDA backend is exactly matched to the generator.
-
-Reproducibility: all randomness comes from numpy's Philox counter-based
-generator, with normal deviates produced by the Box-Muller transform on
-Philox uniforms (never the generator's own ziggurat sampler), so streams are
-bit-stable across platforms and numpy versions. A block of n normals takes
-ceil(n/2) uniforms u1, then ceil(n/2) u2, and the stream is the same however
-calls split it, so one draw of a corpus's speaker blocks is one call per speaker.
-The Box-Muller ufuncs of a large draw run on two halves of the uniform pairs,
-and the per-speaker gemms of a large corpus on two halves of the speakers, the
-second on a thread that stats.in_halves starts and joins for that call; each
-value comes from its own inputs alone, so the bytes do not depend on the split.
+Gaussian, so the PLDA backend is exactly matched to the generator. Every
+random value is a Philox uniform (make_rng) or a normal drawn from them (normals).
 """
 
 from __future__ import annotations
@@ -35,7 +25,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def normals(rng: np.random.Generator, shape, count: int | None = None) -> np.ndarray:
-    """Box-Muller normals of `shape`, or `count` such blocks stacked, from one draw."""
+    """Box-Muller normals of `shape`, or `count` such blocks stacked, from one draw.
+
+    Box-Muller on Philox uniforms, never numpy's own ziggurat sampler, keeps
+    the stream bit-stable across platforms and numpy versions. A block of n
+    normals takes ceil(n/2) uniforms u1, then ceil(n/2) u2, and Philox's stream
+    does not depend on how calls split it, so the stacked blocks are the bytes
+    of one call per block. A large draw runs its ufuncs on two halves of the
+    uniform pairs (stats.in_halves); each value comes from its own pair alone."""
     n = math.prod(shape)  # Python ints, which do not wrap around
     m = (n + 1) // 2
     u = rng.random((1 if count is None else count) * 2 * m).reshape(-1, 2, m)
@@ -157,7 +154,9 @@ class SynthWorld:
 def _sample_corpus(rng, corpus_id, prefix, domain_mean, chol, n_speakers,
                    sessions, across_var, within_var, labeled=True) -> VectorSet:
     """n_speakers speakers, one vector per session id suffix in `sessions`. The stacked
-    matmul is one gemm per speaker, and scale and shift in place only swap operands."""
+    matmul is one gemm per speaker, shaped as a loop's, so a large corpus splits
+    its speakers in halves (stats.in_halves) with the same bytes; scale and
+    shift in place only swap operands."""
     d, k = len(domain_mean), len(sessions)
     spk_means = domain_mean + np.sqrt(across_var) * (normals(rng, (n_speakers, d)) @ chol.T)
     z = normals(rng, (k, d), n_speakers)

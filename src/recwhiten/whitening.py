@@ -5,15 +5,6 @@ and length-normalizes. At levels >= 1 the fitting corpus is chosen from a set
 of candidates by maximum aggregate Gaussian log-likelihood of the
 target-domain vectors, all measured in the space produced by the previous
 stages.
-
-transform_set extends the last prefix it applied to a live VectorSet: if a
-whitener's stages start with those stage objects, only the rest are applied,
-to the remembered output, bit-identically. One output is held per live set.
-
-transform_matrix cuts the rows of a stage into blocks at multiples of
-BLOCK_ROWS, and stats.in_halves hands the second half of the blocks of a large
-stage to a thread that lives for that stage; the cuts leave every row's bytes
-as one gemm over all the rows gives them.
 """
 
 from __future__ import annotations
@@ -62,7 +53,7 @@ class WhiteningStage:
 @dataclass(frozen=True)
 class CandidateRows:
     """The rows of a read-only (n, d) matrix that a candidate selects, a slice
-    when they are consecutive, else an index array: no vectors or ids of its own."""
+    when they are consecutive, else an index array."""
 
     source: np.ndarray
     rows: slice | np.ndarray
@@ -72,7 +63,8 @@ class CandidateRows:
         return self.source.shape[1]
 
     def matrix(self) -> np.ndarray:
-        """The rows, read-only: a view, or a copy gathered on each call."""
+        """The rows, read-only: a view, or a copy gathered on each call, which
+        lives only while the caller uses it."""
         out = self.source[self.rows]
         out.flags.writeable = False
         return out
@@ -80,8 +72,7 @@ class CandidateRows:
 
 @dataclass
 class CorpusLevel:
-    """Candidate sub-corpora offered to one recursion level. The fit reads a
-    candidate only through .dim and .matrix(), so a VectorSet serves too."""
+    """Candidate sub-corpora offered to one recursion level."""
 
     level: int
     candidates: list[tuple[str, CandidateRows | VectorSet]]
@@ -182,7 +173,14 @@ def transform_matrix(whitener: RecursiveWhitener, x: np.ndarray) -> np.ndarray:
 
 
 def transform_set(whitener: RecursiveWhitener, vset: VectorSet) -> VectorSet:
-    """Element-wise transform, ids and tags kept; extends the set's last prefix (module doc)."""
+    """Element-wise transform, ids and tags kept.
+
+    It remembers, per live set, the stages it last applied and their read-only
+    output. A whitener whose stages start with those same stage objects, as the
+    prefixes of one fitted whitener do, gets only the rest applied to that
+    output: the work the full loop does, so the bytes are the same, and
+    run-experiment whitens each set once per stage, not once per stage per
+    level. Any other whitener starts from the raw vectors."""
     if vset.dim != whitener.dim:
         raise DataError(f"whitener has dimension {whitener.dim}, vectors have {vset.dim}")
     done, out = _LAST_TRANSFORM.get(vset) or ((), vset.matrix())
@@ -241,9 +239,7 @@ def _check_chosen(sel: LevelSelection, stage: WhiteningStage, where: str = "") -
 
 def save_whitener(whitener: RecursiveWhitener, path) -> None:
     """Text serialization: one block per stage, then the selection log. DataError,
-    before the file is created, unless the stages share one dimension, the stage
-    levels are 0..n-1 with n >= 1 and the selection levels 1..m with m < n, each
-    choosing its stage's corpus."""
+    before the file is created, for a whitener that would not read back."""
     stages, log = whitener.stages, whitener.selection_log
     if len({s.dim for s in stages}) > 1:
         raise DataError(f"whitener stages differ in dimension: {[s.dim for s in stages]}")
@@ -265,10 +261,7 @@ def save_whitener(whitener: RecursiveWhitener, path) -> None:
 @names_its_file
 def load_whitener(path) -> RecursiveWhitener:
     """A whitener file as save_whitener writes it, each block checked as it is
-    read against the one header save writes next: after s stages and k
-    selections, '[stage <s> <corpus id>]' while k = 0 (the corpus id maybe empty
-    or with spaces) or '[selection <k+1>]' while k + 1 < s. A selection block
-    marks one row 'chosen', naming the corpus of its stage, and the others '-'."""
+    read against the one header save writes next."""
     stages, selections = [], []
     for block in read_blocks(path):
         lineno, head, _ = block
