@@ -129,7 +129,11 @@ def _path(text: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subparsers, whose errors are
-    ConfigErrors, so that a bad command line prints one line and exits 2."""
+    ConfigErrors, so that a bad command line prints one line and exits 2, and
+    whose options are spelled in full: no prefix stands for an option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

@@ -117,6 +117,8 @@ _BACKEND = {
     "snorm": _on_off,
     "selection_targets": str,
 }
+_SECTIONS = ("data", "synth", "hierarchy", "backend", "metrics")
+_DATA = ("ood", "unlabeled", "enroll", "test", "trials")  # [data] keys, all required
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -131,7 +133,10 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # one spelling for each setting: no [DEFAULT] section, no `key: value`,
+    # and keys that match as written
+    parser = configparser.ConfigParser(interpolation=None, default_section="", delimiters=("=",))
+    parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as e:
@@ -139,13 +144,12 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-    unknown = set(parser.sections()) - {"data", "synth", "hierarchy", "backend", "metrics"}
+    unknown = set(parser.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
 
     if parser.has_section("data"):
-        data_keys = ("ood", "unlabeled", "enroll", "test", "trials")
-        _check_keys("data", parser["data"], data_keys, data_keys)
+        _check_keys("data", parser["data"], _DATA, _DATA)
         cfg.data_paths = dict(parser.items("data"))
     if parser.has_section("synth"):
         cfg.synth = _parse_synth(parser["synth"])

@@ -22,9 +22,10 @@ class OperatingPoint:
     name: str = ""
 
     def __post_init__(self):
-        if UNSAFE.search(self.name):  # the report writes it as it is
-            raise ConfigError(f"operating point name {self.name!r} holds a tab, line break, "
-                              "NUL or surrogate")
+        # the report writes it as it is, and its header joins it to the values by `:`
+        if UNSAFE.search(self.name) or ":" in self.name:
+            raise ConfigError(f"operating point name {self.name!r} holds a colon, tab, "
+                              "line break, NUL or surrogate")
         if not 0.0 < self.p_target < 1.0:
             raise ConfigError(f"p_target must be in (0,1), got {self.p_target}")
         if not (0.0 < self.c_miss < np.inf and 0.0 < self.c_fa < np.inf):

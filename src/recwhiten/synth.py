@@ -17,6 +17,7 @@ import numpy as np
 from .data import MISSING_SPEAKER, ConfigError, Factored, TrialList, VectorSet, concat
 from .stats import cholesky_lower, in_halves
 
+IN_DOMAIN = "indomain"  # the corpus id of the unlabeled, enrollment and test sets
 BOX_MULLER_WORK = 256  # the time of one normal, in multiply-adds of a gemm (stats.SPLIT_WORK)
 
 
@@ -116,6 +117,8 @@ class SynthConfig:
         ids = [s.corpus_id for s in self.ood_subcorpora]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate sub-corpus ids")
+        if IN_DOMAIN in ids:
+            raise ConfigError(f"sub-corpus id {IN_DOMAIN!r} is the in-domain sets' corpus id")
         for s in self.ood_subcorpora:
             if s.n_speakers < 1 or s.sessions_per_speaker < 1:
                 raise ConfigError(f"bad counts for sub-corpus {s.corpus_id!r}")
@@ -197,14 +200,14 @@ def generate_world(cfg: SynthConfig) -> SynthWorld:
 
     # unlabeled: independent speakers, one session each
     unlabeled = _sample_corpus(
-        rng_in, "indomain", "unl_", in_mean, chol_in,
+        rng_in, IN_DOMAIN, "unl_", in_mean, chol_in,
         cfg.n_unlabeled, ["u000"], cfg.across_var, cfg.within_var, labeled=False)
 
     # enrollment/test sessions share their speaker means
     sessions = ([f"e{k:02d}" for k in range(cfg.enroll_sessions)]
                 + [f"t{k:02d}" for k in range(cfg.test_sessions)])
     pool = _sample_corpus(
-        rng_in, "indomain", "eval_", in_mean, chol_in,
+        rng_in, IN_DOMAIN, "eval_", in_mean, chol_in,
         cfg.n_enroll_speakers, sessions, cfg.across_var, cfg.within_var)
     is_enroll = np.arange(len(pool)) % len(sessions) < cfg.enroll_sessions
     enroll, test = pool.take(is_enroll), pool.take(~is_enroll)

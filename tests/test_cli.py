@@ -631,6 +631,63 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err and "Warning" not in err and "usage:" not in err
 
 
+def command_case(command, text):
+    """config_case(text) with `command` in place of run-experiment."""
+    return lambda tmp_path: [command, *config_case(text)(tmp_path)[1:]]
+
+
+def spelled_case(full, short, command="run-experiment"):
+    """A command line over SMALL_SYNTH with the option `full` spelled `short`."""
+    return lambda tmp_path: [short if a == full else a for a in
+                             command_case(command, SMALL_SYNTH)(tmp_path) + ["--seed", "3"]]
+
+
+# each second spelling of a setting that the parsers once took, and the
+# in-domain sets' corpus id as a sub-corpus id
+REFUSED_SPELLINGS = [
+    pytest.param(config_case("[DEFAULT]\nseed = 3\n" + SMALL_SYNTH.replace("seed = 5\n", "")),
+                 "unknown sections: ['DEFAULT']", id="default-section"),
+    pytest.param(config_case(SMALL_SYNTH.replace("seed = 5", "Seed = 5")),
+                 "[synth] unknown keys: ['Seed']", id="key-in-another-case"),
+    pytest.param(config_case(SMALL_SYNTH.replace("level1 =", "LEVEL1 =")),
+                 "[hierarchy] unknown keys: ['LEVEL1']", id="level-in-another-case"),
+    pytest.param(config_case(SMALL_SYNTH.replace("dim = 10", "dim: 10")),
+                 "config parse error:", id="key-colon-value"),
+    pytest.param(spelled_case("--config", "--conf"), "required: --config", id="prefix-conf"),
+    pytest.param(spelled_case("--out", "--ou"), "required: --out", id="prefix-ou"),
+    pytest.param(spelled_case("--seed", "--se"), "unrecognized arguments: --se", id="prefix-se"),
+    pytest.param(spelled_case("--seed", "--se", "synth"), "unrecognized arguments: --se",
+                 id="synth-prefix-se"),
+    pytest.param(config_case(SMALL_SYNTH + "\n[metrics]\na:b = 0.01 1 1\nc = 0.005 1 1\n"),
+                 "operating point name 'a:b' holds a colon", id="metrics-name-colon"),
+    *(pytest.param(command_case(command, SMALL_SYNTH.replace("ood_b", "indomain")),
+                   "sub-corpus id 'indomain' is the in-domain sets' corpus id",
+                   id=f"{command}-indomain-subcorpus") for command in ("synth", "run-experiment")),
+]
+
+
+@pytest.mark.parametrize("case,message", REFUSED_SPELLINGS)
+def test_refused_spelling_exits_2_and_writes_nothing(tmp_path, capsys, case, message):
+    assert run(case(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_metrics_and_op_give_one_report_key(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_SYNTH + "\n[metrics]\nDCF-A = 0.01 1 1\nb = 0.005 1 1\n")
+    assert run(["run-experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert run(["evaluate", "--scores", tmp_path / "out" / "scores_level0.txt",
+                "--op", "DCF-A:0.01:1:1", "--op", "b:0.005:1:1",
+                "--out", tmp_path / "report.txt"]) == 0
+    rows = [[line for line in (tmp_path / name).read_text().splitlines()
+             if not line.startswith("#")]
+            for name in ("out/report_level0.txt", "report.txt")]
+    assert "min_DCF_A\t" in rows[0][1] and rows[0] == rows[1]
+
+
 WORLD_FILES = {"ood": "vectors_ood.txt", "unlabeled": "vectors_unlabeled.txt",
                "enroll": "vectors_enroll.txt", "test": "vectors_test.txt",
                "trials": "trials.txt"}

@@ -1,5 +1,5 @@
 """tools/pairs.py: the alternating order of a pair's sides, the result line it
-reads, and the summary of canned result lines."""
+reads, the summary of canned result lines and its gain verdict."""
 
 import importlib.util
 import json
@@ -60,3 +60,29 @@ def test_higher_is_better_counts_the_other_way():
     assert summary["run_s"]["parent_q1_q3"] == [1.0, 1.0]
     assert (summary["peak_rss_mb"]["pairs_change_better"],
             summary["peak_rss_mb"]["pairs_change_worse"]) == (0, 0)
+
+
+def canned_runs(parent, change):
+    """The runs of pairs whose run_s values are parent[k] and change[k]."""
+    return {side: [{"pair": k, "first": pairs.sides_in_order(k)[0], "result": result(v, 100.0)}
+                   for k, v in enumerate(values, start=1)]
+            for side, values in (("parent", parent), ("change", change))}
+
+
+GAIN = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 1.20]
+
+
+@pytest.mark.parametrize("change, resolved", [
+    # better in 9 of 10 pairs, medians 1.045 -> 0.945, parent quartiles 1.0225-1.0675
+    (GAIN, True),
+    # better in 9 of 9 pairs, medians 1.04 -> 0.94: too few pairs
+    (GAIN[:9], False),
+    # better in 8 of 10 pairs, one a tie
+    (GAIN[:8] + [1.08, 1.20], False),
+    # better in 10 of 10 pairs, but medians 0.005 apart, inside the parent's spread
+    ([0.995, 1.005, 1.015, 1.025, 1.035, 1.045, 1.055, 1.065, 1.075, 1.085], False),
+], ids=["met", "missed-nine-pairs", "missed-pairs", "missed-spread"])
+def test_gain_verdict_of_canned_pairs(change, resolved):
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09][:len(change)]
+    stats = pairs.summarize(canned_runs(parent, change), {"run_s": "lower"})["run_s"]
+    assert pairs.gain_resolved(stats, len(parent)) is resolved

@@ -1,11 +1,14 @@
-"""README.md documents every input the program accepts: each subcommand, each
-exit code with the prefix of its stderr line, each [backend] and [synth] key
-and each trial label. A name the code accepts and README does not mention
-fails here."""
+"""README.md documents every input the program accepts: each subcommand and
+its options, each exit code with the prefix of its stderr line, each config
+section, each [data], [backend] and [synth] key and each trial label. A name
+the code accepts and README does not mention fails here, and so does an
+example in README that the parsers refuse."""
 
 import argparse
 import ast
 import inspect
+import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,10 +21,27 @@ def missing(names) -> list[str]:
     return [name for name in names if f"`{name}`" not in README]
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, by name."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_every_subcommand():
     sub = next(action for action in cli.build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     assert sub.choices and missing(sub.choices) == []
+
+
+def test_every_option():
+    """README writes options in prose and in examples, so each is matched as a
+    word: `--out` is not found in `--outdir`."""
+    options = {option for parser in subcommands().values() for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    assert "--config" in options and [
+        option for option in sorted(options)
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", README)] == []
 
 
 def exit_prefixes() -> dict[str, str]:
@@ -51,5 +71,25 @@ def test_every_config_key():
     assert missing([*config._BACKEND, *synth_keys]) == []
 
 
+def test_every_section_and_data_key():
+    assert [name for name in config._SECTIONS if f"`[{name}]`" not in README] == []
+    assert missing(config._DATA) == []
+
+
 def test_every_label():
     assert missing(data.LABELS) == []
+
+
+def code_blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.M | re.S)
+
+
+def test_examples_parse():
+    """The ini block is a config that parses, and each `recwhiten` line of the
+    sh blocks, continuations joined and comments dropped, a command line that
+    parses; together they use every subcommand."""
+    assert [config.parse_experiment_config(block) for block in code_blocks("ini")]
+    lines = [shlex.split(line, comments=True)
+             for block in code_blocks("sh") for line in block.replace("\\\n", " ").splitlines()]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["recwhiten"]]
+    assert {cli.build_parser().parse_args(argv).command for argv in examples} == set(subcommands())

@@ -6,11 +6,11 @@ when k is even. Both sides run with one environment, built once from this
 process's, since a few bytes more of it can move `peak_rss_mb` (glibc's mmap
 threshold), and from checkout paths of one length, since the child's argv
 holds its path. Each side's result line goes to stderr as it comes; stdout
-gets one JSON object {"runs": ..., "summary": ...} keyed "W@seedS/trace0", in
-the shape of the BENCH_*.json files: per side the result of each pair, and
-per metric of BENCHMARK.json the medians, the quartiles (linear
+gets one JSON object {"runs": ..., "summary": ..., "gain_resolved": ...} keyed
+"W@seedS/trace0", in the shape of the BENCH_*.json files: per side the result
+of each pair; per metric of BENCHMARK.json the medians, the quartiles (linear
 interpolation) and the number of pairs in which the change was better or
-worse.
+worse; and per metric whether those numbers resolve a gain (gain_resolved).
 
 Usage: python3 tools/pairs.py PARENT CHANGE --workload W [--seed S]
                               [--seconds N] [--pairs K] > pairs.json
@@ -84,6 +84,16 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return out
 
 
+def gain_resolved(stats: dict, pairs: int) -> bool:
+    """Whether one metric's summary shows a gain: over at least ten pairs, the
+    change is better in at least nine tenths of them, ties counting for
+    neither, and the medians differ by more than the distance between the
+    parent's quartiles."""
+    q1, q3 = stats["parent_q1_q3"]
+    return (pairs >= 10 and 10 * stats["pairs_change_better"] >= 9 * pairs
+            and abs(stats["change_median"] - stats["parent_median"]) > q3 - q1)
+
+
 def main(argv: list[str]) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -108,7 +118,10 @@ def main(argv: list[str]) -> None:
             print(json.dumps({"pair": pair, "side": side, "result": result}), file=sys.stderr,
                   flush=True)
     key = f"{args.workload}@seed{args.seed}/trace0"
-    print(json.dumps({"runs": {key: runs}, "summary": {key: summarize(runs, better)}}, indent=1))
+    summary = summarize(runs, better)
+    verdict = {name: gain_resolved(summary[name], args.pairs) for name in better}
+    print(json.dumps({"runs": {key: runs}, "summary": {key: summary},
+                      "gain_resolved": {key: verdict}}, indent=1))
 
 
 if __name__ == "__main__":
