@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from recwhiten import stats
 from recwhiten.data import DataError
 from recwhiten.plda import PldaModel
 from recwhiten.stats import (COV_FLOOR, SPLIT_WORK, Moments, NumericalError, cholesky_lower,
@@ -150,6 +152,20 @@ class TestCheckSymmetric:
             make(np.array([[value]]))
 
 
+def current_cpu():
+    """The CPU this thread last ran on (field 39 of /proc/thread-self/stat), or
+    None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            return int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def allowed_cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 class TestInHalves:
     """A thread of the call takes the second half once the work reaches SPLIT_WORK."""
 
@@ -226,3 +242,62 @@ class TestInHalves:
         big = np.array([1.0, 1e300])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             in_halves(lambda rows: np.multiply(big[rows], big[rows]), 2, SPLIT_WORK)
+
+    @pytest.mark.skipif(len(allowed_cpus() or ()) < 2 or current_cpu() is None,
+                        reason="needs two allowed CPUs and /proc/thread-self/stat")
+    def test_the_helper_runs_on_a_cpu_other_than_the_callers(self, monkeypatch):
+        """The helper half runs on, and is pinned to, the allowed CPUs but the
+        one the caller read at the split; the caller's mask stays whole."""
+        allowed, at_split, other_cpus = allowed_cpus(), [], stats._other_cpus
+
+        def spy():
+            at_split.append(other_cpus())
+            return at_split[-1]
+        monkeypatch.setattr(stats, "_other_cpus", spy)
+        for _ in range(5):
+            seen = {}
+            in_halves(lambda rows: seen.update({rows.start: (current_cpu(), allowed_cpus())}),
+                      2, SPLIT_WORK)
+            others = at_split[-1]
+            assert len(others) == len(allowed) - 1 and others < allowed
+            assert seen[0][1] == allowed
+            assert seen[1][0] in others and seen[1][1] == others
+
+    @pytest.mark.skipif(allowed_cpus() is None, reason="no sched_getaffinity")
+    def test_the_callers_mask_and_thread_count_are_unchanged(self):
+        before = allowed_cpus()
+        assert len(self.calls(9, SPLIT_WORK)) == 2  # calls() checks the thread count
+        assert allowed_cpus() == before
+
+    @pytest.mark.parametrize("failure", ["mask-refused", "proc-unreadable", "no-affinity-calls"])
+    def test_without_a_placement_both_halves_still_run_on_two_threads(self, failure,
+                                                                       monkeypatch):
+        """The helper runs unpinned, with the same halves and results, when the
+        kernel refuses the mask, /proc cannot be read or the affinity calls do
+        not exist (as off Linux)."""
+        allowed, refused = allowed_cpus(), []
+
+        def refuse(*args):
+            refused.append(args)
+            raise OSError("refused")
+        if failure == "mask-refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        elif failure == "proc-unreadable":
+            monkeypatch.setattr(stats, "open", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        out, seen, threads = np.empty(9), {}, threading.active_count()
+
+        def fn(rows):
+            seen[rows.start] = (rows.stop, threading.get_ident(), allowed_cpus())
+            out[rows] = np.sqrt(np.arange(9.0)[rows])
+        in_halves(fn, 9, SPLIT_WORK)
+        assert threading.active_count() == threads
+        assert out.tobytes() == np.sqrt(np.arange(9.0)).tobytes()
+        (stop, caller, mask), (end, helper, helper_mask) = seen[0], seen[4]
+        assert (stop, end) == (4, 9) and caller == threading.get_ident() != helper
+        assert mask == helper_mask == allowed_cpus()
+        tried = {"mask-refused": len(allowed or ()) > 1, "proc-unreadable": allowed is not None,
+                 "no-affinity-calls": False}[failure]
+        assert bool(refused) == tried

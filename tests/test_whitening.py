@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recwhiten import whitening
+from recwhiten import stats, whitening
 from recwhiten.data import DataError, NumericalError
 from recwhiten.stats import COV_FLOOR, SPLIT_WORK, Moments, estimate_moments
 from recwhiten.whitening import (BLOCK_ROWS, CorpusLevel, LevelSelection, RecursiveWhitener,
@@ -342,6 +342,34 @@ class TestSplitTransform:
             threads = threading.active_count()
             transform_matrix(self.whitener, self.x[:n])
             assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+    def test_on_one_cpu_the_split_gives_the_unsplit_bytes(self, monkeypatch):
+        """A fresh interpreter restricted to one CPU still splits, with its
+        helper unpinned on that CPU, and writes the bytes of an unsplit run
+        here."""
+        monkeypatch.setattr(stats, "SPLIT_WORK", float("inf"))
+        want = hashlib.sha256(transform_matrix(self.whitener, self.x).tobytes()).hexdigest()
+        got = run_pinned(
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import hashlib, threading\n"
+            "from recwhiten import stats, whitening\n"
+            "from test_whitening import TestSplitTransform\n"
+            "t, threads, split = TestSplitTransform(), set(), whitening.in_halves\n"
+            "t.setup_method()\n"
+            "def spy(fn, n, work):\n"
+            "    def half(rows):\n"
+            "        threads.add((threading.get_ident(), frozenset(os.sched_getaffinity(0))))\n"
+            "        fn(rows)\n"
+            "    split(half, n, work)\n"
+            "whitening.in_halves = spy\n"
+            "x = whitening.transform_matrix(t.whitener, t.x)\n"
+            "assert stats._other_cpus() == set(), stats._other_cpus()\n"
+            "one = {frozenset(os.sched_getaffinity(0))}\n"
+            "assert len(threads) >= 2 and {mask for _, mask in threads} == one, threads\n"
+            "print(hashlib.sha256(x.tobytes()).hexdigest())\n")
+        assert got.strip() == want
 
     def test_no_thread_to_start_the_caller_runs_every_block(self, monkeypatch):
         want = transform_matrix(self.whitener, self.x).tobytes()
