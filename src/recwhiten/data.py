@@ -10,7 +10,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import wraps
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -255,7 +255,8 @@ def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str
           header: bool | None = None):
     """The text columns (lists) and (rows, dim) float matrix of chunks of
     (line numbers, lines): a model block's with header None, where '#' is
-    data, else a table's, whose '#dim=' line gives dim when header is True.
+    data and floats are finite, else a table's, whose '#dim=' line gives dim
+    when header is True.
     _split takes each chunk whole; a chunk it refuses, that holds a '#' line or
     that comes before a table's header goes line by line, to skip comments,
     read the header and name a faulty line."""
@@ -265,7 +266,7 @@ def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str
         fields = []
         if lines and (header is None or dim and not any(map(str.startswith, lines, repeat("#")))):
             with suppress(DataError):
-                fields, dim = _split(lines, n_fields, floats, dim, values)
+                fields, dim = _split(lines, n_fields, floats, dim, values, header is None)
         if not fields:
             for lineno, line in zip(numbers, lines):
                 if header is not None and line[0] == "#":
@@ -274,7 +275,7 @@ def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str
                 if dim is None and header:
                     raise DataError(f"data before #dim= header at line {lineno}")
                 try:
-                    row, dim = _split([line], n_fields, floats, dim, values)
+                    row, dim = _split([line], n_fields, floats, dim, values, header is None)
                 except DataError as e:
                     raise DataError(f"{e}{where} at line {lineno}") from None
                 fields += row
@@ -285,13 +286,14 @@ def _rows(chunks, n_fields: int, floats: int | None, dim: int | None, where: str
     return columns, np.frombuffer(values).reshape(-1, dim or 1)
 
 
-def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: array):
+def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: array, finite=False):
     """The fields of lines of n_fields tab-separated fields, all split at once,
     and the dim of their float rows: field `floats` of each line holds dim
     floats (None: as many as the first line's), parsed by one np.loadtxt and
     appended to values once all checks pass. DataError naming the first that
     fails: field count, NUL, float, dimension (a blank float field counts as
-    a dimension, rows of unequal length as a float fault)."""
+    a dimension, rows of unequal length as a float fault), then, if finite,
+    a non-finite value."""
     joined = "\t".join(lines)
     if list(map(str.count, lines, repeat("\t"))).count(n_fields - 1) != len(lines):
         raise DataError(f"expected {n_fields} tab-separated fields")
@@ -308,37 +310,41 @@ def _split(lines, n_fields: int, floats: int | None, dim: int | None, values: ar
             raise DataError("bad float") from None
         if (dim := dim or matrix.shape[1]) != matrix.shape[1]:
             raise DataError("dimension mismatch")
+        if finite and not np.isfinite(matrix).all():
+            raise DataError("non-finite value")
         values.frombytes(matrix.tobytes())
     return fields, dim
 
 
-def read_blocks(path) -> list[tuple[int, str, tuple[list[int], list[str]]]]:
-    """The header's line number, the header, and the line numbers and the
-    lines of the rows of each block of a model file. A header starts with '['
-    and holds no tab, so a tab-separated row whose first field starts with '['
-    stays a row; DataError for a header holding a NUL, which save never writes."""
-    numbers, lines, heads = [], [], []
-    for chunk_numbers, chunk_lines in _chunks(path):
-        heads += [len(lines) + i for i, line in enumerate(chunk_lines)
-                  if line[0] == "[" and "\t" not in line]
-        if heads[:1] != [0]:
-            raise DataError(f"data before first block header at line {chunk_numbers[0]}")
-        numbers += chunk_numbers
-        lines += chunk_lines
-    for i in heads:
-        if "\0" in lines[i]:
-            raise DataError(f"NUL character in block header at line {numbers[i]}")
-    return [(numbers[i], lines[i], (numbers[i + 1:j], lines[i + 1:j]))
-            for i, j in zip(heads, heads[1:] + [len(lines)])]
+def read_blocks(path):
+    """Each block of a model file, yielded once the next header or the end of
+    the file is reached: the header's line number, the header, and the line
+    numbers and the lines of its rows. A header starts with '[' and holds no
+    tab, so a tab-separated row whose first field starts with '[' stays a row.
+    DataError for a row before the first header, and for a header holding a
+    NUL, which save never writes, raised once the block before it is yielded.
+    The file stays open until the last block is read or the generator is
+    closed or dropped, as when its loader raises."""
+    block = None
+    for lineno, line in chain.from_iterable(zip(*chunk) for chunk in _chunks(path)):
+        if line[0] == "[" and "\t" not in line:
+            if block:
+                yield block
+            if "\0" in line:
+                raise DataError(f"NUL character in block header at line {lineno}")
+            block = (lineno, line, ([], []))
+        elif block:
+            block[2][0].append(lineno)
+            block[2][1].append(line)
+        else:
+            raise DataError(f"data before first block header at line {lineno}")
+    if block:
+        yield block
 
 
 def block_rows(block, name: str, n_fields=1, floats: int | None = 0, dim: int | None = None):
-    """_rows of a block from read_blocks, named in messages; floats finite."""
-    columns, matrix = _rows([block[2]], n_fields, floats, dim, f" in {name}")
-    bad = ~np.isfinite(matrix).all(axis=1)
-    if bad.any():
-        raise DataError(f"non-finite value in {name} at line {block[2][0][np.argmax(bad)]}")
-    return columns, matrix
+    """_rows of a block from read_blocks, named in messages."""
+    return _rows([block[2]], n_fields, floats, dim, f" in {name}")
 
 
 # what splits or ends a line, is lost in a numpy string array or is not UTF-8

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics, plda, whitening
 from .config import ConfigError, ExperimentConfig
-from .data import (ScoreSet, TrialList, VectorSet, concat, load_trials,
+from .data import (ScoreSet, TrialList, VectorSet, load_trials,
                    load_vector_table, row_selection, same_dim, save_scores,
                    save_trials, save_vector_table, write_blocks)
 from .metrics import EvalReport
@@ -71,10 +71,12 @@ def build_levels(cfg: ExperimentConfig, corpora: Corpora) -> list[CorpusLevel]:
     ]
 
 
-def selection_targets(cfg: ExperimentConfig, corpora: Corpora) -> VectorSet:
+def selection_targets(cfg: ExperimentConfig, corpora: Corpora) -> VectorSet | CandidateRows:
+    """The unlabeled set, or the enrollment rows stacked over the test rows as
+    a CandidateRows, which carries no ids to check a second time."""
     if cfg.selection_targets == "unlabeled":
         return corpora.unlabeled
-    return concat([corpora.enroll, corpora.test])
+    return CandidateRows(np.vstack([corpora.enroll.matrix(), corpora.test.matrix()]), slice(None))
 
 
 def fit_full_whitener(cfg: ExperimentConfig, corpora: Corpora) -> RecursiveWhitener:

@@ -9,7 +9,7 @@ pair under the same-speaker versus different-speaker hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
+from itertools import chain
 
 import numpy as np
 
@@ -193,20 +193,24 @@ def save_plda(model: PldaModel, path) -> None:
 @names_its_file
 def load_plda(path) -> PldaModel:
     """A PLDA file as save_plda writes it: [mean] (one row), [ac], [wc] and
-    [rank] (one line, '-' or str(int)), in that order."""
-    blocks = read_blocks(path)
-    for block, name in zip_longest(blocks, ("[mean]", "[ac]", "[wc]", "[rank]")):
-        lineno, header, (numbers, lines) = block or (None, name, ([], []))
+    [rank] (one line, '-' or str(int)), in that order, each block checked as
+    it is read: its header, its rows, then their count."""
+    blocks, values = read_blocks(path), []
+    for name in ("[mean]", "[ac]", "[wc]", "[rank]"):
+        lineno, header, (numbers, lines) = block = next(blocks, (None, name, ([], [])))
         if header != name:
-            raise DataError(f"block {header!r} at line {lineno} where {name or 'none'} belongs")
+            raise DataError(f"block {header!r} at line {lineno} where {name} belongs")
         if not lines:
             raise DataError(f"missing or empty {name} block")
+        values.append(block_rows(block, f"{name} block", floats=None if name == "[rank]" else 0))
+        if name == "[rank]" and (rank := lines[0]) != "-" and not STR_INT.fullmatch(rank):
+            raise DataError(f"bad PLDA model: bad rank {rank!r} in [rank] block at line "
+                            f"{numbers[0]}")
         if name in ("[mean]", "[rank]") and len(lines) > 1:
             raise DataError(f"extra row in {name} block at line {numbers[1]}")
-    (_, (mean,)), (_, ac), (_, wc) = (block_rows(b, f"{b[1]} block") for b in blocks[:3])
-    ((rank,),), _ = block_rows(blocks[3], "[rank] block", floats=None)
-    if rank != "-" and not STR_INT.fullmatch(rank):  # numbers: the last block's, [rank]'s
-        raise DataError(f"bad PLDA model: bad rank {rank!r} in [rank] block at line {numbers[0]}")
+    for lineno, header, _ in blocks:
+        raise DataError(f"block {header!r} at line {lineno} where none belongs")
+    (_, (mean,)), (_, ac), (_, wc), _ = values
     try:
         return PldaModel(mean, ac, wc, None if rank == "-" else int(rank))
     except (ValueError, ArithmeticError) as e:

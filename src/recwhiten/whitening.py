@@ -101,6 +101,8 @@ class RecursiveWhitener:
 
     @property
     def dim(self) -> int:
+        if not self.stages:
+            raise DataError("whitener has no stages")
         return self.stages[0].dim
 
 

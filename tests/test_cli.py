@@ -971,3 +971,24 @@ class TestExitCodes:
         p = tmp_path / "v.txt"
         save_vector_table(vs, p)
         assert run(["project", "--vectors", p, "--out", tmp_path / "o.txt"]) == 4
+
+
+@pytest.mark.parametrize("targets", ["enroll_test", "unlabeled"])
+def test_an_id_of_both_enroll_and_test_is_no_fault(tmp_path, targets):
+    """A [data] world whose first enrollment id is also a test id: each table
+    is checked on its own, so fitting and scoring accept it."""
+    argv = world_case("run-experiment")(tmp_path)
+    paths = {key: tmp_path / name for key, name in WORLD_FILES.items()}
+    enroll, test = (load_vector_table(paths[key]) for key in ("enroll", "test"))
+    ids = enroll.ids.copy()
+    ids[0] = test.ids[0]
+    save_vector_table(VectorSet(ids, enroll.corpus_ids, enroll.speaker_ids, enroll.matrix()),
+                      paths["enroll"])
+    cfg = argv[2]
+    cfg.write_text(cfg.read_text() + f"selection_targets = {targets}\n")
+    assert run(argv) == 0
+    assert run(["fit-whitener", "--config", cfg, "--out", tmp_path / "fit"]) == 0
+    save_plda(train_plda(load_vector_table(paths["ood"])), tmp_path / "plda.txt")
+    assert run(["score", "--plda", tmp_path / "plda.txt", "--enroll", paths["enroll"],
+                "--test", paths["test"], "--trials", paths["trials"],
+                "--whitener", tmp_path / "fit" / "whitener.txt", "--out", tmp_path / "s.txt"]) == 0

@@ -16,7 +16,7 @@ from recwhiten import data as data_module
 from recwhiten.config import parse_experiment_config
 from recwhiten.data import (LABELS, MISSING_SPEAKER, DataError, Factored, NumericalError,
                             ScoreSet, TrialList, VectorSet, load_scores, load_trials,
-                            load_vector_table, save_scores, save_trials,
+                            load_vector_table, read_blocks, save_scores, save_trials,
                             save_vector_table)
 from recwhiten.experiment import build_levels, load_corpora, selection_targets, write_world
 from recwhiten.plda import PldaModel, load_plda, save_plda, score_matrix
@@ -1093,3 +1093,83 @@ class TestReaderChunks:
         with patch.object(data_module, "_READ", 100), \
                 pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
             load_trials(path)
+
+
+def edit_lines(text, **lines):
+    """text with line n (counted from 1) replaced by lines[f"l{n}"]."""
+    out = text.split("\n")
+    for key, line in lines.items():
+        out[int(key[1:]) - 1] = line
+    return "\n".join(out)
+
+
+PLDA_D2 = "[mean]\n0 0\n[ac]\n1 0\n0 1\n[wc]\n1 0\n0 1\n[rank]\n-\n"
+WHITENER_D2 = ("[stage 0 c]\n0 0\n1 0\n0 1\n[stage 1 c]\n0 0\n1 0\n0 1\n"
+               "[selection 1]\nc\t-1.5\tchosen\n")
+
+# (load, a model file with two faults, the message of the one that comes first)
+TWO_FAULTS = [
+    pytest.param(load_plda, edit_lines(PLDA_D2, l2="0 x", l3="[a\0c]"),
+                 "bad float in [mean] block at line 2", id="plda-bad-row-then-nul-header"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l3="[a\0c]", l4="1 x"),
+                 "NUL character in block header at line 3", id="plda-nul-header-then-bad-row"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l4="1 x", l6="[ac]"),
+                 "bad float in [ac] block at line 4", id="plda-bad-row-then-misplaced-block"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l3="[wc]", l7="1 x"),
+                 "block '[wc]' at line 3 where [ac] belongs",
+                 id="plda-misplaced-block-then-bad-row"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l2="0 x") + "[rank]\n-\n",
+                 "bad float in [mean] block at line 2", id="plda-bad-row-then-second-rank-block"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l2="0 x") + "-\n",
+                 "bad float in [mean] block at line 2", id="plda-bad-row-then-second-rank-line"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l2="0 0\n0 0", l7="1 x"),
+                 "extra row in [mean] block at line 3", id="plda-extra-row-then-bad-row"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l10="+3\n-"),
+                 "bad PLDA model: bad rank '+3' in [rank] block at line 10",
+                 id="plda-bad-rank-then-second-rank-line"),
+    pytest.param(load_plda, edit_lines(PLDA_D2, l4="nan 0", l5="0 x"),
+                 "non-finite value in [ac] block at line 4", id="plda-nan-then-bad-row"),
+    pytest.param(load_whitener, edit_lines(WHITENER_D2, l2="0 x", l5="[stage 1 \0]"),
+                 "bad float in stage block for level 0 at line 2",
+                 id="whitener-bad-row-then-nul-header"),
+    pytest.param(load_whitener, edit_lines(WHITENER_D2, l5="[stage 1 \0]", l7="1 x"),
+                 "NUL character in block header at line 5", id="whitener-nul-header-then-bad-row"),
+    pytest.param(load_whitener, edit_lines(WHITENER_D2, l2="0 x", l5="[bogus]"),
+                 "bad float in stage block for level 0 at line 2",
+                 id="whitener-bad-row-then-misplaced-block"),
+    pytest.param(load_whitener, edit_lines(WHITENER_D2, l5="[bogus]", l7="1 x"),
+                 "block out of level order at line 5: '[bogus]'",
+                 id="whitener-misplaced-block-then-bad-row"),
+    pytest.param(load_whitener, edit_lines(WHITENER_D2, l2="nan 0", l3="1 x"),
+                 "non-finite value in stage block for level 0 at line 2",
+                 id="whitener-nan-then-bad-row"),
+]
+
+
+class TestModelFileFaultOrder:
+    """A model file load reports the first fault in file order: each block's
+    header, then its rows, then their count, before the next block is read."""
+
+    @pytest.mark.parametrize("load, text, message", TWO_FAULTS)
+    def test_first_of_two_faults(self, tmp_path, load, text, message):
+        path = write(tmp_path, text, "model.txt")
+        with pytest.raises(DataError) as e:
+            load(path)
+        assert str(e.value) == f"{path}: {message}"
+
+    def test_read_blocks_yields_a_block_before_it_reads_the_next_header(self, tmp_path):
+        path = write(tmp_path, "[a]\n1\n\n2\n[b\0]\n3\n", "model.txt")
+        blocks = read_blocks(path)
+        assert next(blocks) == (1, "[a]", ([2, 4], ["1", "2"]))
+        with pytest.raises(DataError, match="^NUL character in block header at line 5$"):
+            next(blocks)
+
+
+def test_selection_targets_are_the_enroll_rows_over_the_test_rows():
+    cfg, corpora = TestVectorSet.three_corpus_world(8, False)
+    assert cfg.selection_targets == "enroll_test"
+    targets = selection_targets(cfg, corpora)
+    want = np.vstack([corpora.enroll.matrix(), corpora.test.matrix()])
+    got = targets.matrix()
+    assert targets.dim == 8 and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable

@@ -12,6 +12,7 @@ import pytest
 
 from recwhiten import stats, whitening
 from recwhiten.data import DataError, NumericalError
+from recwhiten.projection import project_sets
 from recwhiten.stats import COV_FLOOR, SPLIT_WORK, Moments, estimate_moments
 from recwhiten.whitening import (BLOCK_ROWS, CorpusLevel, LevelSelection, RecursiveWhitener,
                                  WhiteningStage, fit_recursive, fit_stage,
@@ -520,3 +521,16 @@ class TestModelRules:
     def test_selection_chosen_out_of_range(self, logliks, chosen):
         with pytest.raises(DataError, match=f"^selection 1 chosen row {chosen} out of range$"):
             LevelSelection(1, logliks, chosen)
+
+
+class TestStagelessWhitener:
+    """A whitener without stages has no dimension: the calls that need one
+    raise DataError, which the CLI maps to exit 3."""
+
+    def test_transform_set(self):
+        with pytest.raises(DataError, match="^whitener has no stages$"):
+            transform_set(RecursiveWhitener([]), make_set(np.eye(3)))
+
+    def test_project_sets(self):
+        with pytest.raises(DataError, match="^whitener has no stages$"):
+            project_sets([make_set(np.eye(3))], RecursiveWhitener([]))
