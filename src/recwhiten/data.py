@@ -5,9 +5,13 @@ the package writes. README "Data model" and "File formats" give their rules.
 
 from __future__ import annotations
 
+import gc
+import os
 import re
+import shutil
+import tempfile
 from array import array
-from contextlib import suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, repeat
@@ -377,31 +381,118 @@ def _column(column) -> tuple[str, np.ndarray]:
     return "%s", np.array(_text(column), dtype=object)[:, None]
 
 
+def _checked(header: list[str], columns: list) -> tuple[str, str, tuple, range]:
+    """A block's header text, row format (its columns' % formats joined by
+    tabs), value arrays (see _column) and chunk starts, a chunk being about
+    _CHUNK fields, once every field is checked."""
+    formats, values = zip(*map(_column, columns))
+    step = max(1, _CHUNK // sum(v.shape[1] for v in values))
+    return ("".join(line + "\n" for line in _text(header)), "\t".join(formats) + "\n", values,
+            range(0, len(values[0]), step))
+
+
+def _format(row: str, values: tuple, starts: range):
+    """The text of the chunks at starts, one % call each. %.17g writes what
+    "{:.17g}".format writes: both hand the float to the same C conversion, 'g'
+    at precision 17."""
+    for i in starts:
+        chunk = np.hstack([v[i:i + starts.step] for v in values])  # object if any text
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
 def format_blocks(blocks: list[tuple[list[str], list]]):
-    """Each block's header lines, then one line per row of its columns (see
-    _column) with the fields joined by tabs, yielded a chunk of text at a time
-    once every field is checked: a block's rows share one % format, and each
-    chunk of about _CHUNK fields is one % call. %.17g writes what "{:.17g}".format
-    writes: both hand the float to the same C conversion, 'g' at precision 17."""
-    checked = []
-    for header, columns in blocks:
-        formats, values = zip(*map(_column, columns))
-        checked.append((_text(header), "\t".join(formats) + "\n", values))
-    for header, row, values in checked:
-        yield "".join(line + "\n" for line in header)
-        step = max(1, _CHUNK // sum(v.shape[1] for v in values))
-        for i in range(0, len(values[0]), step):
-            chunk = np.hstack([v[i:i + step] for v in values])  # object if any text
-            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+    """Each block's header lines, then one line per row of its columns, yielded
+    a chunk of text at a time once every field of every block is checked."""
+    for header, row, values, starts in [_checked(*block) for block in blocks]:
+        yield header
+        yield from _format(row, values, starts)
+
+
+# float fields from which a block's second half is formatted in a forked child
+# (_write_block). In one process holding 48 MB (min of 11 calls), 3,200 x 100
+# floats went 195-245 -> 131-168 ms and 1,500 x 100 97-131 -> 72-74 ms. Smaller
+# blocks gained there too, but forked, whiten_deep's 40,200-float stage blocks
+# raised its peak RSS in 10 of 10 runs, and a 58,800-row score file's gain was
+# within the noise of its run
+FORK_FLOATS = 1 << 17
 
 
 def write_blocks(path, blocks: list[tuple[list[str], list]]) -> None:
-    """Write format_blocks(blocks), creating the file only once every field is checked."""
-    text = format_blocks(blocks)
-    first = next(text, "")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first)
-        fh.writelines(text)
+    """Write format_blocks(blocks) through _replacing(path), a block at a time
+    (_write_block), once every field of every block is checked."""
+    checked = [_checked(*block) for block in blocks]
+    with _replacing(path) as fh:
+        for header, row, values, starts in checked:
+            fh.write(header)
+            _write_block(fh, os.path.dirname(os.path.abspath(path)), row, values, starts)
+
+
+@contextmanager
+def _replacing(path):
+    """A text file whose bytes replace path's once the block ends without an
+    exception: a new file beside path, opened with mode 0o666 as open(path,
+    "w") opens path (so the umask applies), given the mode of an earlier file
+    and os.replace'd onto path. On an exception it is removed, so an earlier
+    file keeps its bytes. A symlink or another file that is not regular, or a
+    path beside which no file can be made, is written in place."""
+    temp, fd = f"{path}.{os.urandom(6).hex()}.tmp", None
+    with suppress(OSError):
+        if not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path)):
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            shutil.copymode(path, temp)  # raises, once fd is set, when there is no earlier file
+    try:
+        with open(path if fd is None else fd, "w", encoding="utf-8") as fh:
+            yield fh
+        if fd is not None:
+            os.replace(temp, path)
+    except BaseException:
+        if fd is not None:
+            os.remove(temp)
+        raise
+
+
+def _write_block(fh, directory, row: str, values: tuple, starts: range) -> None:
+    """fh.writelines(_format(row, values, starts)). In a block of FORK_FLOATS
+    float fields or more, a child from os.fork() formats the second half of
+    the chunks while this process formats the first: the bytes are those of
+    one pass, since a row's text does not depend on the process that formats it.
+    It forks only when this process has one OS thread (one entry in
+    /proc/self/task): a fork beside another thread, such as a BLAS worker,
+    may deadlock the child. The child pins itself to the allowed CPUs but this
+    process's (stats._other_cpus, read before the fork), writes its text into
+    an unnamed temp file in `directory` and ends in os._exit, with the cyclic
+    collector off, so it never unwinds into this stack or flushes a file of
+    this process. This process reaps it in a finally and copies its part after
+    its own half. When the temp file or the fork raises OSError, or the child
+    ends other than by exit 0, this process formats the second half itself."""
+    from .stats import _other_cpus  # stats imports this module
+    half, pid, floats = len(starts) // 2, None, sum(v.size for v in values if v.dtype.kind == "f")
+    with ExitStack() as stack:
+        with suppress(OSError):  # no /proc/self/task, temp file or fork: no child
+            if floats >= FORK_FLOATS and len(os.listdir("/proc/self/task")) == 1:
+                part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                others = _other_cpus()
+                pid = os.fork()
+        if pid == 0:
+            try:
+                gc.disable()
+                with suppress(OSError, AttributeError):  # no other CPU, or no affinity call
+                    os.sched_setaffinity(0, others)
+                with open(part.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                    out.writelines(_format(row, values, starts[half:]))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            fh.writelines(_format(row, values, starts[:half]))
+        finally:
+            done = pid is not None and os.waitpid(pid, 0)[1] == 0
+        if done:
+            fh.flush()
+            part.seek(0)
+            shutil.copyfileobj(part, fh.buffer)
+        else:
+            fh.writelines(_format(row, values, starts[half:]))
 
 
 def _write_table(path, header: list[str], columns: list) -> None:

@@ -154,15 +154,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict[int, EvalReport]:
 def write_world(world: SynthWorld, out_dir, config_hash: str = "") -> list[str]:
     """Serialize a synthetic world plus its manifest; returns written names."""
     os.makedirs(out_dir, exist_ok=True)
-    files = {
-        "vectors_ood.txt": lambda p: save_vector_table(world.ood_labeled, p),
-        "vectors_unlabeled.txt": lambda p: save_vector_table(world.indomain_unlabeled, p),
-        "vectors_enroll.txt": lambda p: save_vector_table(world.enroll, p),
-        "vectors_test.txt": lambda p: save_vector_table(world.test, p),
-        "trials.txt": lambda p: save_trials(world.trials, p),
-    }
-    for name, writer in files.items():
-        writer(os.path.join(out_dir, name))
+    tables = {"vectors_ood.txt": world.ood_labeled,
+              "vectors_unlabeled.txt": world.indomain_unlabeled,
+              "vectors_enroll.txt": world.enroll, "vectors_test.txt": world.test}
+    for name, vset in tables.items():
+        save_vector_table(vset, os.path.join(out_dir, name))
+    save_trials(world.trials, os.path.join(out_dir, "trials.txt"))
+    files = [*tables, "trials.txt"]
     cfg = world.config
     rows = [("file", name) for name in files]
     rows += [(f"config.{key}", f"{value}") for key, value in cfg.scalars().items()]

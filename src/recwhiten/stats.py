@@ -73,13 +73,11 @@ def in_halves(fn, n: int, work: float) -> None:
 def _other_cpus() -> set[int]:
     """The CPUs this thread may run on but the one it last ran on; empty when
     either cannot be read."""
-    if not hasattr(os, "sched_getaffinity"):
-        return set()
     try:
         with open("/proc/thread-self/stat", "rb") as f:
             cpu = int(f.read().rpartition(b")")[2].split()[36])  # field 39; comm may hold spaces
         return os.sched_getaffinity(0) - {cpu}
-    except (OSError, ValueError, IndexError):
+    except (OSError, ValueError, IndexError, AttributeError):  # AttributeError: no affinity call
         return set()
 
 
